@@ -8,13 +8,12 @@ including the cutoff-regularized S-state channel.
 """
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        LAMB_ACCURACY_2P_HZ, PhysicalConstants, ThetaParam, ThetaTensor,
+                        LAMB_ACCURACY_2P_HZ, PhysicalConstants, ThetaTensor,
                         ev2_to_gev_scale, hz_to_ev)
 from .dirac import (RelativisticState, deformed_potential, dirac_binding_energy,
                     dirac_energy, kappa_to_lj, level_label, lj_to_kappa, make_state,
-                    normalization_constant, parse_level_label, radial_fg)
-from .errors import (DivergenceError, DomainError, RefinementError, SingularityError,
-                     ValidationError)
+                    parse_level_label, radial_fg)
+from .errors import DivergenceError, DomainError, SingularityError, ValidationError
 from .nonrel import (ExpectationTable, HyperfineShift, SchrodingerState,
                      expectation_table, fine_structure_dirac_expansion,
                      fine_structure_shift, nc_hyperfine_shift, pi_delta_expectation,
@@ -28,7 +27,7 @@ from .shifts import (AngularBlock, Level, ShiftReport, ThetaBound,
                      level_shift, lz_block, lz_block_numeric, perturbation_kernels,
                      radial_integral_closed, radial_integral_quadrature, selection_allowed,
                      sigma_cross_block, theta_bound, transition_element_2s2p)
-from .specfun import (IntegrationResult, QuadratureRule, gamma_real, gauss_laguerre,
-                      laguerre_general, spherical_harmonic, spinor_harmonic)
+from .specfun import (IntegrationResult, QuadratureRule, gauss_laguerre, laguerre_general,
+                      spherical_harmonic, spinor_harmonic)
 
 __version__ = "0.1.0"

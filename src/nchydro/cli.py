@@ -17,8 +17,8 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, HZ_CONVENTIONS,
-                        LAMB_ACCURACY_2P_HZ, PhysicalConstants)
+from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
+                        PhysicalConstants, check_theta, finite_real)
 from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
 from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
@@ -39,24 +39,24 @@ class RunConfig:
     m_e: float = DEFAULT_CONSTANTS.m_e
     alpha: float = DEFAULT_CONSTANTS.alpha
     lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV
-    hz_convention: str = "two_pi_hbar"
     format: str = "table"
     out: str | None = None
-    quad_order: int = 80
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        allowed = {"m_e", "alpha", "lambda_qcd", "hz_convention"}
-        unknown = set(data) - allowed
+        if not isinstance(data, dict):
+            raise ValidationError("constants file must hold a JSON object")
+        unknown = set(data) - {"m_e", "alpha", "lambda_qcd"}
         if unknown:
             raise ValidationError(f"unknown constants keys: {sorted(unknown)}")
         cfg = cls()
         for key, value in data.items():
+            if not finite_real(value):
+                raise ValidationError(f"constants key {key!r} must be a finite number, "
+                                      f"got {value!r}")
             setattr(cfg, key, value)
-        if cfg.hz_convention not in HZ_CONVENTIONS:
-            raise ValidationError(f"hz_convention must be one of {HZ_CONVENTIONS}")
         return cfg
 
     def constants(self) -> PhysicalConstants:
@@ -67,25 +67,34 @@ class RunConfig:
 def parse_theta(text: str) -> float:
     """theta in eV^-2, either a float or the shorthand '(X GeV)^-2'."""
     match = _THETA_GEV_RE.match(text.strip())
-    if match:
-        scale = float(match.group(1))
-        if scale <= 0:
-            raise ValidationError(f"GeV scale must be positive in {text!r}")
-        return 1.0 / (scale * GEV) ** 2
     try:
-        value = float(text)
+        value = float(match.group(1) if match else text)
     except ValueError:
         raise ValidationError(f"cannot parse theta {text!r}") from None
-    if value < 0:
-        raise ValidationError(f"theta must be >= 0, got {value}")
+    if match:
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"GeV scale must be finite and positive in {text!r}")
+        try:
+            value = 1.0 / (value * GEV) ** 2
+        except (OverflowError, ZeroDivisionError):
+            raise ValidationError(f"GeV scale out of range in {text!r}") from None
+    check_theta(value)
     return value
 
 
 def parse_half_integer(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    """A number like '5/2' or '0.5'; argparse reports the ValidationError."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            value = float(num) / float(den)
+        else:
+            value = float(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{text!r} is not finite")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,18 +105,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--constants-file",
-                        help="JSON file overriding m_e/alpha/lambda_qcd/hz_convention")
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
+def _global_flags() -> argparse.ArgumentParser:
+    # No defaults here: the subcommand's copy of a flag that is not given
+    # must not overwrite the value given before the subcommand.
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--constants-file", help="JSON file overriding m_e/alpha/lambda_qcd")
+    common.add_argument("--format", choices=("table", "json", "csv"))
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--quad-order", type=int, default=80,
-                        help="starting Gauss-Laguerre order for adaptive integrals")
-    common.add_argument("--hz-convention", choices=HZ_CONVENTIONS, default=None)
+    return common
 
-    parser = _Parser(prog="nchydro", parents=[common],
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="nchydro", parents=[_global_flags()],
                      description="Hydrogen levels and their noncommutative-space shifts")
+    parser.set_defaults(constants_file=None, format="table", out=None)
+    common = _global_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_levels = sub.add_parser("levels", parents=[common], help="exact level energies")
@@ -155,7 +167,8 @@ def _emit(text: str, out_path):
 
 
 def _json_out(payload: dict) -> str:
-    return json.dumps({"schema": JSON_SCHEMA_VERSION, **payload}, indent=2) + "\n"
+    return json.dumps({"schema": JSON_SCHEMA_VERSION, **payload}, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _table(rows: list[tuple[str, str]]) -> str:
@@ -195,8 +208,7 @@ def cmd_levels(args, cfg: RunConfig) -> int:
 def cmd_shift(args, cfg: RunConfig) -> int:
     constants = cfg.constants()
     theta = parse_theta(args.theta)
-    report = level_shift(args.label, theta, constants,
-                         convention=cfg.hz_convention, quad_start=cfg.quad_order)
+    report = level_shift(args.label, theta, constants)
     if cfg.format == "json":
         _emit(_json_out(report.as_dict()), cfg.out)
     else:
@@ -209,8 +221,7 @@ def cmd_shift(args, cfg: RunConfig) -> int:
 def cmd_bound(args, cfg: RunConfig) -> int:
     constants = cfg.constants()
     accuracy_hz = args.accuracy_khz * 1e3
-    report = level_shift(args.label, 0.0, constants, accuracy_hz=accuracy_hz,
-                         convention=cfg.hz_convention, quad_start=cfg.quad_order)
+    report = level_shift(args.label, 0.0, constants, accuracy_hz=accuracy_hz)
     bounds = []
     seen = set()
     for coeff in report.coefficients:
@@ -218,7 +229,7 @@ def cmd_bound(args, cfg: RunConfig) -> int:
         if mag < 1e-300 or round(math.log10(mag), 9) in seen:
             continue
         seen.add(round(math.log10(mag), 9))
-        b = theta_bound(mag, accuracy_hz, constants, cfg.hz_convention)
+        b = theta_bound(mag, accuracy_hz, constants)
         bounds.append({
             "coefficient_eV3": mag,
             "theta_max_eV2": b.theta_max_ev2,
@@ -244,10 +255,11 @@ def cmd_nonrel(args, cfg: RunConfig) -> int:
     constants = cfg.constants()
     theta = parse_theta(args.theta)
     lam = args.lambda_qcd if args.lambda_qcd is not None else cfg.lambda_qcd
+    if not (math.isfinite(lam) and lam > 0):  # checked even where l > 0 leaves it unused
+        raise ValidationError(f"lambda-qcd must be finite and positive, got {lam}")
     if args.l == 0:
         shift = s_state_shift(theta, lam, constants)
-        bound = s_state_bound(lambda_qcd=lam, constants=constants,
-                              convention=cfg.hz_convention)
+        bound = s_state_bound(lambda_qcd=lam, constants=constants)
         payload = {
             "n": args.n, "l": 0, "j": args.j, "m_j": args.mj,
             "energy_eV": schrodinger_energy(args.n, constants),
@@ -305,8 +317,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     for i in range(args.steps):
         theta = theta_min + (theta_max - theta_min) * i / (args.steps - 1)
         for level in levels:
-            report = level_shift(level, theta, constants, convention=cfg.hz_convention,
-                                 quad_start=cfg.quad_order)
+            report = level_shift(level, theta, constants)
             for eig, shift in zip(report.eigenvalues, report.shifts_eV):
                 rows.append((theta, report.label, eig, shift))
     buf = io.StringIO()
@@ -343,9 +354,6 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_file(args.constants_file) if args.constants_file else RunConfig()
         cfg.format = args.format
         cfg.out = args.out
-        cfg.quad_order = args.quad_order
-        if args.hz_convention:
-            cfg.hz_convention = args.hz_convention
         handler = {
             "levels": cmd_levels,
             "shift": cmd_shift,

@@ -9,6 +9,7 @@ dimensional constant appears is the Hz <-> eV conversion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,17 @@ LAMB_ACCURACY_1S_HZ = 14.0e3
 # Short-distance cutoff regularizing divergent S-state expectation values.
 DEFAULT_LAMBDA_QCD_EV = 2.0e8
 
-HZ_CONVENTIONS = ("two_pi_hbar", "planck_h")
+
+def finite_real(value) -> bool:
+    """True for a finite real number (bools and strings are not numbers here)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_theta(theta: float):
+    """Reject a theta (eV^-2) that is negative or not finite."""
+    if not (math.isfinite(theta) and theta >= 0.0):
+        raise ValidationError(f"theta must be finite and >= 0, got {theta}")
 
 
 @dataclass(frozen=True)
@@ -37,10 +48,13 @@ class PhysicalConstants:
     hbar_eV_s: float = 6.582119569e-16
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
+        for name in ("m_e", "alpha", "hbar_eV_s"):
+            value = getattr(self, name)
+            if not (finite_real(value) and value > 0.0):
+                raise ValidationError(f"{name} must be a finite positive number, "
+                                      f"got {value!r}")
+        if not self.alpha < 1.0:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.m_e > 0.0:
-            raise ValidationError(f"m_e must be positive, got {self.m_e}")
 
     @property
     def bohr_radius(self) -> float:
@@ -52,21 +66,6 @@ class PhysicalConstants:
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
-class ThetaParam:
-    """Noncommutativity magnitude theta in eV^-2, axis fixed along z."""
-
-    theta: float
-
-    def __post_init__(self):
-        if self.theta < 0.0:
-            raise ValidationError(f"theta must be >= 0, got {self.theta}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.theta])
 
 
 @dataclass(frozen=True)
@@ -93,17 +92,9 @@ class ThetaTensor:
         return np.array([[0.0, tz, -ty], [-tz, 0.0, tx], [ty, -tx, 0.0]])
 
 
-def hz_to_ev(frequency_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS,
-             convention: str = "two_pi_hbar") -> float:
-    """Convert an ordinary frequency in Hz to an energy in eV.
-
-    Both conventions multiply by one full Planck quantum per cycle:
-    "two_pi_hbar" computes 2 pi hbar f, "planck_h" computes h f with
-    h = 2 pi hbar.  They agree; both names are accepted so configuration
-    files can state the convention explicitly.
-    """
-    if convention not in HZ_CONVENTIONS:
-        raise ValidationError(f"unknown hz convention {convention!r}; use one of {HZ_CONVENTIONS}")
+def hz_to_ev(frequency_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+    """Convert an ordinary frequency in Hz to an energy in eV: one Planck
+    quantum per cycle, h f = 2 pi hbar f."""
     return 2.0 * math.pi * constants.hbar_eV_s * frequency_hz
 
 

@@ -15,7 +15,8 @@ Conventions worth stating once:
   The coefficient of the first polynomial is written per unit mass so the
   two terms carry the same dimension; with that reading the pair solves
   the coupled radial equations to machine precision (checked in tests).
-* The overall normalization constant is computed numerically, with sign
+* The overall normalization constant (state.norm) comes from the norm
+  integral on the exact Gauss rule for the weight x^(2 nu) e^-x, with sign
   fixed positive; the physics downstream only consumes normalized shapes.
 """
 
@@ -24,13 +25,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import gamma_real, gauss_laguerre, laguerre_general
+from .specfun import gauss_laguerre, laguerre_general
 
 __all__ = [
     "RelativisticState",
@@ -42,8 +42,6 @@ __all__ = [
     "radial_shape_coefficients",
     "radial_polynomials",
     "radial_fg",
-    "normalization_constant",
-    "norm_integral_x",
     "deformed_potential",
     "parse_level_label",
     "level_label",
@@ -145,7 +143,9 @@ def make_state(n_r: int, kappa: int, M: float,
     energy = dirac_energy(n_r, kappa, constants)
     lam = math.sqrt((m - energy) * (m + energy))
     a = lam / m
-    norm = _norm_constant(n_r, kappa, constants)
+    # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
+    integral = _poly_integral(n_r, kappa, nu, constants, 2.0 * nu, 1.0, n_r + 1)
+    norm = math.sqrt((2.0 * lam) ** 3 / integral)
     return RelativisticState(n_r=n_r, kappa=kappa, M=M, constants=constants,
                              j=j, l=l, nu=nu, energy=energy, a=a, lam=lam, norm=norm)
 
@@ -188,40 +188,16 @@ def radial_polynomials(state: RelativisticState, x):
     return _poly_pair(state.n_r, state.kappa, state.nu, state.constants, x)
 
 
-def norm_integral_x(state: RelativisticState, order: int = 96) -> float:
-    """The x-space norm integral I = int x^(2 nu) e^-x (P_f^2 + P_g^2) dx.
+def _poly_integral(n_r: int, kappa: int, nu: float, constants: PhysicalConstants,
+                   beta: float, sign: float, nodes: int) -> float:
+    """int x^beta e^-x (P_f^2 + sign P_g^2) dx on the nodes-point Gauss rule.
 
-    The integrand is a polynomial against the generalized weight, so a
-    modest-order rule is exact.  The physical norm is norm^2 I / (2 lam)^3.
+    P_f and P_g have degree n_r, so any nodes >= n_r + 1 gives the exact
+    integral (up to rounding) for every beta > -1.
     """
-    rule = gauss_laguerre(order, beta=2.0 * state.nu)
-
-    def poly(x):
-        pf, pg = radial_polynomials(state, x)
-        return pf * pf + pg * pg
-
-    return rule.integrate(poly)
-
-
-@lru_cache(maxsize=4096)
-def _norm_constant(n_r: int, kappa: int, constants: PhysicalConstants) -> float:
-    alpha, m = constants.alpha, constants.m_e
-    nu = math.sqrt(kappa * kappa - alpha * alpha)
-    E = dirac_energy(n_r, kappa, constants)
-    lam = math.sqrt((m - E) * (m + E))
-    rule = gauss_laguerre(96, beta=2.0 * nu)
-
-    def poly(x):
-        pf, pg = _poly_pair(n_r, kappa, nu, constants, x)
-        return pf * pf + pg * pg
-
-    integral = rule.integrate(poly)
-    return math.sqrt((2.0 * lam) ** 3 / integral)
-
-
-def normalization_constant(state: RelativisticState) -> float:
-    """Constant C > 0 with C^2 int (f~^2 + g~^2) r^2 dr = 1 for the raw shapes."""
-    return _norm_constant(state.n_r, state.kappa, state.constants)
+    rule = gauss_laguerre(nodes, beta)
+    pf, pg = _poly_pair(n_r, kappa, nu, constants, rule.nodes)
+    return float(np.sum(rule.weights * (pf * pf + sign * pg * pg)))
 
 
 def radial_fg(state: RelativisticState, r):
@@ -249,7 +225,7 @@ def analytic_norm_nodeless(state: RelativisticState) -> float:
         raise ValidationError("closed-form norm only applies to n_r = 0 states")
     f2 = state.kappa - state.nu
     g2 = state.constants.alpha
-    integral = (f2 * f2 + g2 * g2) * gamma_real(2.0 * state.nu + 1.0)
+    integral = (f2 * f2 + g2 * g2) * math.gamma(2.0 * state.nu + 1.0)
     return math.sqrt((2.0 * state.lam) ** 3 / integral)
 
 

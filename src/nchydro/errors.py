@@ -15,7 +15,3 @@ class SingularityError(ValueError):
 
 class DivergenceError(ArithmeticError):
     """The requested expectation value or integral does not exist."""
-
-
-class RefinementError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested self-consistency."""

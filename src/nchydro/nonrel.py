@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants)
+                        PhysicalConstants, check_theta)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, theta_bound
 from .specfun import gauss_laguerre, laguerre_general
@@ -283,8 +283,7 @@ def expectation_table(state: SchrodingerState, theta: float) -> ExpectationTable
     if state.l < 1:
         raise DomainError("the expectation table applies to l >= 1; "
                           "use the cutoff S-state channel for l = 0")
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
+    check_theta(theta)
     c = state.constants
     n, l, mj = state.n, state.l, state.m_j
     sgn, lz_factor, so_factor = _branch_factors(state)
@@ -394,8 +393,7 @@ def nc_hyperfine_shift(state: SchrodingerState, theta: float) -> HyperfineShift:
     if state.l < 1:
         raise DomainError("nc_hyperfine_shift applies to l >= 1; "
                           "use s_state_shift for l = 0")
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
+    check_theta(theta)
     c = state.constants
     m, alpha = c.m_e, c.alpha
     n, l, mj = state.n, state.l, state.m_j
@@ -470,20 +468,18 @@ def s_state_shift_assembled(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_QCD
 
 def s_state_bound(accuracy_hz: float = LAMB_ACCURACY_1S_HZ,
                   lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                  convention: str = "two_pi_hbar") -> ThetaBound:
+                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ThetaBound:
     """Bound on theta from the 1S accuracy: theta_max = E(acc)/(alpha^5 m^2 Lambda/6)."""
-    if accuracy_hz <= 0.0:
-        raise DomainError("accuracy must be positive")
-    if lambda_qcd <= 0.0:
-        raise DomainError("lambda_qcd must be positive")
+    if not (math.isfinite(accuracy_hz) and accuracy_hz > 0.0):
+        raise DomainError(f"accuracy must be finite and positive, got {accuracy_hz}")
+    if not (math.isfinite(lambda_qcd) and lambda_qcd > 0.0):
+        raise DomainError(f"lambda_qcd must be finite and positive, got {lambda_qcd}")
     alpha, m = constants.alpha, constants.m_e
     coefficient = alpha ** 5 * m * m * lambda_qcd / 6.0
-    return theta_bound(coefficient, accuracy_hz, constants, convention)
+    return theta_bound(coefficient, accuracy_hz, constants)
 
 
 def _check_s_inputs(theta: float, lambda_qcd: float):
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
-    if lambda_qcd <= 0.0:
-        raise ValidationError(f"lambda_qcd must be positive, got {lambda_qcd}")
+    check_theta(theta)
+    if not (math.isfinite(lambda_qcd) and lambda_qcd > 0.0):
+        raise ValidationError(f"lambda_qcd must be finite and positive, got {lambda_qcd}")

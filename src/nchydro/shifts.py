@@ -14,10 +14,13 @@ Every radial quantity is computed twice:
   inconsistent with their own defining integrals, which is exactly why the
   second route exists.
 * "quadrature" integrates the defining integral int (f^2 +/- g^2)/r dr
-  directly.  For |kappa| = 1 that integral has a nonintegrable x^(2nu-3)
-  endpoint (2nu - 3 < -1) and mathematically diverges; the adaptive driver
-  then reports the order-capped sampled value with converged=False and the
-  report is flagged rather than silently trusted.
+  directly.  For |kappa| >= 2 the integrand is a polynomial against the
+  weight x^(2nu-3) e^-x, so the Gauss rule for that weight with n_r + 1
+  nodes is exact; one more node measures the rounding drift.  For
+  |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable (2nu - 3 < -1) and
+  the integral mathematically diverges; the doubling refinement then reports
+  the order-capped sampled value with converged=False and the report is
+  flagged rather than silently trusted.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -31,12 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
-                        ev2_to_gev_scale, hz_to_ev)
-from .dirac import (RelativisticState, kappa_to_lj, make_state, parse_level_label,
-                    radial_polynomials)
+                        check_theta, ev2_to_gev_scale, hz_to_ev)
+from .dirac import (RelativisticState, _poly_integral, kappa_to_lj, make_state,
+                    parse_level_label, radial_polynomials)
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import (IntegrationResult, adaptive_sampled_endpoint, adaptive_weighted,
-                      sphere_integrate, sphere_rule, spinor_harmonic, spinor_orbital_m)
+from .specfun import (IntegrationResult, adaptive_sampled_endpoint, sphere_integrate,
+                      sphere_rule, spinor_harmonic, spinor_orbital_m)
 
 __all__ = [
     "AngularBlock",
@@ -211,8 +214,7 @@ def _closed_form_kappa(kappa: int, l: int) -> int:
     return abs(kappa) if l >= 1 else kappa
 
 
-def radial_integral_closed(state: RelativisticState, kind: str = "sum",
-                           kappa_override: int | None = None) -> float:
+def radial_integral_closed(state: RelativisticState, kind: str = "sum") -> float:
     """Closed-form value of int (f^2 +/- g^2)/r dr in eV^3.
 
     kind="sum" is the (f^2 + g^2) integral, kind="diff" the (f^2 - g^2) one.
@@ -222,7 +224,7 @@ def radial_integral_closed(state: RelativisticState, kind: str = "sum",
     """
     c = state.constants
     m, nu, E, a = c.m_e, state.nu, state.energy, state.a
-    kappa = kappa_override if kappa_override is not None else _closed_form_kappa(state.kappa, state.l)
+    kappa = _closed_form_kappa(state.kappa, state.l)
     if abs(nu - 0.5) < 1e-12 or abs(nu - 1.0) < 1e-12:
         raise DomainError(f"closed form has a vanishing denominator at nu = {nu}")
     denom_common = nu * (4.0 * nu * nu - 1.0) * (nu * nu - 1.0)
@@ -241,39 +243,35 @@ def radial_integral_quadrature(state: RelativisticState, kind: str = "sum",
     """Direct quadrature of int (f^2 +/- g^2)/r dr in eV^3.
 
     In the Gauss-Laguerre variable the integrand is x^(2nu-3) e^-x times a
-    polynomial.  For nu > 1 the power is folded into a generalized weight
-    and the rule is exact; for nu < 1 (|kappa| = 1) the integral diverges at
-    the origin and the order-capped sampled value is returned with
-    converged=False.
+    polynomial of degree 2 n_r.  For nu > 1 the power is folded into a
+    generalized weight: the n_r + 1 node rule is exact, the value reported
+    is the n_r + 2 node one and the drift is their relative gap.  For
+    nu < 1 (|kappa| = 1) the integral diverges at the origin and the
+    doubling refinement (start, max_order) returns the order-capped sampled
+    value with converged=False.
     """
     if kind not in ("sum", "diff"):
         raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
     sign = 1.0 if kind == "sum" else -1.0
-    nu = state.nu
-    norm = norm_x_integral(state)
-
-    def poly(x):
-        pf, pg = radial_polynomials(state, x)
-        return pf * pf + sign * pg * pg
-
-    beta = 2.0 * nu - 3.0
+    beta = 2.0 * state.nu - 3.0
     if beta > -1.0 + 1e-9:
-        res = adaptive_weighted(poly, beta=beta, tol=tol, start=start, max_order=max_order)
+        def exact(nodes):
+            return _poly_integral(state.n_r, state.kappa, state.nu, state.constants,
+                                  beta, sign, nodes)
+
+        prev, cur = exact(state.n_r + 1), exact(state.n_r + 2)
+        drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
+        res = IntegrationResult(value=cur, order=state.n_r + 2, drift=drift,
+                                converged=drift <= tol)
     else:
         def singular(x):
-            return np.exp(beta * np.log(x)) * poly(x)
+            pf, pg = radial_polynomials(state, x)
+            return np.exp(beta * np.log(x)) * (pf * pf + sign * pg * pg)
 
         res = adaptive_sampled_endpoint(singular, tol=tol, start=start, max_order=max_order)
-    scale = (2.0 * state.lam) ** 3 / norm
+    scale = state.norm ** 2
     return IntegrationResult(value=res.value * scale, order=res.order,
                              drift=res.drift, converged=res.converged)
-
-
-def norm_x_integral(state: RelativisticState) -> float:
-    """x-space norm integral (exact generalized-weight quadrature)."""
-    from .dirac import norm_integral_x
-
-    return norm_integral_x(state)
 
 
 def _cross_states(constants: PhysicalConstants):
@@ -305,8 +303,6 @@ def cross_radial_integral_quadrature(constants: PhysicalConstants = DEFAULT_CONS
     """
     s2s, s2p = _cross_states(constants)
     nu = s2s.nu
-    norm_s = norm_x_integral(s2s)
-    norm_p = norm_x_integral(s2p)
 
     def integrand(x):
         pfs, pgs = radial_polynomials(s2s, x)
@@ -314,7 +310,7 @@ def cross_radial_integral_quadrature(constants: PhysicalConstants = DEFAULT_CONS
         return np.exp((2.0 * nu - 3.0) * np.log(x)) * (pfs * pfp - pgs * pgp)
 
     res = adaptive_sampled_endpoint(integrand, tol=tol, start=start, max_order=max_order)
-    scale = (2.0 * s2s.lam) ** 3 / math.sqrt(norm_s * norm_p)
+    scale = s2s.norm * s2p.norm
     return IntegrationResult(value=res.value * scale, order=res.order,
                              drift=res.drift, converged=res.converged)
 
@@ -332,27 +328,25 @@ class ThetaBound:
     gev_scale: float          # the X of "theta <= (X GeV)^-2"
     coefficient_ev3: float
     accuracy_hz: float
-    convention: str = "two_pi_hbar"
 
 
 def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                convention: str = "two_pi_hbar") -> ThetaBound:
+                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ThetaBound:
     """Largest theta compatible with |coefficient| theta <= E(accuracy).
 
     The accuracy is an ordinary frequency; its energy equivalent is one
     Planck quantum per cycle (see hz_to_ev).  Doubling the accuracy doubles
     the bound.
     """
-    if shift_coefficient_ev3 <= 0.0:
-        raise DomainError("shift coefficient must be positive")
-    if accuracy_hz <= 0.0:
-        raise DomainError("accuracy must be positive")
-    e_acc = hz_to_ev(accuracy_hz, constants, convention)
+    if not (math.isfinite(shift_coefficient_ev3) and shift_coefficient_ev3 > 0.0):
+        raise DomainError(f"shift coefficient must be finite and positive, "
+                          f"got {shift_coefficient_ev3}")
+    if not (math.isfinite(accuracy_hz) and accuracy_hz > 0.0):
+        raise DomainError(f"accuracy must be finite and positive, got {accuracy_hz}")
+    e_acc = hz_to_ev(accuracy_hz, constants)
     theta_max = e_acc / shift_coefficient_ev3
     return ThetaBound(theta_max_ev2=theta_max, gev_scale=ev2_to_gev_scale(theta_max),
-                      coefficient_ev3=shift_coefficient_ev3, accuracy_hz=accuracy_hz,
-                      convention=convention)
+                      coefficient_ev3=shift_coefficient_ev3, accuracy_hz=accuracy_hz)
 
 
 @dataclass(frozen=True)
@@ -398,9 +392,7 @@ class ShiftReport:
 
 def level_shift(level, theta: float,
                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                accuracy_hz: float = LAMB_ACCURACY_2P_HZ,
-                convention: str = "two_pi_hbar",
-                quad_start: int = 80) -> ShiftReport:
+                accuracy_hz: float = LAMB_ACCURACY_2P_HZ) -> ShiftReport:
     """First-order shifts Delta E = -(e^2/2) rho1 lambda_k theta for a level.
 
     `level` is a Level or a spectroscopic label.  Both the closed-form and
@@ -410,8 +402,7 @@ def level_shift(level, theta: float,
     not converge).  The within-level vector-piece block vanishes by parity
     and contributes nothing here.
     """
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
+    check_theta(theta)
     if isinstance(level, str):
         level = Level.from_label(level, constants)
     state0 = level.states[0]
@@ -421,8 +412,8 @@ def level_shift(level, theta: float,
 
     rho1_c = radial_integral_closed(state0, "sum")
     rho2_c = radial_integral_closed(state0, "diff")
-    rho1_q = radial_integral_quadrature(state0, "sum", start=quad_start)
-    rho2_q = radial_integral_quadrature(state0, "diff", start=quad_start)
+    rho1_q = radial_integral_quadrature(state0, "sum")
+    rho2_q = radial_integral_quadrature(state0, "diff")
 
     coeff_closed = tuple(-(alpha / 2.0) * rho1_c * lam for lam in eigenvalues)
     coeff_quad = tuple(-(alpha / 2.0) * rho1_q.value * lam for lam in eigenvalues)
@@ -441,7 +432,7 @@ def level_shift(level, theta: float,
     bound = None
     max_coeff = max((abs(c) for c in coeff_closed), default=0.0)
     if max_coeff > 0.0:
-        bound = theta_bound(max_coeff, accuracy_hz, constants, convention)
+        bound = theta_bound(max_coeff, accuracy_hz, constants)
 
     return ShiftReport(label=level.label, theta=theta, eigenvalues=eigenvalues,
                        rho1=rho1_c, rho2=rho2_c,
@@ -460,8 +451,7 @@ def transition_element_2s2p(theta: float,
     Evaluates (e^4/4) times the 2/3 entry of the angular cross block times
     the radial cross integral (by the requested method).  Linear in theta.
     """
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
+    check_theta(theta)
     if method == "closed_form":
         rho = cross_radial_integral_closed(constants)
     elif method == "quadrature":
@@ -502,8 +492,7 @@ def perturbation_kernels(state: RelativisticState, theta: float, position):
     r = float(np.linalg.norm(pos))
     if r == 0.0:
         raise SingularityError("perturbation kernels are singular at r = 0")
-    if theta < 0.0:
-        raise ValidationError(f"theta must be >= 0, got {theta}")
+    check_theta(theta)
     alpha = state.constants.alpha
     m_eff = lz_expectation(state.j, state.l, state.M)
     term1 = -(alpha / (2.0 * r ** 3)) * theta * m_eff

@@ -1,10 +1,10 @@
 """Special functions and quadrature kernel.
 
-Everything here is a pure function of its arguments: gamma, generalized
-Laguerre polynomials, complex spherical harmonics with the Condon-Shortley
-phase, two-component spinor spherical harmonics, and Gauss-Laguerre
-quadrature (plain and generalized weight x^beta e^-x) with an adaptive
-driver.  Units never enter; callers scale their own variables.
+Everything here is a pure function of its arguments: generalized Laguerre
+polynomials, complex spherical harmonics with the Condon-Shortley phase,
+two-component spinor spherical harmonics, and Gauss-Laguerre quadrature
+(plain and generalized weight x^beta e^-x) with doubling refinement.  Units
+never enter; callers scale their own variables.
 """
 
 from __future__ import annotations
@@ -20,53 +20,17 @@ from .errors import DomainError, ValidationError
 __all__ = [
     "QuadratureRule",
     "IntegrationResult",
-    "gamma_real",
     "laguerre_general",
     "spherical_harmonic",
     "spinor_harmonic",
     "spinor_orbital_m",
     "gauss_laguerre",
-    "integrate_weighted",
     "integrate_sampled_endpoint",
     "adaptive_weighted",
     "adaptive_sampled_endpoint",
     "sphere_rule",
     "sphere_integrate",
 ]
-
-# Lanczos approximation, g = 7, 9 coefficients.  Good to ~1e-14 relative
-# for positive real arguments, which is all the bound-state formulas need.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function for real x > 0.
-
-    Raises DomainError for x <= 0; the reflection branch below 0.5 is kept
-    only so arguments slightly under 1/2 do not lose accuracy.
-    """
-    if not x > 0.0:
-        raise DomainError(f"gamma_real requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def laguerre_general(n: int, a: float, x):
@@ -196,7 +160,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "gauss_laguerre"  # or "adaptive" when produced by the driver
     beta: float = 0.0
 
     def integrate(self, func) -> float:
@@ -214,7 +177,7 @@ def _laguerre_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     off = np.sqrt(k * (k + beta))
     jmat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     x = np.linalg.eigvalsh(jmat)
-    mu0 = gamma_real(1.0 + beta)
+    mu0 = math.gamma(1.0 + beta)
     with np.errstate(under="ignore"):
         log_w = -x + beta * np.log(x)
         q = np.exp(0.5 * log_w) / math.sqrt(mu0)
@@ -244,7 +207,7 @@ def gauss_laguerre(n: int, beta: float = 0.0) -> QuadratureRule:
     if beta <= -1.0:
         raise DomainError(f"weight x^beta e^-x is not integrable for beta={beta}")
     nodes, weights = _laguerre_rule(int(n), float(beta))
-    return QuadratureRule(nodes=nodes, weights=weights, kind="gauss_laguerre", beta=beta)
+    return QuadratureRule(nodes=nodes, weights=weights, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -255,11 +218,6 @@ class IntegrationResult:
     order: int
     drift: float
     converged: bool
-
-
-def integrate_weighted(func, order: int, beta: float = 0.0) -> float:
-    """Approximate integral of func(x) x^beta e^-x dx over (0, inf)."""
-    return gauss_laguerre(order, beta).integrate(func)
 
 
 def integrate_sampled_endpoint(func, order: int) -> float:
@@ -293,9 +251,9 @@ def _adaptive(evaluate, tol: float, start: int, max_order: int) -> IntegrationRe
 
 def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
                       start: int = 80, max_order: int = 1280) -> IntegrationResult:
-    """Doubling refinement of integrate_weighted until the relative change
-    between successive orders falls below tol."""
-    return _adaptive(lambda n: integrate_weighted(func, n, beta), tol, start, max_order)
+    """Integral of func(x) x^beta e^-x dx over (0, inf) by doubling the
+    Gauss-Laguerre order until the relative change falls below tol."""
+    return _adaptive(lambda n: gauss_laguerre(n, beta).integrate(func), tol, start, max_order)
 
 
 def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80,

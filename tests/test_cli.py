@@ -1,17 +1,28 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from nchydro import cli
-from nchydro.cli import main, parse_theta
+from nchydro.cli import RunConfig, build_parser, main, parse_half_integer, parse_theta
 from nchydro.errors import ValidationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestThetaParsing:
@@ -27,6 +38,67 @@ class TestThetaParsing:
             parse_theta("four")
         with pytest.raises(ValidationError):
             parse_theta("-1e-19")
+
+    def test_rejects_non_finite(self):
+        for text in ("nan", "inf", "-inf", "1e999", "(0 GeV)^-2", "(1e-300 GeV)^-2"):
+            with pytest.raises(ValidationError):
+                parse_theta(text)
+
+
+class TestHalfIntegerParsing:
+    def test_values(self):
+        assert parse_half_integer("5/2") == 2.5
+        assert parse_half_integer("0.5") == 0.5
+
+    def test_zero_denominator_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            parse_half_integer("1/0")
+
+    @pytest.mark.parametrize("flag", ["--j", "--mj"])
+    def test_zero_denominator_exits_1(self, capsys, flag):
+        values = {"--j": "5/2", "--mj": "1/2", flag: "1/0"}
+        with pytest.raises(SystemExit) as exc:
+            main(["nonrel", "--n", "3", "--l", "2", "--j", values["--j"],
+                  "--mj", values["--mj"], "--theta", "1e-19"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}" in captured.err
+
+
+class TestGlobalFlags:
+    def test_flags_before_the_subcommand(self, capsys, tmp_path):
+        out_file = tmp_path / "levels.json"
+        code, out, _ = run_cli(capsys, "--format", "json", "--out", str(out_file),
+                               "levels", "1S1/2")
+        assert code == 0 and out == ""
+        assert json.loads(out_file.read_text())["label"] == "1S1/2"
+
+    def test_readme_documents_exactly_the_parser_flags(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("Global flags work before or after the subcommand:")[1]
+        section = section.split("Exit codes:")[0]
+        documented = set(re.findall(r"^\* `(--[a-z-]+)", section, re.MULTILINE))
+        parsed = {opt for action in build_parser()._actions
+                  for opt in action.option_strings if opt != "--help"} - {"-h"}
+        assert documented == parsed
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "2P3/2", "--theta", "nan"],
+    ["shift", "2P3/2", "--theta", "(1e999 GeV)^-2"],
+    ["bound", "2P3/2", "--accuracy-khz", "nan"],
+    ["sweep", "--theta-min", "0", "--theta-max", "inf", "--steps", "3"],
+    ["nonrel", "--n", "1", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19",
+     "--lambda-qcd", "inf"],
+    ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e-19",
+     "--lambda-qcd", "inf"],
+])
+def test_non_finite_input_exits_1_without_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert "nchydro: error:" in err
 
 
 class TestLevels:
@@ -154,6 +226,20 @@ class TestConstantsFile:
         assert code == 1
         assert "unknown" in err
 
+    @pytest.mark.parametrize("content", [
+        '{"alpha": "0.007"}', '{"m_e": Infinity}', '{"lambda_qcd": NaN}',
+        '{"alpha": true}', '[0.007]',
+    ])
+    def test_bad_value_is_a_validation_error(self, capsys, tmp_path, content):
+        path = tmp_path / "constants.json"
+        path.write_text(content)
+        with pytest.raises(ValidationError):
+            RunConfig.from_file(str(path))
+        code, out, err = run_cli(capsys, "levels", "1S1/2", "--constants-file", str(path))
+        assert code == 1
+        assert out == ""
+        assert "nchydro: error:" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "levels", "1S1/2", "--constants-file", "/no/such.json")
         assert code == 1
@@ -164,7 +250,7 @@ class TestVerify:
         # flagged inconsistencies are expected and documented; exit stays 0
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["mismatches"] == 0
         verdicts = {r["verdict"] for r in payload["reports"]}
         assert "flagged_paper_inconsistency" in verdicts

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nchydro.constants import DEFAULT_CONSTANTS, ThetaTensor
+from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
 from nchydro.dirac import (analytic_norm_nodeless, deformed_potential,
                            dirac_binding_energy, dirac_energy, level_label,
-                           make_state, norm_integral_x, normalization_constant,
-                           parse_level_label, radial_fg)
+                           make_state, parse_level_label, radial_fg,
+                           radial_polynomials)
 from nchydro.errors import DomainError, SingularityError, ValidationError
+from nchydro.specfun import gauss_laguerre
 
 C = DEFAULT_CONSTANTS
 ALPHA = C.alpha
@@ -135,19 +136,25 @@ class TestRadialFunctions:
 
 
 class TestNormalizationConstant:
+    @staticmethod
+    def norm_functional(s, c):
+        # c^2 int (f~^2 + g~^2) r^2 dr on a rule far above the exact order
+        rule = gauss_laguerre(48, 2.0 * s.nu)
+        pf, pg = radial_polynomials(s, rule.nodes)
+        integral = float(np.sum(rule.weights * (pf * pf + pg * pg)))
+        return c ** 2 * integral / (2.0 * s.lam) ** 3
+
     def test_quadratic_scaling(self):
-        # doubling the constant quadruples the norm functional
+        # state.norm normalizes; doubling it quadruples the norm functional
         s = make_state(1, 1, 0.5)
-        integral = norm_integral_x(s)
-        c = normalization_constant(s)
-        norm_1 = c ** 2 * integral / (2.0 * s.lam) ** 3
-        norm_2 = (2.0 * c) ** 2 * integral / (2.0 * s.lam) ** 3
+        norm_1 = self.norm_functional(s, s.norm)
+        norm_2 = self.norm_functional(s, 2.0 * s.norm)
+        assert norm_1 == pytest.approx(1.0, rel=1e-13)
         assert norm_2 == pytest.approx(4.0 * norm_1, rel=1e-14)
 
     def test_1s_against_closed_form(self):
         s = make_state(0, -1, 0.5)
-        assert normalization_constant(s) == pytest.approx(
-            analytic_norm_nodeless(s), rel=1e-12)
+        assert s.norm == pytest.approx(analytic_norm_nodeless(s), rel=1e-12)
 
     def test_idempotent_renormalization(self):
         from nchydro.oracle import norm_self_consistency
@@ -186,16 +193,14 @@ class TestDeformedPotential:
             deformed_potential([0.0, 0.0, 0.0], ThetaTensor.z_axis(0.0))
 
 
-class TestThetaParam:
-    def test_vector_along_z(self):
-        from nchydro.constants import ThetaParam
-        p = ThetaParam(3.0e-19)
-        assert np.allclose(p.vector, [0.0, 0.0, 3.0e-19])
-
-    def test_negative_rejected(self):
-        from nchydro.constants import ThetaParam
+class TestPhysicalConstants:
+    @pytest.mark.parametrize("field,value", [
+        ("m_e", math.inf), ("m_e", math.nan), ("m_e", -1.0), ("m_e", "510998.95"),
+        ("alpha", math.nan), ("alpha", 1.0), ("alpha", "0.007"), ("hbar_eV_s", math.inf),
+    ])
+    def test_rejects_non_finite_or_non_numeric(self, field, value):
         with pytest.raises(ValidationError):
-            ThetaParam(-1.0e-19)
+            PhysicalConstants(**{field: value})
 
 
 class TestLabels:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nchydro.constants import DEFAULT_CONSTANTS
-from nchydro.dirac import dirac_energy, make_state
+from nchydro.dirac import dirac_energy, make_state, radial_polynomials
 from nchydro.errors import DomainError, SingularityError, ValidationError
 from nchydro.shifts import (Level, cross_radial_integral_closed,
                             cross_radial_integral_quadrature, level_shift, lz_block,
@@ -14,6 +14,7 @@ from nchydro.shifts import (Level, cross_radial_integral_closed,
                             radial_integral_closed, radial_integral_quadrature,
                             selection_allowed, sigma_cross_block, theta_bound,
                             transition_element_2s2p)
+from nchydro.specfun import gauss_laguerre
 
 C = DEFAULT_CONSTANTS
 ALPHA = C.alpha
@@ -122,6 +123,19 @@ class TestRadialQuadrature:
         assert not res.converged  # nonintegrable endpoint
         assert res.value == pytest.approx(M3A3 / 24.0, rel=0.05)
 
+    def test_exact_rule_for_kappa_ge_2(self):
+        # a polynomial against x^(2nu-3) e^-x: n_r + 1 nodes are exact, one
+        # more node measures the drift, and the refinement start never enters
+        s = make_state(2, 3, 0.5)
+        res = radial_integral_quadrature(s, "diff")
+        assert res.order == s.n_r + 2
+        assert res.converged and res.drift <= 1e-13
+        assert radial_integral_quadrature(s, "diff", start=8) == res
+        rule = gauss_laguerre(40, 2.0 * s.nu - 3.0)
+        pf, pg = radial_polynomials(s, rule.nodes)
+        reference = s.norm ** 2 * float(np.sum(rule.weights * (pf * pf - pg * pg)))
+        assert res.value == pytest.approx(reference, rel=1e-13)
+
     def test_diff_to_sum_ratio_small_alpha(self):
         from nchydro.oracle import radial_ratio_small_alpha
         assert abs(radial_ratio_small_alpha(0, -2, 5.0e-4) - 1.0) < 1e-6
@@ -177,6 +191,16 @@ class TestLevelShift:
     def test_negative_theta_rejected(self):
         with pytest.raises(ValidationError):
             level_shift("2P3/2", -1.0e-19)
+
+    def test_non_finite_theta_rejected(self):
+        s = make_state(1, 1, 0.5)
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                level_shift("2P3/2", theta)
+            with pytest.raises(ValidationError):
+                transition_element_2s2p(theta)
+            with pytest.raises(ValidationError):
+                perturbation_kernels(s, theta, [1.0, 0.0, 0.0])
 
 
 class TestTransitionElement:
@@ -239,16 +263,17 @@ class TestThetaBound:
         b2 = theta_bound(1.0e6, 160.0)
         assert b2.theta_max_ev2 == pytest.approx(2.0 * b1.theta_max_ev2, rel=1e-14)
 
-    def test_both_conventions_agree(self):
-        b1 = theta_bound(1.0e6, 80.0, convention="two_pi_hbar")
-        b2 = theta_bound(1.0e6, 80.0, convention="planck_h")
-        assert b1.theta_max_ev2 == pytest.approx(b2.theta_max_ev2, rel=1e-14)
-
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             theta_bound(-1.0, 80.0)
         with pytest.raises(DomainError):
             theta_bound(1.0e6, 0.0)
+
+    def test_non_finite_rejected(self):
+        for coefficient, accuracy in ((math.nan, 80.0), (math.inf, 80.0),
+                                      (1.0e6, math.nan), (1.0e6, math.inf)):
+            with pytest.raises(DomainError):
+                theta_bound(coefficient, accuracy)
 
 
 class TestPerturbationKernels:
