@@ -18,9 +18,10 @@ Every radial quantity is computed twice:
   weight x^(2nu-3) e^-x, so the Gauss rule for that weight with n_r + 1
   nodes is exact; one more node measures the rounding drift.  For
   |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable (2nu - 3 < -1) and
-  the integral mathematically diverges; the doubling refinement then reports
-  the order-capped sampled value with converged=False and the report is
-  flagged rather than silently trusted.
+  the integral mathematically diverges; the endpoint-substituted plain rule
+  is sampled at 80 and 160 nodes, the 160-node sample is reported with
+  converged=False, and the report is flagged rather than silently trusted.
+  That sample depends on the order and is not a value of the integral.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -238,17 +239,16 @@ def radial_integral_closed(state: RelativisticState, kind: str = "sum") -> float
 
 
 def radial_integral_quadrature(state: RelativisticState, kind: str = "sum",
-                               tol: float = 1e-10, start: int = 80,
-                               max_order: int = 1280) -> IntegrationResult:
+                               tol: float = 1e-10, start: int = 80) -> IntegrationResult:
     """Direct quadrature of int (f^2 +/- g^2)/r dr in eV^3.
 
     In the Gauss-Laguerre variable the integrand is x^(2nu-3) e^-x times a
     polynomial of degree 2 n_r.  For nu > 1 the power is folded into a
     generalized weight: the n_r + 1 node rule is exact, the value reported
-    is the n_r + 2 node one and the drift is their relative gap.  For
-    nu < 1 (|kappa| = 1) the integral diverges at the origin and the
-    doubling refinement (start, max_order) returns the order-capped sampled
-    value with converged=False.
+    is the n_r + 2 node one and the drift is their relative gap; start
+    does not enter.  For nu < 1 (|kappa| = 1) the integral diverges at the
+    origin: adaptive_sampled_endpoint samples it at orders start and
+    2 start and the 2 start sample is returned with converged=False.
     """
     if kind not in ("sum", "diff"):
         raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
@@ -268,7 +268,7 @@ def radial_integral_quadrature(state: RelativisticState, kind: str = "sum",
             pf, pg = radial_polynomials(state, x)
             return np.exp(beta * np.log(x)) * (pf * pf + sign * pg * pg)
 
-        res = adaptive_sampled_endpoint(singular, tol=tol, start=start, max_order=max_order)
+        res = adaptive_sampled_endpoint(singular, tol=tol, start=start)
     scale = state.norm ** 2
     return IntegrationResult(value=res.value * scale, order=res.order,
                              drift=res.drift, converged=res.converged)
@@ -293,13 +293,14 @@ def cross_radial_integral_closed(constants: PhysicalConstants = DEFAULT_CONSTANT
 
 
 def cross_radial_integral_quadrature(constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                                     tol: float = 1e-10, start: int = 80,
-                                     max_order: int = 1280) -> IntegrationResult:
+                                     tol: float = 1e-10, start: int = 80) -> IntegrationResult:
     """Direct quadrature of int (f_2S f_2P - g_2S g_2P)/r dr in eV^3.
 
     The two states are degenerate so they share the same x variable.  The
     sign convention of each state's normalization constant is positive,
     which fixes the (otherwise arbitrary) overall sign of this element.
+    The x^(2nu-3) endpoint is the |kappa| = 1 one, so the integral diverges
+    and, as in radial_integral_quadrature, the 2 start sample is returned.
     """
     s2s, s2p = _cross_states(constants)
     nu = s2s.nu
@@ -309,7 +310,7 @@ def cross_radial_integral_quadrature(constants: PhysicalConstants = DEFAULT_CONS
         pfp, pgp = radial_polynomials(s2p, x)
         return np.exp((2.0 * nu - 3.0) * np.log(x)) * (pfs * pfp - pgs * pgp)
 
-    res = adaptive_sampled_endpoint(integrand, tol=tol, start=start, max_order=max_order)
+    res = adaptive_sampled_endpoint(integrand, tol=tol, start=start)
     scale = s2s.norm * s2p.norm
     return IntegrationResult(value=res.value * scale, order=res.order,
                              drift=res.drift, converged=res.converged)
@@ -361,6 +362,8 @@ class ShiftReport:
     rho1_quadrature: float
     rho2_quadrature: float
     quadrature_converged: bool
+    quadrature_order: int                    # rule order shared by both quadratures
+    quadrature_drift: float                  # larger of the two quadrature drifts
     coefficients: tuple[float, ...]          # closed-form route, eV^3 per theta
     coefficients_quadrature: tuple[float, ...]
     shifts_eV: tuple[float, ...]             # closed-form coefficients times theta
@@ -378,6 +381,8 @@ class ShiftReport:
             "rho1_quadrature_eV3": self.rho1_quadrature,
             "rho2_quadrature_eV3": self.rho2_quadrature,
             "quadrature_converged": self.quadrature_converged,
+            "quadrature_order": self.quadrature_order,
+            "quadrature_drift": self.quadrature_drift,
             "coefficients_eV3": list(self.coefficients),
             "coefficients_quadrature_eV3": list(self.coefficients_quadrature),
             "shifts_eV": list(self.shifts_eV),
@@ -391,7 +396,7 @@ class ShiftReport:
 
 
 def level_shift(level, theta: float,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS,
+                constants: PhysicalConstants | None = None,
                 accuracy_hz: float = LAMB_ACCURACY_2P_HZ) -> ShiftReport:
     """First-order shifts Delta E = -(e^2/2) rho1 lambda_k theta for a level.
 
@@ -401,10 +406,19 @@ def level_shift(level, theta: float,
     two routes disagree beyond RADIAL_AGREEMENT_TOL (or the quadrature did
     not converge).  The within-level vector-piece block vanishes by parity
     and contributes nothing here.
+
+    A label is built with `constants` (default constants when None).  A
+    Level carries its own constants, which set alpha and the bound's Hz
+    conversion; an explicit `constants` that differs from them raises
+    ValidationError.
     """
     check_theta(theta)
     if isinstance(level, str):
-        level = Level.from_label(level, constants)
+        level = Level.from_label(level, constants or DEFAULT_CONSTANTS)
+    elif constants is not None and constants != level.constants:
+        raise ValidationError(f"constants differ from those level {level.label} "
+                              f"was built with")
+    constants = level.constants
     state0 = level.states[0]
     alpha = constants.alpha
     block = lz_block(level.j, level.l, label=level.label)
@@ -423,8 +437,9 @@ def level_shift(level, theta: float,
     rel = abs(rho1_c - rho1_q.value) / max(abs(rho1_q.value), 1e-300)
     flagged = rel > RADIAL_AGREEMENT_TOL or not rho1_q.converged
     if not rho1_q.converged:
-        notes.append("defining radial integral diverges at the origin for |kappa| = 1; "
-                     "quadrature value is the order-capped sample")
+        notes.append(f"defining radial integral diverges at the origin for |kappa| = 1; "
+                     f"quadrature value is the sample at order {rho1_q.order}, "
+                     f"not a value of the integral")
     if rel > RADIAL_AGREEMENT_TOL:
         notes.append(f"closed-form and quadrature radial integrals disagree "
                      f"(relative difference {rel:.3e}); both are reported")
@@ -438,6 +453,8 @@ def level_shift(level, theta: float,
                        rho1=rho1_c, rho2=rho2_c,
                        rho1_quadrature=rho1_q.value, rho2_quadrature=rho2_q.value,
                        quadrature_converged=rho1_q.converged and rho2_q.converged,
+                       quadrature_order=rho1_q.order,
+                       quadrature_drift=max(rho1_q.drift, rho2_q.drift),
                        coefficients=coeff_closed, coefficients_quadrature=coeff_quad,
                        shifts_eV=shifts, theta_bound=bound, flagged=flagged,
                        notes=tuple(notes))

@@ -3,7 +3,8 @@
 Everything here is a pure function of its arguments: generalized Laguerre
 polynomials, complex spherical harmonics with the Condon-Shortley phase,
 two-component spinor spherical harmonics, and Gauss-Laguerre quadrature
-(plain and generalized weight x^beta e^-x) with doubling refinement.  Units
+(plain and generalized weight x^beta e^-x): a doubling refinement for
+convergent integrands and a two-order sample for divergent ones.  Units
 never enter; callers scale their own variables.
 """
 
@@ -256,14 +257,20 @@ def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
     return _adaptive(lambda n: gauss_laguerre(n, beta).integrate(func), tol, start, max_order)
 
 
-def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80,
-                              max_order: int = 1280) -> IntegrationResult:
-    """Doubling refinement of integrate_sampled_endpoint.
+def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> IntegrationResult:
+    """integrate_sampled_endpoint at orders start and 2 start.
 
-    For a divergent integrand the drift never reaches tol and the result is
-    returned with converged=False; callers decide whether that is an error.
+    Meant for integrals the caller already knows to diverge at the origin,
+    where more nodes only move the sample, so there is no refinement loop.
+    Reports the 2 start sample with order = 2 start, the relative gap
+    between the two samples as drift and converged = drift <= tol; for a
+    divergent integrand converged is False and the value is a sample, not
+    a value of the integral.
     """
-    return _adaptive(lambda n: integrate_sampled_endpoint(func, n), tol, start, max_order)
+    prev = integrate_sampled_endpoint(func, start)
+    cur = integrate_sampled_endpoint(func, 2 * start)
+    drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
+    return IntegrationResult(value=cur, order=2 * start, drift=drift, converged=drift <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -97,19 +97,38 @@ class TestSuite:
         for n_r, kappa in [(0, -1), (1, 1), (0, -2), (3, -3)]:
             assert norm_self_consistency(n_r, kappa) == pytest.approx(1.0, abs=1e-8)
 
-    def test_refinement_monotonicity_on_singular_integrand(self):
-        # doubling the order must not grow the error by more than 10x, even
-        # with the weakly singular x^(2nu-3) endpoint of a converging case
+    def test_no_default_path_builds_a_large_rule(self, monkeypatch):
+        from nchydro import specfun
+        from nchydro.shifts import level_shift, transition_element_2s2p
+
+        built = []
+        rule = specfun._laguerre_rule
+        rule.cache_clear()
+
+        def recorder(n, beta):
+            built.append(n)
+            return rule(n, beta)
+
+        monkeypatch.setattr(specfun, "_laguerre_rule", recorder)
+        kappa_1 = [f"{n}S1/2" for n in range(1, 6)] + [f"{n}P1/2" for n in range(2, 6)]
+        for label in kappa_1:
+            level_shift(label, 1.0e-19)
+        transition_element_2s2p(1.0e-19, method="quadrature")
+        run_all()
+        assert max(built) <= 256
+
+    def test_kappa_1_sampled_at_two_orders(self):
+        # |kappa| = 1: the defining integral diverges, so the quadrature is a
+        # deterministic sample at order 2 start that moves with start
         from nchydro.dirac import make_state
         from nchydro.shifts import radial_integral_quadrature
 
-        state = make_state(0, -2, 0.5)
-        best = radial_integral_quadrature(state, "sum", start=640).value
-        floor = 1e-13 * abs(best)
-        errors = []
-        for start in (40, 80, 160, 320):
-            val = radial_integral_quadrature(state, "sum", start=start,
-                                             max_order=2 * start).value
-            errors.append(max(abs(val - best), floor))
-        for coarse, fine in zip(errors, errors[1:]):
-            assert fine <= 10.0 * coarse
+        for n_r, kappa in ((0, -1), (1, 1)):  # 1S1/2, 2P1/2
+            state = make_state(n_r, kappa, 0.5)
+            for kind in ("sum", "diff"):
+                res = radial_integral_quadrature(state, kind, start=80)
+                other = radial_integral_quadrature(state, kind, start=96)
+                assert (res.order, other.order) == (160, 192)
+                assert res.converged is False and res.drift > 1e-10
+                assert radial_integral_quadrature(state, kind, start=80) == res
+                assert other.value != res.value

@@ -181,6 +181,30 @@ class TestLevelShift:
         assert report.rho1 != pytest.approx(report.rho1_quadrature, rel=1e-3)
         assert len(report.coefficients_quadrature) == len(report.coefficients)
 
+    def test_quadrature_provenance(self):
+        # |kappa| = 1: a divergent integral sampled at order 2 x 80
+        report = level_shift("2P1/2", 1.0e-19)
+        assert report.quadrature_order == 160
+        assert report.quadrature_drift > 1e-10
+        assert "order 160" in report.notes[0]
+        # |kappa| >= 2: the exact n_r + 1 node rule plus one node for the drift
+        report = level_shift("2P3/2", 1.0e-19)
+        assert report.quadrature_order == make_state(0, -2, 0.5).n_r + 2
+        assert report.quadrature_drift <= 1e-13
+        d = report.as_dict()
+        assert (d["quadrature_order"], d["quadrature_drift"]) == (
+            report.quadrature_order, report.quadrature_drift)
+
+    def test_level_constants_set_alpha(self):
+        # a Level built with other constants must not mix in the defaults
+        other = C.with_(alpha=1.0e-3)
+        level = Level.from_label("2P3/2", other)
+        report = level_shift(level, 1.0e-19)
+        assert report == level_shift(level, 1.0e-19, other)
+        assert report == level_shift("2P3/2", 1.0e-19, other)
+        with pytest.raises(ValidationError):
+            level_shift(level, 1.0e-19, C)
+
     @given(st.floats(min_value=1e-24, max_value=1e-18))
     def test_linearity(self, theta):
         r1 = level_shift("2P3/2", theta)
