@@ -23,7 +23,7 @@ from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
 from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
                      nc_hyperfine_shift, s_state_bound, s_state_shift, schrodinger_energy)
-from .oracle import run_all
+from .oracle import VERDICTS, run_all
 from .shifts import Level, level_shift, theta_bound
 
 JSON_SCHEMA_VERSION = 1
@@ -332,17 +332,21 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 def cmd_verify(args, cfg: RunConfig) -> int:
     constants = cfg.constants()
     reports = run_all(constants)
-    mismatches = [r for r in reports if r.verdict == "mismatch"]
+    counts = dict.fromkeys(VERDICTS, 0)
+    for r in reports:
+        counts[r.verdict] += 1
+    mismatches = counts["mismatch"]
     if cfg.format == "json":
         payload = {"reports": [r.as_dict() for r in reports],
-                   "mismatches": len(mismatches)}
+                   "mismatches": mismatches, "verdict_counts": counts}
         _emit(_json_out(payload), cfg.out)
     else:
         lines = []
         for r in reports:
             lines.append(f"[{r.verdict:>28}] {r.name}"
                          + (f"  ({r.note})" if r.note else ""))
-        lines.append(f"{len(reports)} checks, {len(mismatches)} unexpected mismatches")
+        split = ", ".join(f"{n} {v}" for v, n in counts.items())
+        lines.append(f"{len(reports)} checks, {mismatches} unexpected mismatches ({split})")
         _emit("\n".join(lines) + "\n", cfg.out)
     return 2 if mismatches else 0
 

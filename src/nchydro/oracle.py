@@ -12,10 +12,13 @@ from its defining integral and compared:
   integrals diverge at the origin, which is detected rather than hidden,
   and reported as a flagged inconsistency because the closed forms quote
   finite values there.
-* angular blocks: 2-D sphere quadrature against the closed-form blocks,
-  including the parity zeros.
-* inverse-radius moments: closed forms against direct quadrature, with the
-  divergent (n, l, k) combinations required to be detected on both paths.
+* angular blocks: the 16 x 16 sphere rule (specfun.sphere_rule, exact for
+  these blocks) against the closed-form blocks, including the parity
+  zeros.
+* inverse-radius moments: closed forms against direct quadrature on the
+  n-node Gauss-Laguerre rule, which is exact for every finite moment; the
+  divergent (n, l, k) combinations must be detected on both paths, the
+  numerical one by the gap between samples at 16 and 32 nodes.
 
 Verdicts: "match" when everything agrees at tolerance, "mismatch" for an
 unexpected failure, and "flagged_paper_inconsistency" for the documented
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .dirac import make_state
+from .dirac import make_state, radial_polynomials
 from .errors import DivergenceError
 from .nonrel import r_inverse_moment, r_inverse_moment_quadrature
 from .shifts import (Level, cross_radial_integral_closed, cross_radial_integral_quadrature,
@@ -47,6 +50,7 @@ __all__ = [
     "RADIAL_TOL",
     "ANGULAR_TOL",
     "MOMENT_TOL",
+    "VERDICTS",
 ]
 
 RADIAL_TOL = 1e-8
@@ -56,6 +60,7 @@ MOMENT_TOL = 1e-9
 VERDICT_MATCH = "match"
 VERDICT_MISMATCH = "mismatch"
 VERDICT_FLAGGED = "flagged_paper_inconsistency"
+VERDICTS = (VERDICT_MATCH, VERDICT_FLAGGED, VERDICT_MISMATCH)
 
 
 @dataclass(frozen=True)
@@ -210,8 +215,8 @@ def validate_angular(label_a: str, label_b: str | None = None,
 def _moment_diverges_numerically(n: int, l: int, k: int,
                                  constants: PhysicalConstants) -> bool:
     # positive drift between two quadrature orders marks a divergent moment
-    lo = r_inverse_moment_quadrature(n, l, k, constants, order=128, check=False)
-    hi = r_inverse_moment_quadrature(n, l, k, constants, order=256, check=False)
+    lo = r_inverse_moment_quadrature(n, l, k, constants, order=16, check=False)
+    hi = r_inverse_moment_quadrature(n, l, k, constants, order=32, check=False)
     return _rel(lo, hi) > MOMENT_TOL
 
 
@@ -220,8 +225,11 @@ def validate_moments(n: int, l: int,
                      tol: float = MOMENT_TOL) -> list[ValidationReport]:
     """Validate <r^-k> for k = 3, 4, 5 at one (n, l).
 
-    Finite moments must match quadrature at tolerance; divergent ones must
-    be rejected by the closed form and non-convergent numerically.
+    Finite moments must match quadrature at tolerance; the integrand
+    x^(2l+2-k) L^2 is a polynomial of degree 2n - k, so the n-node
+    Gauss-Laguerre rule is exact for it.  Divergent ones must be rejected
+    by the closed form and non-convergent numerically: their samples at 16
+    and 32 nodes must differ by more than the tolerance.
     """
     reports = []
     for k in (3, 4, 5):
@@ -237,7 +245,7 @@ def validate_moments(n: int, l: int,
                 note="divergent moment detected on both paths" if detected
                 else "closed form rejected the moment but quadrature converged"))
             continue
-        quad = r_inverse_moment_quadrature(n, l, k, constants)
+        quad = r_inverse_moment_quadrature(n, l, k, constants, order=n)
         gap = _rel(closed, quad)
         reports.append(ValidationReport(
             name=name, closed_form=closed, quadrature=quad, rel_error=gap,
@@ -286,8 +294,6 @@ def norm_self_consistency(n_r: int, kappa: int,
     generalized-weight normalization.
     """
     state = make_state(n_r, kappa, 0.5, constants)
-    from .dirac import radial_polynomials
-
     nu = state.nu
 
     def integrand(x):

@@ -4,8 +4,9 @@ Everything here is a pure function of its arguments: generalized Laguerre
 polynomials, complex spherical harmonics with the Condon-Shortley phase,
 two-component spinor spherical harmonics, and Gauss-Laguerre quadrature
 (plain and generalized weight x^beta e^-x): a doubling refinement for
-convergent integrands and a two-order sample for divergent ones.  Units
-never enter; callers scale their own variables.
+convergent integrands and a two-order sample for divergent ones; and a
+fixed 16 x 16 sphere rule for the angular blocks.  Units never enter;
+callers scale their own variables.
 """
 
 from __future__ import annotations
@@ -278,18 +279,33 @@ def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> Inte
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def sphere_rule(n_theta: int = 64, n_phi: int = 128):
-    """Tensor rule over the unit sphere; exact for low-degree harmonics.
+@lru_cache(maxsize=1)
+def sphere_rule():
+    """16 x 16 tensor rule over the unit sphere.
 
-    Returns (theta_grid, phi_grid, weight_grid), each of shape
-    (n_theta, n_phi), with sum(weights) = 4 pi.
+    Gauss-Legendre in cos(theta), with nodes and weights by Golub-Welsch:
+    the Jacobi matrix has zero diagonal and off-diagonal k / sqrt(4k^2 - 1),
+    its eigenvalues are the nodes and 2 v_0^2 (v_0 the first component of
+    each unit eigenvector) the weights.  Trapezoid in phi.
+
+    Exact for every angular block checked here: a block between levels
+    l_a and l_b integrates a polynomial in cos(theta) of degree at most
+    l_a + l_b + 1 times e^{ik phi} with |k| <= l_a + l_b + 1.  16 Legendre
+    nodes are exact to degree 31 and 16 trapezoid points for |k| <= 15, so
+    the rule is exact for l_a + l_b <= 14.
+
+    Returns (theta_grid, phi_grid, weight_grid), each of shape (16, 16),
+    with sum(weights) = 4 pi.
     """
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    n = 16
+    k = np.arange(1, n, dtype=float)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * vecs[0] ** 2
     theta = np.arccos(x)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    phi = 2.0 * math.pi * np.arange(n) / n
     th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")
-    w_grid = np.repeat(w[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)
+    w_grid = np.repeat(w[:, None], n, axis=1) * (2.0 * math.pi / n)
     for arr in (th_grid, ph_grid, w_grid):
         arr.setflags(write=False)
     return th_grid, ph_grid, w_grid

@@ -261,5 +261,30 @@ class TestVerify:
         fake = [ValidationReport(name="forced", closed_form=1.0, quadrature=2.0,
                                  rel_error=1.0, quad_drift=0.0, verdict="mismatch")]
         monkeypatch.setattr(cli, "run_all", lambda constants: fake)
-        code, _, _ = run_cli(capsys, "verify")
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 2
+        assert out.endswith("1 checks, 1 unexpected mismatches "
+                            "(0 match, 0 flagged_paper_inconsistency, 1 mismatch)\n")
+
+    def test_verdict_counts_json(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["schema"] == 1
+        counts = payload["verdict_counts"]
+        assert counts == {"match": 75, "flagged_paper_inconsistency": 37, "mismatch": 0}
+        assert list(counts) == ["match", "flagged_paper_inconsistency", "mismatch"]
+        tally = {v: 0 for v in counts}
+        for r in payload["reports"]:
+            tally[r["verdict"]] += 1
+        assert tally == counts
+        assert payload["mismatches"] == counts["mismatch"]
+
+    def test_verdict_counts_table(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 113
+        assert lines[-1] == ("112 checks, 0 unexpected mismatches "
+                             "(75 match, 37 flagged_paper_inconsistency, 0 mismatch)")
+        assert sum(line.startswith(f"[{'match':>28}]") for line in lines) == 75

@@ -1,10 +1,37 @@
 import pytest
 
+from nchydro import specfun
 from nchydro.constants import DEFAULT_CONSTANTS
+from nchydro.errors import DivergenceError
+from nchydro.nonrel import r_inverse_moment, r_inverse_moment_quadrature
 from nchydro.oracle import (norm_self_consistency, radial_ratio_small_alpha, run_all,
                             validate_angular, validate_moments, validate_radial)
 
 C = DEFAULT_CONSTANTS
+MOMENTS_N_LE_6 = [(n, l, k) for n in range(1, 7) for l in range(n) for k in (3, 4, 5)]
+
+
+def _diverges(n: int, l: int, k: int) -> bool:
+    try:
+        r_inverse_moment(n, l, k)
+    except DivergenceError:
+        return True
+    return False
+
+
+@pytest.fixture
+def rules_built(monkeypatch):
+    """Node counts of every Laguerre rule built (cache cleared first)."""
+    built = []
+    rule = specfun._laguerre_rule
+    rule.cache_clear()
+
+    def recorder(n, beta):
+        built.append(n)
+        return rule(n, beta)
+
+    monkeypatch.setattr(specfun, "_laguerre_rule", recorder)
+    return built
 
 
 class TestValidateRadial:
@@ -86,6 +113,30 @@ class TestValidateMoments:
         reports = validate_moments(2, 0)
         assert all("divergent" in r.note for r in reports)
 
+    def test_moment_rules_stay_small(self, rules_built):
+        for n in range(1, 7):
+            for l in range(n):
+                validate_moments(n, l)
+        assert max(rules_built) <= 32
+
+    def test_divergent_moments_drift_between_probe_orders(self):
+        divergent = [(n, l, k) for n, l, k in MOMENTS_N_LE_6 if _diverges(n, l, k)]
+        assert len(divergent) == 23
+        for n, l, k in divergent:
+            lo = r_inverse_moment_quadrature(n, l, k, order=16, check=False)
+            hi = r_inverse_moment_quadrature(n, l, k, order=32, check=False)
+            assert abs(hi - lo) / max(abs(hi), abs(lo)) > 0.1, (n, l, k)
+
+    def test_finite_moments_exact_on_n_node_rule(self):
+        finite = [(n, l, k) for n, l, k in MOMENTS_N_LE_6 if not _diverges(n, l, k)]
+        assert len(finite) == 3 * 21 - 23
+        for n, l, k in finite:
+            closed = r_inverse_moment(n, l, k)
+            quad = r_inverse_moment_quadrature(n, l, k, order=n)
+            assert quad == pytest.approx(closed, rel=1e-13, abs=0.0), (n, l, k)
+            report = [r for r in validate_moments(n, l) if f"<r^-{k}>" in r.name][0]
+            assert report.quadrature == quad
+
 
 class TestSuite:
     def test_run_all_no_unexpected_mismatches(self):
@@ -97,25 +148,15 @@ class TestSuite:
         for n_r, kappa in [(0, -1), (1, 1), (0, -2), (3, -3)]:
             assert norm_self_consistency(n_r, kappa) == pytest.approx(1.0, abs=1e-8)
 
-    def test_no_default_path_builds_a_large_rule(self, monkeypatch):
-        from nchydro import specfun
+    def test_no_default_path_builds_a_large_rule(self, rules_built):
         from nchydro.shifts import level_shift, transition_element_2s2p
 
-        built = []
-        rule = specfun._laguerre_rule
-        rule.cache_clear()
-
-        def recorder(n, beta):
-            built.append(n)
-            return rule(n, beta)
-
-        monkeypatch.setattr(specfun, "_laguerre_rule", recorder)
         kappa_1 = [f"{n}S1/2" for n in range(1, 6)] + [f"{n}P1/2" for n in range(2, 6)]
         for label in kappa_1:
             level_shift(label, 1.0e-19)
         transition_element_2s2p(1.0e-19, method="quadrature")
         run_all()
-        assert max(built) <= 256
+        assert max(rules_built) <= 192
 
     def test_kappa_1_sampled_at_two_orders(self):
         # |kappa| = 1: the defining integral diverges, so the quadrature is a

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nchydro.constants import DEFAULT_CONSTANTS
-from nchydro.dirac import dirac_energy, make_state, radial_polynomials
+from nchydro.dirac import dirac_energy, lj_to_kappa, make_state, radial_polynomials
 from nchydro.errors import DomainError, SingularityError, ValidationError
 from nchydro.shifts import (Level, cross_radial_integral_closed,
                             cross_radial_integral_quadrature, level_shift, lz_block,
@@ -24,6 +24,11 @@ M3A3 = M_E ** 3 * ALPHA ** 3
 # published coefficients these computations are compared against
 COEFF_2P32_EV3 = 1.578e6
 COEFF_2P12_PRINTED_EV3 = 6.57668e6
+
+# (j, l) of the 25 fine-structure levels with n <= 5; the angular blocks
+# depend on nothing else
+PARTIAL_WAVES = sorted({(l + s / 2, l) for n in range(1, 6) for l in range(n)
+                        for s in (-1, 1) if 2 * l + s > 0})
 
 
 class TestAngularBlocks:
@@ -48,11 +53,12 @@ class TestAngularBlocks:
         assert np.max(np.abs(block.matrix - block.matrix.conj().T)) < 1e-12
         assert abs(np.trace(block.matrix)) < 1e-12  # full multiplet is traceless
 
-    @pytest.mark.parametrize("j,l", [(0.5, 1), (1.5, 1), (1.5, 2)])
+    @pytest.mark.parametrize("j,l", PARTIAL_WAVES)
     def test_numeric_matches_closed(self, j, l):
+        # the default 16 x 16 sphere rule is exact for these blocks
         numeric = lz_block_numeric(j, l)
         closed = lz_block(j, l)
-        assert np.max(np.abs(numeric.matrix - closed.matrix)) < 1e-12
+        assert np.max(np.abs(numeric.matrix - closed.matrix)) <= 1e-13
 
     def test_invalid_pair(self):
         with pytest.raises(ValidationError):
@@ -74,6 +80,18 @@ class TestSigmaCrossBlocks:
         block = sigma_cross_block(Level.from_label("2S1/2"), Level.from_label("2P1/2"))
         expected = (2.0 / 3.0) * np.diag([1.0, -1.0])
         assert np.max(np.abs(block.matrix - expected)) < 1e-12
+
+    @pytest.mark.parametrize("bra,ket", [(a, b) for a in PARTIAL_WAVES for b in PARTIAL_WAVES
+                                         if a[0] == b[0]])
+    def test_default_rule_matches_fine_grid(self, bra, ket):
+        x, w = np.polynomial.legendre.leggauss(64)
+        phi = 2.0 * math.pi * np.arange(128) / 128
+        th, ph = np.meshgrid(np.arccos(x), phi, indexing="ij")
+        fine = (th, ph, np.repeat(w[:, None], 128, axis=1) * (2.0 * math.pi / 128))
+        level_a, level_b = (Level.from_quantum_numbers(1, lj_to_kappa(l, j)) for j, l in (bra, ket))
+        default = sigma_cross_block(level_a, level_b).matrix
+        reference = sigma_cross_block(level_a, level_b, rule=fine).matrix
+        assert np.max(np.abs(default - reference)) <= 1e-13
 
     def test_requires_shared_j(self):
         with pytest.raises(ValidationError):

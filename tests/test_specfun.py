@@ -110,6 +110,11 @@ class TestSphericalHarmonic:
         with pytest.raises(DomainError):
             spherical_harmonic(1, 2, 0.1, 0.1)
 
+    def test_sphere_weights_sum_to_4pi(self):
+        _, _, w = sphere_rule()
+        assert w.shape == (16, 16)
+        assert float(np.sum(w)) == pytest.approx(4.0 * math.pi, rel=1e-14)
+
     def test_orthonormality_by_quadrature(self):
         rule = sphere_rule()
         th, ph, _ = rule
