@@ -15,16 +15,22 @@ Conventions worth stating once:
   The coefficient of the first polynomial is written per unit mass so the
   two terms carry the same dimension; with that reading the pair solves
   the coupled radial equations to machine precision (checked in tests).
-* The overall normalization constant (state.norm) comes from the norm
-  integral on the exact Gauss rule for the weight x^(2 nu) e^-x, with sign
-  fixed positive; the physics downstream only consumes normalized shapes.
+* make_state is the one place that derives nu, E, lam, a and the shape
+  coefficients (f1, f2, g1, g2), kept in state.shape.  The state computes
+  its normalization constant state.norm from them when it is built: the
+  norm integral on the exact Gauss rule for the weight x^(2 nu) e^-x, with
+  sign fixed positive; the physics downstream only consumes normalized
+  shapes.
+* _overlap is the one kernel for radial integrals of a pair of states,
+  int x^beta e^-x (P_f P_f' +/- P_g P_g') dx: the norm here, and the
+  radial and cross integrals in shifts.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +45,6 @@ __all__ = [
     "make_state",
     "dirac_energy",
     "dirac_binding_energy",
-    "radial_shape_coefficients",
     "radial_polynomials",
     "radial_fg",
     "deformed_potential",
@@ -82,7 +87,13 @@ class RelativisticState:
     energy: float
     a: float          # sqrt(m^2 - E^2)/m, dimensionless momentum scale
     lam: float        # sqrt(m^2 - E^2) in eV
-    norm: float       # multiplies the raw radial shapes; > 0
+    shape: tuple[float, float, float, float]  # (f1, f2, g1, g2), see radial_polynomials
+    norm: float = field(init=False)  # multiplies the raw radial shapes; > 0
+
+    def __post_init__(self):
+        # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
+        integral = _overlap(self, self, 2.0 * self.nu, 1.0, self.n_r + 1)
+        object.__setattr__(self, "norm", math.sqrt((2.0 * self.lam) ** 3 / integral))
 
     @property
     def n_principal(self) -> int:
@@ -123,11 +134,10 @@ def make_state(n_r: int, kappa: int, M: float,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> RelativisticState:
     """Validate quantum numbers and build a fully derived state.
 
-    n_r = 0 with kappa > 0 is rejected: the closed-form prefactor vanishes
-    there, i.e. no such bound state exists.
+    This is the one place that derives nu, E, lam, a and the shape
+    coefficients (f1, f2, g1, g2).  n_r = 0 with kappa > 0 is rejected: the
+    closed-form prefactor vanishes there, i.e. no such bound state exists.
     """
-    if kappa == 0:
-        raise ValidationError("kappa = 0 is not allowed")
     if n_r < 0:
         raise ValidationError(f"n_r must be >= 0, got {n_r}")
     if n_r == 0 and kappa > 0:
@@ -137,67 +147,60 @@ def make_state(n_r: int, kappa: int, M: float,
     if abs(M) > j:
         raise ValidationError(f"|M| = {abs(M)} exceeds j = {j}")
     alpha, m = constants.alpha, constants.m_e
-    if alpha >= abs(kappa):
-        raise ValidationError(f"alpha = {alpha} >= |kappa| = {abs(kappa)}: nu is not real")
-    nu = math.sqrt(kappa * kappa - alpha * alpha)
     energy = dirac_energy(n_r, kappa, constants)
+    nu = math.sqrt(kappa * kappa - alpha * alpha)
     lam = math.sqrt((m - energy) * (m + energy))
     a = lam / m
-    # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
-    integral = _poly_integral(n_r, kappa, nu, constants, 2.0 * nu, 1.0, n_r + 1)
-    norm = math.sqrt((2.0 * lam) ** 3 / integral)
-    return RelativisticState(n_r=n_r, kappa=kappa, M=M, constants=constants,
-                             j=j, l=l, nu=nu, energy=energy, a=a, lam=lam, norm=norm)
-
-
-def radial_shape_coefficients(n_r: int, kappa: int,
-                              constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Coefficients (f1, f2, g1, g2) of the two radial polynomial terms.
-
-    f = x^(nu-1) e^(-x/2) [f1 x L_{n_r-1}^{2nu+1} + f2 L_{n_r}^{2nu-1}],
-    and likewise g with (g1, g2).  f1 and g1 carry a factor m relative to
-    the bare ratio a alpha / (E kappa - m nu) so that both terms are
-    dimensionless; for n_r = 0 the first term is absent and f1 = g1 = 0.
-    """
-    alpha, m = constants.alpha, constants.m_e
-    nu = math.sqrt(kappa * kappa - alpha * alpha)
-    E = dirac_energy(n_r, kappa, constants)
-    a = math.sqrt((m - E) * (m + E)) / m
-    f2 = kappa - nu
-    g2 = alpha
-    if n_r == 0:
-        return 0.0, f2, 0.0, g2
-    denom = E * kappa - m * nu
-    f1 = m * a * alpha / denom
-    g1 = m * a * (kappa - nu) / denom
-    return f1, f2, g1, g2
-
-
-def _poly_pair(n_r: int, kappa: int, nu: float, constants: PhysicalConstants, x):
-    f1, f2, g1, g2 = radial_shape_coefficients(n_r, kappa, constants)
-    low = laguerre_general(n_r, 2.0 * nu - 1.0, x)
+    # f1 and g1 carry a factor m relative to the bare ratio
+    # a alpha / (E kappa - m nu) so that both terms are dimensionless
+    f1 = g1 = 0.0
     if n_r >= 1:
-        high = np.asarray(x, dtype=float) * laguerre_general(n_r - 1, 2.0 * nu + 1.0, x)
+        denom = energy * kappa - m * nu
+        f1 = m * a * alpha / denom
+        g1 = m * a * (kappa - nu) / denom
+    return RelativisticState(n_r=n_r, kappa=kappa, M=M, constants=constants, j=j, l=l,
+                             nu=nu, energy=energy, a=a, lam=lam,
+                             shape=(f1, kappa - nu, g1, alpha))
+
+
+def radial_polynomials(state: RelativisticState, x):
+    """Polynomial parts (P_f, P_g) of the radial pair at dimensionless x.
+
+    P_f = f1 x L_{n_r-1}^{2nu+1}(x) + f2 L_{n_r}^{2nu-1}(x), and likewise P_g
+    with (g1, g2), the coefficients in state.shape.  For n_r = 0 the first
+    term is absent and f1 = g1 = 0.
+    """
+    f1, f2, g1, g2 = state.shape
+    low = laguerre_general(state.n_r, 2.0 * state.nu - 1.0, x)
+    if state.n_r >= 1:
+        high = np.asarray(x, dtype=float) * laguerre_general(state.n_r - 1,
+                                                             2.0 * state.nu + 1.0, x)
     else:
         high = 0.0
     return f1 * high + f2 * low, g1 * high + g2 * low
 
 
-def radial_polynomials(state: RelativisticState, x):
-    """Polynomial parts (P_f, P_g) of the radial pair at dimensionless x."""
-    return _poly_pair(state.n_r, state.kappa, state.nu, state.constants, x)
+def _overlap(bra: RelativisticState, ket: RelativisticState, beta: float, sign: float,
+             nodes):
+    """Radial overlap int x^beta e^-x (P_f P_f' + sign P_g P_g') dx of two states.
 
-
-def _poly_integral(n_r: int, kappa: int, nu: float, constants: PhysicalConstants,
-                   beta: float, sign: float, nodes: int) -> float:
-    """int x^beta e^-x (P_f^2 + sign P_g^2) dx on the nodes-point Gauss rule.
-
-    P_f and P_g have degree n_r, so any nodes >= n_r + 1 gives the exact
-    integral (up to rounding) for every beta > -1.
+    An int `nodes` integrates on the nodes-point Gauss rule for the weight
+    x^beta e^-x (beta > -1).  The polynomial has degree n_r + n_r', so
+    nodes >= (n_r + n_r')/2 + 1 gives the exact integral up to rounding.
+    An ndarray `nodes` returns the integrand without its e^-x,
+    x^beta (P_f P_f' + sign P_g P_g'), at those points: the form a sampler
+    such as adaptive_sampled_endpoint weights itself.
     """
-    rule = gauss_laguerre(nodes, beta)
-    pf, pg = _poly_pair(n_r, kappa, nu, constants, rule.nodes)
-    return float(np.sum(rule.weights * (pf * pf + sign * pg * pg)))
+    sampled = isinstance(nodes, np.ndarray)
+    if sampled:
+        x, scale = nodes, np.exp(beta * np.log(nodes))
+    else:
+        rule = gauss_laguerre(nodes, beta)
+        x, scale = rule.nodes, rule.weights
+    pf, pg = radial_polynomials(bra, x)
+    pf2, pg2 = (pf, pg) if ket is bra else radial_polynomials(ket, x)
+    values = scale * (pf * pf2 + sign * pg * pg2)
+    return values if sampled else float(np.sum(values))
 
 
 def radial_fg(state: RelativisticState, r):
@@ -223,8 +226,7 @@ def analytic_norm_nodeless(state: RelativisticState) -> float:
     """Closed-form normalization for n_r = 0 states (single-term shapes)."""
     if state.n_r != 0:
         raise ValidationError("closed-form norm only applies to n_r = 0 states")
-    f2 = state.kappa - state.nu
-    g2 = state.constants.alpha
+    _, f2, _, g2 = state.shape
     integral = (f2 * f2 + g2 * g2) * math.gamma(2.0 * state.nu + 1.0)
     return math.sqrt((2.0 * state.lam) ** 3 / integral)
 

@@ -169,13 +169,15 @@ def r_inverse_moment(n: int, l: int, k: int,
 
 def r_inverse_moment_quadrature(n: int, l: int, k: int,
                                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                                order: int = 128, check: bool = True) -> float:
+                                order: int | None = None, check: bool = True) -> float:
     """<r^-k> by Gauss-Laguerre quadrature of int R^2 r^(2-k) dr.
 
-    With check=True the divergent cases raise DivergenceError up front
-    (their x-space exponent 2l + 2 - k falls to -1 or below); with
-    check=False the raw finite sample is returned, which lets callers probe
-    the non-convergence directly.
+    The default order is n: for a finite moment the integrand
+    x^(2l+2-k) L_{n-l-1}^{2l+1}(x)^2 is a polynomial of degree 2n - k, so
+    the n-node rule is exact.  With check=True the divergent cases raise
+    DivergenceError up front (their x-space exponent 2l + 2 - k falls to -1
+    or below); with check=False the raw finite sample is returned, which
+    lets callers probe the non-convergence directly.
     """
     if not 0 <= l < n:
         raise DomainError(f"need 0 <= l < n, got n={n}, l={l}")
@@ -183,7 +185,7 @@ def r_inverse_moment_quadrature(n: int, l: int, k: int,
         _moment_precondition(l, k)
     a0 = constants.bohr_radius
     power = 2 * l + 2 - k
-    rule = gauss_laguerre(order)
+    rule = gauss_laguerre(n if order is None else order)
     x = rule.nodes
     lag = laguerre_general(n - l - 1, 2 * l + 1, x)
     with np.errstate(divide="ignore"):

@@ -3,15 +3,16 @@
 Every closed form that the rest of the package evaluates is recomputed here
 from its defining integral and compared:
 
-* radial integrals: radial_integral_quadrature is run and its reported
-  drift must be small; the closed form is recorded alongside.  For
-  |kappa| >= 2 that is the exact generalized-weight rule, whose drift is
-  the gap to one more node; it is not an independent route.  For
-  |kappa| = 1 and the 2S-2P cross element the endpoint-substituted plain
-  rule is sampled with start orders 80 and 96 (orders 160 and 192); those
-  integrals diverge at the origin, which is detected rather than hidden,
-  and reported as a flagged inconsistency because the closed forms quote
-  finite values there.
+* radial integrals: radial_integral_quadrature (or its 2S-2P cross
+  counterpart) runs once and its reported drift must be small; the closed
+  form is recorded alongside.  For |kappa| >= 2 that is the exact
+  generalized-weight rule, whose drift is the gap to one more node; it is
+  not an independent route.  For |kappa| = 1 and the 2S-2P cross element
+  the endpoint-substituted plain rule is sampled at orders 80 and 160 and
+  the drift is the gap between the two samples; those integrals diverge at
+  the origin, which is detected rather than hidden, and reported as a
+  flagged inconsistency because the closed forms quote finite values
+  there.
 * angular blocks: the 16 x 16 sphere rule (specfun.sphere_rule, exact for
   these blocks) against the closed-form blocks, including the parity
   zeros.
@@ -101,11 +102,10 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
                     tol: float = RADIAL_TOL) -> ValidationReport:
     """Validate one radial integral by its quadrature's own drift.
 
-    For |kappa| >= 2 the start order does not enter (the generalized-weight
-    rule is exact), so the quadrature runs once and the verdict rests on its
-    reported drift.  For |kappa| = 1 and the cross element a second run at
-    start order 96 samples the divergent integral at another order, and the
-    gap between the two runs is part of the drift.
+    The quadrature runs once.  For |kappa| >= 2 its drift is the gap
+    between the exact n_r + 1 and n_r + 2 node rules; for |kappa| = 1 and
+    the cross element it is the gap between the samples at orders 80 and
+    160 of an integral that diverges at the origin.
 
     kind is "sum", "diff" or "cross" (the 2S-2P element; n_r/kappa ignored).
     The verdict reflects the robustness of the *quadrature* value; the
@@ -115,26 +115,22 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
     if kind == "cross":
         name = "radial cross 2S1/2-2P1/2"
         closed = cross_radial_integral_closed(constants)
-        primary = cross_radial_integral_quadrature(constants)
-        secondary = cross_radial_integral_quadrature(constants, start=96)
+        quad = cross_radial_integral_quadrature(constants)
         diverges = True  # |kappa| = 1 endpoint, same nonintegrable power
     else:
         state = make_state(n_r, kappa, 0.5, constants)
         name = f"radial {kind} {state.label}"
         closed = radial_integral_closed(state, kind)
-        primary = radial_integral_quadrature(state, kind)
+        quad = radial_integral_quadrature(state, kind)
         diverges = state.nu < 1.0
-        secondary = radial_integral_quadrature(state, kind, start=96) if diverges else primary
-    route_gap = _rel(primary.value, secondary.value)
-    quad_ok = primary.converged and secondary.converged and route_gap <= tol
-    closed_gap = _rel(closed, primary.value)
+    closed_gap = _rel(closed, quad.value)
 
-    if quad_ok and closed_gap <= tol:
+    if quad.converged and closed_gap <= tol:
         verdict, note = VERDICT_MATCH, ""
-    elif quad_ok:
+    elif quad.converged:
         verdict = VERDICT_FLAGGED
-        note = (f"quadrature routes agree to {route_gap:.2e} but the closed form "
-                f"differs by {closed_gap:.2e}; closed form kept verbatim")
+        note = (f"the closed form differs from the quadrature by {closed_gap:.2e}; "
+                f"closed form kept verbatim")
     elif diverges:
         verdict = VERDICT_FLAGGED
         note = ("defining integral diverges at the origin (|kappa| = 1, "
@@ -142,9 +138,9 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
                 "a finite number")
     else:
         verdict = VERDICT_MISMATCH
-        note = f"quadrature failed to self-converge (drift {primary.drift:.2e})"
-    return ValidationReport(name=name, closed_form=closed, quadrature=primary.value,
-                            rel_error=closed_gap, quad_drift=max(primary.drift, route_gap),
+        note = f"quadrature failed to self-converge (drift {quad.drift:.2e})"
+    return ValidationReport(name=name, closed_form=closed, quadrature=quad.value,
+                            rel_error=closed_gap, quad_drift=quad.drift,
                             verdict=verdict, note=note)
 
 
@@ -245,7 +241,7 @@ def validate_moments(n: int, l: int,
                 note="divergent moment detected on both paths" if detected
                 else "closed form rejected the moment but quadrature converged"))
             continue
-        quad = r_inverse_moment_quadrature(n, l, k, constants, order=n)
+        quad = r_inverse_moment_quadrature(n, l, k, constants)
         gap = _rel(closed, quad)
         reports.append(ValidationReport(
             name=name, closed_form=closed, quadrature=quad, rel_error=gap,

@@ -13,15 +13,17 @@ Every radial quantity is computed twice:
   keeps the signed value.  Several of these expressions are internally
   inconsistent with their own defining integrals, which is exactly why the
   second route exists.
-* "quadrature" integrates the defining integral int (f^2 +/- g^2)/r dr
-  directly.  For |kappa| >= 2 the integrand is a polynomial against the
-  weight x^(2nu-3) e^-x, so the Gauss rule for that weight with n_r + 1
-  nodes is exact; one more node measures the rounding drift.  For
-  |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable (2nu - 3 < -1) and
-  the integral mathematically diverges; the endpoint-substituted plain rule
-  is sampled at 80 and 160 nodes, the 160-node sample is reported with
-  converged=False, and the report is flagged rather than silently trusted.
-  That sample depends on the order and is not a value of the integral.
+* "quadrature" integrates the defining integral int (f f' +/- g g')/r dr
+  directly; one private helper serves the level integrals and the 2S-2P
+  cross element, through the overlap kernel of dirac.  For |kappa| >= 2
+  the integrand is a polynomial against the weight x^(2nu-3) e^-x, so the
+  Gauss rule for that weight with n_r + 1 nodes is exact; one more node
+  measures the rounding drift.  For |kappa| = 1 the x^(2nu-3) endpoint is
+  nonintegrable (2nu - 3 < -1) and the integral mathematically diverges;
+  the endpoint-substituted plain rule is sampled at 80 and 160 nodes, the
+  160-node sample is reported with converged=False, and the report is
+  flagged rather than silently trusted.  That sample depends on the order
+  and is not a value of the integral.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -36,8 +38,7 @@ import numpy as np
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_theta, ev2_to_gev_scale, hz_to_ev)
-from .dirac import (RelativisticState, _poly_integral, kappa_to_lj, make_state,
-                    parse_level_label, radial_polynomials)
+from .dirac import RelativisticState, _overlap, kappa_to_lj, make_state, parse_level_label
 from .errors import DomainError, SingularityError, ValidationError
 from .specfun import (IntegrationResult, adaptive_sampled_endpoint, sphere_integrate,
                       sphere_rule, spinor_harmonic, spinor_orbital_m)
@@ -138,15 +139,15 @@ def lz_expectation(j: float, l: int, M: float) -> float:
     raise ValidationError(f"(j, l) = ({j}, {l}) is not a fine-structure pair")
 
 
-def lz_block(j: float, l: int, label: str = "") -> AngularBlock:
+def lz_block(j: float, l: int) -> AngularBlock:
     """Closed-form theta.L block: diagonal in M with entries <L_z>."""
     basis = m_values(j)
     diag = [lz_expectation(j, l, m) for m in basis]
-    return AngularBlock(label=label or f"Lz(j={j}, l={l})", basis=basis,
+    return AngularBlock(label=f"Lz(j={j}, l={l})", basis=basis,
                         matrix=np.diag(np.asarray(diag, dtype=complex)))
 
 
-def lz_block_numeric(j: float, l: int, rule=None, label: str = "") -> AngularBlock:
+def lz_block_numeric(j: float, l: int, rule=None) -> AngularBlock:
     """theta.L block from 2-D sphere quadrature over spinor harmonics.
 
     L_z acts on each spinor component through its definite orbital magnetic
@@ -167,10 +168,10 @@ def lz_block_numeric(j: float, l: int, rule=None, label: str = "") -> AngularBlo
         for a in range(dim):
             mat[a, b] = sphere_integrate(
                 np.conj(spinors[a][0]) * acted[0] + np.conj(spinors[a][1]) * acted[1], rule)
-    return AngularBlock(label=label or f"Lz numeric(j={j}, l={l})", basis=basis, matrix=mat)
+    return AngularBlock(label=f"Lz numeric(j={j}, l={l})", basis=basis, matrix=mat)
 
 
-def sigma_cross_block(bra, ket, rule=None, label: str = "") -> AngularBlock:
+def sigma_cross_block(bra, ket, rule=None) -> AngularBlock:
     """Angular block of sigma.(z-hat x r-hat) between two levels sharing j.
 
     Computed by sphere quadrature.  The operator connects opposite-parity
@@ -200,7 +201,7 @@ def sigma_cross_block(bra, ket, rule=None, label: str = "") -> AngularBlock:
                 np.conj(bras[a][0]) * w_top * kets[b][1]
                 + np.conj(bras[a][1]) * w_bot * kets[b][0], rule)
             mat[a, b] = 1j * val
-    return AngularBlock(label=label or f"sigma-cross(l={l_a}->{l_b}, j={j_a})",
+    return AngularBlock(label=f"sigma-cross(l={l_a}->{l_b}, j={j_a})",
                         basis=basis, matrix=mat)
 
 
@@ -238,82 +239,57 @@ def radial_integral_closed(state: RelativisticState, kind: str = "sum") -> float
     raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
 
 
-def radial_integral_quadrature(state: RelativisticState, kind: str = "sum",
-                               tol: float = 1e-10, start: int = 80) -> IntegrationResult:
-    """Direct quadrature of int (f^2 +/- g^2)/r dr in eV^3.
-
-    In the Gauss-Laguerre variable the integrand is x^(2nu-3) e^-x times a
-    polynomial of degree 2 n_r.  For nu > 1 the power is folded into a
-    generalized weight: the n_r + 1 node rule is exact, the value reported
-    is the n_r + 2 node one and the drift is their relative gap; start
-    does not enter.  For nu < 1 (|kappa| = 1) the integral diverges at the
-    origin: adaptive_sampled_endpoint samples it at orders start and
-    2 start and the 2 start sample is returned with converged=False.
-    """
-    if kind not in ("sum", "diff"):
-        raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
-    sign = 1.0 if kind == "sum" else -1.0
-    beta = 2.0 * state.nu - 3.0
+def _radial_overlap(bra: RelativisticState, ket: RelativisticState,
+                    sign: float) -> IntegrationResult:
+    """int (f f' + sign g g')/r dr in eV^3 for two states sharing x = 2 lam r;
+    see radial_integral_quadrature for the two branches."""
+    beta = 2.0 * bra.nu - 3.0
     if beta > -1.0 + 1e-9:
-        def exact(nodes):
-            return _poly_integral(state.n_r, state.kappa, state.nu, state.constants,
-                                  beta, sign, nodes)
-
-        prev, cur = exact(state.n_r + 1), exact(state.n_r + 2)
+        prev = _overlap(bra, ket, beta, sign, bra.n_r + 1)
+        cur = _overlap(bra, ket, beta, sign, bra.n_r + 2)
         drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
-        res = IntegrationResult(value=cur, order=state.n_r + 2, drift=drift,
-                                converged=drift <= tol)
+        res = IntegrationResult(value=cur, order=bra.n_r + 2, drift=drift,
+                                converged=drift <= 1e-10)
     else:
-        def singular(x):
-            pf, pg = radial_polynomials(state, x)
-            return np.exp(beta * np.log(x)) * (pf * pf + sign * pg * pg)
-
-        res = adaptive_sampled_endpoint(singular, tol=tol, start=start)
-    scale = state.norm ** 2
-    return IntegrationResult(value=res.value * scale, order=res.order,
+        res = adaptive_sampled_endpoint(lambda x: _overlap(bra, ket, beta, sign, x))
+    return IntegrationResult(value=res.value * (bra.norm * ket.norm), order=res.order,
                              drift=res.drift, converged=res.converged)
 
 
-def _cross_states(constants: PhysicalConstants):
-    s2s = make_state(1, -1, 0.5, constants)
-    s2p = make_state(1, +1, 0.5, constants)
-    return s2s, s2p
+def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> IntegrationResult:
+    """Direct quadrature of int (f^2 +/- g^2)/r dr in eV^3.
+
+    For |kappa| >= 2 (nu > 1) the value is exact: the n_r + 2 node Gauss
+    rule for the weight x^(2nu-3) e^-x, with the gap to n_r + 1 nodes as
+    drift and converged = drift <= 1e-10.  For |kappa| = 1 the integral
+    diverges at the origin; the value is the order-160 sample of the
+    endpoint-substituted plain rule, with the gap to the order-80 sample as
+    drift and converged=False.
+    """
+    if kind not in ("sum", "diff"):
+        raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
+    return _radial_overlap(state, state, 1.0 if kind == "sum" else -1.0)
 
 
 def cross_radial_integral_closed(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Closed-form 2S-2P cross integral: the 'diff' expression with kappa = 1
-    evaluated at the shared n = 2, |kappa| = 1 energy."""
-    alpha, m = constants.alpha, constants.m_e
-    nu1 = math.sqrt(1.0 - alpha * alpha)
-    e1 = m / math.sqrt(1.0 + (alpha / (1.0 + nu1)) ** 2)
-    a1 = math.sqrt((m - e1) * (m + e1)) / m
-    num = m + 2.0 * m * nu1 * nu1 - 3.0 * e1
-    den = nu1 * (4.0 * nu1 * nu1 - 1.0) * (nu1 * nu1 - 1.0)
-    return 2.0 * (m * a1) ** 3 * e1 / (m * m) * num / den
+    """Closed-form 2S-2P cross integral: the 'diff' expression of the 2P1/2
+    state (kappa = 1), at the n = 2, |kappa| = 1 energy the 2S1/2 state
+    shares."""
+    return radial_integral_closed(make_state(1, 1, 0.5, constants), "diff")
 
 
-def cross_radial_integral_quadrature(constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                                     tol: float = 1e-10, start: int = 80) -> IntegrationResult:
+def cross_radial_integral_quadrature(
+        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> IntegrationResult:
     """Direct quadrature of int (f_2S f_2P - g_2S g_2P)/r dr in eV^3.
 
     The two states are degenerate so they share the same x variable.  The
     sign convention of each state's normalization constant is positive,
     which fixes the (otherwise arbitrary) overall sign of this element.
     The x^(2nu-3) endpoint is the |kappa| = 1 one, so the integral diverges
-    and, as in radial_integral_quadrature, the 2 start sample is returned.
+    and, as in radial_integral_quadrature, the order-160 sample is returned.
     """
-    s2s, s2p = _cross_states(constants)
-    nu = s2s.nu
-
-    def integrand(x):
-        pfs, pgs = radial_polynomials(s2s, x)
-        pfp, pgp = radial_polynomials(s2p, x)
-        return np.exp((2.0 * nu - 3.0) * np.log(x)) * (pfs * pfp - pgs * pgp)
-
-    res = adaptive_sampled_endpoint(integrand, tol=tol, start=start)
-    scale = s2s.norm * s2p.norm
-    return IntegrationResult(value=res.value * scale, order=res.order,
-                             drift=res.drift, converged=res.converged)
+    return _radial_overlap(make_state(1, -1, 0.5, constants), make_state(1, 1, 0.5, constants),
+                           -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +397,7 @@ def level_shift(level, theta: float,
     constants = level.constants
     state0 = level.states[0]
     alpha = constants.alpha
-    block = lz_block(level.j, level.l, label=level.label)
-    eigenvalues = tuple(float(np.real(v)) for v in np.diag(block.matrix))
+    eigenvalues = tuple(lz_expectation(level.j, level.l, m) for m in level.m_basis)
 
     rho1_c = radial_integral_closed(state0, "sum")
     rho2_c = radial_integral_closed(state0, "diff")

@@ -27,7 +27,6 @@ __all__ = [
     "spinor_harmonic",
     "spinor_orbital_m",
     "gauss_laguerre",
-    "integrate_sampled_endpoint",
     "adaptive_weighted",
     "adaptive_sampled_endpoint",
     "sphere_rule",
@@ -222,20 +221,6 @@ class IntegrationResult:
     converged: bool
 
 
-def integrate_sampled_endpoint(func, order: int) -> float:
-    """Approximate integral of func(x) e^-x dx via the substitution x = t^2.
-
-    Intended for integrands with an algebraic endpoint singularity; the
-    substitution clusters nodes near the origin.  If the underlying integral
-    diverges, this returns the (order-dependent) sampled value.
-    """
-    rule = gauss_laguerre(order, 0.0)
-    t = rule.nodes
-    with np.errstate(under="ignore"):
-        vals = 2.0 * t * func(t * t) * np.exp(-t * t + t)
-    return float(np.sum(rule.weights * vals))
-
-
 def _adaptive(evaluate, tol: float, start: int, max_order: int) -> IntegrationResult:
     order = start
     prev = evaluate(order)
@@ -259,8 +244,10 @@ def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
 
 
 def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> IntegrationResult:
-    """integrate_sampled_endpoint at orders start and 2 start.
+    """Samples of int func(x) e^-x dx over (0, inf) at orders start and 2 start.
 
+    Each sample is the plain Gauss-Laguerre rule after the substitution
+    x = t^2, which clusters nodes near an algebraic endpoint singularity.
     Meant for integrals the caller already knows to diverge at the origin,
     where more nodes only move the sample, so there is no refinement loop.
     Reports the 2 start sample with order = 2 start, the relative gap
@@ -268,8 +255,14 @@ def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> Inte
     divergent integrand converged is False and the value is a sample, not
     a value of the integral.
     """
-    prev = integrate_sampled_endpoint(func, start)
-    cur = integrate_sampled_endpoint(func, 2 * start)
+    def sample(order):
+        rule = gauss_laguerre(order, 0.0)
+        t = rule.nodes
+        with np.errstate(under="ignore"):
+            vals = 2.0 * t * func(t * t) * np.exp(-t * t + t)
+        return float(np.sum(rule.weights * vals))
+
+    prev, cur = sample(start), sample(2 * start)
     drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
     return IntegrationResult(value=cur, order=2 * start, drift=drift, converged=drift <= tol)
 

@@ -142,13 +142,12 @@ class TestRadialQuadrature:
         assert res.value == pytest.approx(M3A3 / 24.0, rel=0.05)
 
     def test_exact_rule_for_kappa_ge_2(self):
-        # a polynomial against x^(2nu-3) e^-x: n_r + 1 nodes are exact, one
-        # more node measures the drift, and the refinement start never enters
+        # a polynomial against x^(2nu-3) e^-x: n_r + 1 nodes are exact and one
+        # more node measures the drift
         s = make_state(2, 3, 0.5)
         res = radial_integral_quadrature(s, "diff")
         assert res.order == s.n_r + 2
         assert res.converged and res.drift <= 1e-13
-        assert radial_integral_quadrature(s, "diff", start=8) == res
         rule = gauss_laguerre(40, 2.0 * s.nu - 3.0)
         pf, pg = radial_polynomials(s, rule.nodes)
         reference = s.norm ** 2 * float(np.sum(rule.weights * (pf * pf - pg * pg)))
@@ -170,6 +169,13 @@ class TestRadialQuadrature:
         e1 = M_E / math.sqrt(1.0 + (ALPHA / (1.0 + nu1)) ** 2)
         assert e1 == pytest.approx(dirac_energy(1, 1), rel=1e-14)
         assert cross_radial_integral_closed() == pytest.approx(13.0 / 96.0 * M3A3, rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [ALPHA, 1e-3, 0.05, 0.3])
+    def test_cross_closed_form_is_the_2p12_diff_form(self, alpha):
+        # one closed form at one energy: the 2P1/2 state's own
+        c = C.with_(alpha=alpha)
+        assert cross_radial_integral_closed(c) == radial_integral_closed(
+            make_state(1, 1, 0.5, c), "diff")
 
 
 class TestLevelShift:
