@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Subcommands: levels, shift, bound, nonrel, sweep, verify.  Output formats
-are table (default), json (schema-versioned) and csv.  Exit codes: 0 ok,
-1 usage or validation problem, 2 unexpected validation mismatch from the
-verify suite.
+Subcommands: levels, shift, bound, nonrel, sweep, verify.  Each handler
+returns its exit code, its payload and, where the two-column table does not
+fit, its own table text; only `main` reads --format and --out and writes.
+Output formats are table (default; the CSV for sweep) and json
+(schema-versioned).  Exit codes: 0 ok, 1 usage or validation problem, 2
+unexpected validation mismatch from the verify suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -16,6 +19,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
                         PhysicalConstants, check_theta, finite_real)
@@ -24,7 +28,7 @@ from .errors import ValidationError
 from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
                      nc_hyperfine_shift, s_state_bound, s_state_shift, schrodinger_energy)
 from .oracle import VERDICTS, run_all
-from .shifts import Level, level_shift, theta_bound
+from .shifts import level_shift, theta_bound
 
 JSON_SCHEMA_VERSION = 1
 SWEEP_HEADER = ["theta_eV2", "level", "eigenvalue", "shift_eV"]
@@ -39,8 +43,6 @@ class RunConfig:
     m_e: float = DEFAULT_CONSTANTS.m_e
     alpha: float = DEFAULT_CONSTANTS.alpha
     lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV
-    format: str = "table"
-    out: str | None = None
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -110,7 +112,7 @@ def _global_flags() -> argparse.ArgumentParser:
     # must not overwrite the value given before the subcommand.
     common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--constants-file", help="JSON file overriding m_e/alpha/lambda_qcd")
-    common.add_argument("--format", choices=("table", "json", "csv"))
+    common.add_argument("--format", choices=("table", "json"))
     common.add_argument("--out", help="write output to this path instead of stdout")
     return common
 
@@ -158,25 +160,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+class Output(NamedTuple):
+    """A handler's result: the JSON payload, the table text (None for the
+    two-column table of the payload) and the exit code."""
+
+    payload: dict
+    table: str | None = None
+    code: int = 0
 
 
-def _json_out(payload: dict) -> str:
-    return json.dumps({"schema": JSON_SCHEMA_VERSION, **payload}, indent=2,
-                      allow_nan=False) + "\n"
-
-
-def _table(rows: list[tuple[str, str]]) -> str:
+def _table(payload: dict) -> str:
+    """Key and repr(value) per row; the entries of a nested dict follow as
+    '  <key>' rows."""
+    rows = [(k, repr(v)) for k, v in payload.items() if not isinstance(v, dict)]
+    rows += [(f"  <{k}>", repr(v)) for sub in payload.values() if isinstance(sub, dict)
+             for k, v in sub.items()]
     width = max(len(k) for k, _ in rows)
     return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)
 
 
-def cmd_levels(args, cfg: RunConfig) -> int:
+def cmd_levels(args, cfg: RunConfig) -> Output:
     constants = cfg.constants()
     if args.label is not None:
         n_r, kappa = parse_level_label(args.label)
@@ -186,7 +189,7 @@ def cmd_levels(args, cfg: RunConfig) -> int:
         raise ValidationError("give a label like 2P3/2, or both --n-r and --kappa")
     state = make_state(n_r, kappa, 0.5, constants)
     binding = dirac_binding_energy(n_r, kappa, constants)
-    payload = {
+    return Output({
         "label": state.label,
         "n_r": n_r,
         "kappa": kappa,
@@ -196,39 +199,23 @@ def cmd_levels(args, cfg: RunConfig) -> int:
         "energy_eV": state.energy,
         "binding_eV": binding,
         "a": state.a,
-    }
-    if cfg.format == "json":
-        _emit(_json_out(payload), cfg.out)
-    else:
-        rows = [(k, repr(v)) for k, v in payload.items()]
-        _emit(_table(rows), cfg.out)
-    return 0
+    })
 
 
-def cmd_shift(args, cfg: RunConfig) -> int:
-    constants = cfg.constants()
+def cmd_shift(args, cfg: RunConfig) -> Output:
     theta = parse_theta(args.theta)
-    report = level_shift(args.label, theta, constants)
-    if cfg.format == "json":
-        _emit(_json_out(report.as_dict()), cfg.out)
-    else:
-        d = report.as_dict()
-        rows = [(k, repr(v)) for k, v in d.items()]
-        _emit(_table(rows), cfg.out)
-    return 0
+    return Output(level_shift(args.label, theta, cfg.constants()).as_dict())
 
 
-def cmd_bound(args, cfg: RunConfig) -> int:
+def cmd_bound(args, cfg: RunConfig) -> Output:
+    if not (math.isfinite(args.accuracy_khz) and args.accuracy_khz > 0.0):
+        raise ValidationError(f"accuracy-khz must be finite and positive, "
+                              f"got {args.accuracy_khz}")
     constants = cfg.constants()
     accuracy_hz = args.accuracy_khz * 1e3
-    report = level_shift(args.label, 0.0, constants, accuracy_hz=accuracy_hz)
+    report = level_shift(args.label, 0.0, constants)
     bounds = []
-    seen = set()
-    for coeff in report.coefficients:
-        mag = abs(coeff)
-        if mag < 1e-300 or round(math.log10(mag), 9) in seen:
-            continue
-        seen.add(round(math.log10(mag), 9))
+    for mag in dict.fromkeys(abs(c) for c in report.coefficients if c):
         b = theta_bound(mag, accuracy_hz, constants)
         bounds.append({
             "coefficient_eV3": mag,
@@ -237,21 +224,17 @@ def cmd_bound(args, cfg: RunConfig) -> int:
         })
     payload = {"label": report.label, "accuracy_khz": args.accuracy_khz, "bounds": bounds,
                "flagged": report.flagged, "notes": list(report.notes)}
-    if cfg.format == "json":
-        _emit(_json_out(payload), cfg.out)
-    else:
-        lines = [f"level {report.label}, accuracy {args.accuracy_khz} kHz"]
-        for b in bounds:
-            lines.append(f"  coefficient {b['coefficient_eV3']:.6e} eV^3 -> "
-                         f"theta <= {b['theta_max_eV2']:.6e} eV^-2  "
-                         f"(= ({b['gev_scale']:.3f} GeV)^-2)")
-        for note in report.notes:
-            lines.append(f"  note: {note}")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return 0
+    lines = [f"level {report.label}, accuracy {args.accuracy_khz} kHz"]
+    for b in bounds:
+        lines.append(f"  coefficient {b['coefficient_eV3']:.6e} eV^3 -> "
+                     f"theta <= {b['theta_max_eV2']:.6e} eV^-2  "
+                     f"(= ({b['gev_scale']:.3f} GeV)^-2)")
+    for note in report.notes:
+        lines.append(f"  note: {note}")
+    return Output(payload, "\n".join(lines) + "\n")
 
 
-def cmd_nonrel(args, cfg: RunConfig) -> int:
+def cmd_nonrel(args, cfg: RunConfig) -> Output:
     constants = cfg.constants()
     theta = parse_theta(args.theta)
     lam = args.lambda_qcd if args.lambda_qcd is not None else cfg.lambda_qcd
@@ -260,7 +243,7 @@ def cmd_nonrel(args, cfg: RunConfig) -> int:
     if args.l == 0:
         shift = s_state_shift(theta, lam, constants)
         bound = s_state_bound(lambda_qcd=lam, constants=constants)
-        payload = {
+        return Output({
             "n": args.n, "l": 0, "j": args.j, "m_j": args.mj,
             "energy_eV": schrodinger_energy(args.n, constants),
             "theta_eV2": theta,
@@ -268,42 +251,34 @@ def cmd_nonrel(args, cfg: RunConfig) -> int:
             "s_state_shift_eV": shift,
             "default_bound_theta_eV2": bound.theta_max_ev2,
             "default_bound_gev_scale": bound.gev_scale,
-        }
-    else:
-        state = SchrodingerState(n=args.n, l=args.l, j=args.j, m_j=args.mj,
-                                 constants=constants)
-        table = expectation_table(state, theta)
-        hyper = nc_hyperfine_shift(state, theta)
-        payload = {
-            "n": args.n, "l": args.l, "j": args.j, "m_j": args.mj,
-            "energy_eV": schrodinger_energy(args.n, constants),
-            "theta_eV2": theta,
-            "fine_structure_eV": fine_structure_shift(args.n, args.l, args.j, constants),
-            "fine_structure_standard_eV": fine_structure_shift(
-                args.n, args.l, args.j, constants, p4_sign_corrected=True),
-            "nc_shift_eV": hyper.total if not hyper.r5_divergent else None,
-            "nc_shift_r3_eV": hyper.r3_term,
-            "nc_shift_r4_eV": hyper.r4_term,
-            "nc_shift_r5_eV": None if hyper.r5_divergent else hyper.r5_term,
-            "nc_shift_r5_divergent": hyper.r5_divergent,
-            "expectations": {f.name: getattr(table, f.name)
-                             for f in fields(table) if f.name != "divergent"},
-            "divergent_entries": list(table.divergent),
-        }
-        payload["expectations"] = {
-            k: (None if isinstance(v, float) and math.isinf(v) else v)
-            for k, v in payload["expectations"].items()}
-    if cfg.format == "json":
-        _emit(_json_out(payload), cfg.out)
-    else:
-        rows = [(k, repr(v)) for k, v in payload.items() if k != "expectations"]
-        if "expectations" in payload:
-            rows += [(f"  <{k}>", repr(v)) for k, v in payload["expectations"].items()]
-        _emit(_table(rows), cfg.out)
-    return 0
+        })
+    state = SchrodingerState(n=args.n, l=args.l, j=args.j, m_j=args.mj,
+                             constants=constants)
+    table = expectation_table(state, theta)
+    hyper = nc_hyperfine_shift(state, theta)
+    expectations = {f.name: getattr(table, f.name) for f in fields(table)
+                    if f.name != "divergent"}
+    return Output({
+        "n": args.n, "l": args.l, "j": args.j, "m_j": args.mj,
+        "energy_eV": schrodinger_energy(args.n, constants),
+        "theta_eV2": theta,
+        "fine_structure_eV": fine_structure_shift(args.n, args.l, args.j, constants),
+        "fine_structure_standard_eV": fine_structure_shift(
+            args.n, args.l, args.j, constants, p4_sign_corrected=True),
+        "nc_shift_eV": hyper.total if not hyper.r5_divergent else None,
+        "nc_shift_r3_eV": hyper.r3_term,
+        "nc_shift_r4_eV": hyper.r4_term,
+        "nc_shift_r5_eV": None if hyper.r5_divergent else hyper.r5_term,
+        "nc_shift_r5_divergent": hyper.r5_divergent,
+        "expectations": {k: (None if isinstance(v, float) and math.isinf(v) else v)
+                         for k, v in expectations.items()},
+        "divergent_entries": list(table.divergent),
+    })
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
+def cmd_sweep(args, cfg: RunConfig) -> Output:
+    """Rows of shift = coefficient * theta; shifts are linear in theta, so
+    each level's report is computed once."""
     constants = cfg.constants()
     theta_min = parse_theta(args.theta_min)
     theta_max = parse_theta(args.theta_max)
@@ -312,52 +287,40 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     if theta_max < theta_min:
         raise ValidationError("theta-max must be >= theta-min")
     labels = [s.strip() for s in args.levels.split(",") if s.strip()]
-    levels = [Level.from_label(lbl, constants) for lbl in labels]
+    reports = [level_shift(lbl, 0.0, constants) for lbl in labels]
     rows = []
     for i in range(args.steps):
         theta = theta_min + (theta_max - theta_min) * i / (args.steps - 1)
-        for level in levels:
-            report = level_shift(level, theta, constants)
-            for eig, shift in zip(report.eigenvalues, report.shifts_eV):
-                rows.append((theta, report.label, eig, shift))
+        for report in reports:
+            for eig, coeff in zip(report.eigenvalues, report.coefficients):
+                rows.append((theta, report.label, eig, coeff * theta))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for theta, label, eig, shift in rows:
-        writer.writerow([repr(theta), label, repr(eig), repr(shift)])
-    _emit(buf.getvalue(), cfg.out)
-    return 0
+    writer.writerows([repr(theta), label, repr(eig), repr(shift)]
+                     for theta, label, eig, shift in rows)
+    return Output({"rows": [dict(zip(SWEEP_HEADER, row)) for row in rows]}, buf.getvalue())
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    constants = cfg.constants()
-    reports = run_all(constants)
+def cmd_verify(args, cfg: RunConfig) -> Output:
+    reports = run_all(cfg.constants())
     counts = dict.fromkeys(VERDICTS, 0)
     for r in reports:
         counts[r.verdict] += 1
     mismatches = counts["mismatch"]
-    if cfg.format == "json":
-        payload = {"reports": [r.as_dict() for r in reports],
-                   "mismatches": mismatches, "verdict_counts": counts}
-        _emit(_json_out(payload), cfg.out)
-    else:
-        lines = []
-        for r in reports:
-            lines.append(f"[{r.verdict:>28}] {r.name}"
-                         + (f"  ({r.note})" if r.note else ""))
-        split = ", ".join(f"{n} {v}" for v, n in counts.items())
-        lines.append(f"{len(reports)} checks, {mismatches} unexpected mismatches ({split})")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return 2 if mismatches else 0
+    lines = [f"[{r.verdict:>28}] {r.name}" + (f"  ({r.note})" if r.note else "")
+             for r in reports]
+    split = ", ".join(f"{n} {v}" for v, n in counts.items())
+    lines.append(f"{len(reports)} checks, {mismatches} unexpected mismatches ({split})")
+    payload = {"reports": [r.as_dict() for r in reports],
+               "mismatches": mismatches, "verdict_counts": counts}
+    return Output(payload, "\n".join(lines) + "\n", 2 if mismatches else 0)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.constants_file) if args.constants_file else RunConfig()
-        cfg.format = args.format
-        cfg.out = args.out
         handler = {
             "levels": cmd_levels,
             "shift": cmd_shift,
@@ -366,7 +329,16 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
             "verify": cmd_verify,
         }[args.command]
-        return handler(args, cfg)
+        result = handler(args, cfg)
+        if args.format == "json":
+            text = json.dumps({"schema": JSON_SCHEMA_VERSION, **result.payload}, indent=2,
+                              allow_nan=False) + "\n"
+        else:
+            text = result.table if result.table is not None else _table(result.payload)
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(text)
+        return result.code
     except (ValidationError, OSError, ValueError) as exc:
         print(f"nchydro: error: {exc}", file=sys.stderr)
         return 1

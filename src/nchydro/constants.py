@@ -12,8 +12,6 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ValidationError
 
 GEV = 1.0e9  # eV per GeV
@@ -84,12 +82,6 @@ class ThetaTensor:
     @classmethod
     def z_axis(cls, theta: float, time_row=(0.0, 0.0, 0.0)) -> "ThetaTensor":
         return cls(space_vector=(0.0, 0.0, float(theta)), time_row=tuple(time_row))
-
-    @property
-    def space_matrix(self) -> np.ndarray:
-        """The 3x3 antisymmetric matrix theta^{ij} = eps_{ijk} theta_k."""
-        tx, ty, tz = self.space_vector
-        return np.array([[0.0, tz, -ty], [-tz, 0.0, tx], [ty, -tx, 0.0]])
 
 
 def hz_to_ev(frequency_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

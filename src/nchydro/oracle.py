@@ -35,7 +35,7 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac import make_state, radial_polynomials
-from .errors import DivergenceError
+from .errors import DivergenceError, ValidationError
 from .nonrel import r_inverse_moment, r_inverse_moment_quadrature
 from .shifts import (Level, cross_radial_integral_closed, cross_radial_integral_quadrature,
                      lz_block, lz_block_numeric, radial_integral_closed,
@@ -98,8 +98,7 @@ def _rel(a: float, b: float) -> float:
 
 
 def validate_radial(n_r: int, kappa: int, kind: str = "sum",
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                    tol: float = RADIAL_TOL) -> ValidationReport:
+                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ValidationReport:
     """Validate one radial integral by its quadrature's own drift.
 
     The quadrature runs once.  For |kappa| >= 2 its drift is the gap
@@ -125,7 +124,7 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
         diverges = state.nu < 1.0
     closed_gap = _rel(closed, quad.value)
 
-    if quad.converged and closed_gap <= tol:
+    if quad.converged and closed_gap <= RADIAL_TOL:
         verdict, note = VERDICT_MATCH, ""
     elif quad.converged:
         verdict = VERDICT_FLAGGED
@@ -159,11 +158,10 @@ def radial_ratio_small_alpha(n_r: int = 0, kappa: int = -2,
 # ---------------------------------------------------------------------------
 
 
-def _block_report(name: str, numeric: np.ndarray, reference: np.ndarray,
-                  tol: float) -> ValidationReport:
+def _block_report(name: str, numeric: np.ndarray, reference: np.ndarray) -> ValidationReport:
     gap = float(np.max(np.abs(numeric - reference)))
     hermit = float(np.max(np.abs(numeric - numeric.conj().T)))
-    ok = gap <= tol and hermit <= 1e-12
+    ok = gap <= ANGULAR_TOL and hermit <= 1e-12
     note = "" if ok else f"max entry deviation {gap:.2e}, hermiticity {hermit:.2e}"
     return ValidationReport(name=name, closed_form=float(np.max(np.abs(reference))),
                             quadrature=float(np.max(np.abs(numeric))),
@@ -173,19 +171,20 @@ def _block_report(name: str, numeric: np.ndarray, reference: np.ndarray,
 
 def validate_angular(label_a: str, label_b: str | None = None,
                      operator: str = "theta_L",
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                     tol: float = ANGULAR_TOL) -> ValidationReport:
+                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ValidationReport:
     """Compare a sphere-quadrature angular block against its closed form.
 
     operator "theta_L" validates the z-axis orbital block of a level;
     "sigma_cross" validates the vector-channel block between two levels
     (or the parity zero within one level when label_b is omitted or equal).
+    A sigma_cross pair with no closed-form reference raises ValidationError,
+    as does any other operator.
     """
     level_a = Level.from_label(label_a, constants)
     if operator == "theta_L":
         numeric = lz_block_numeric(level_a.j, level_a.l).matrix
         reference = lz_block(level_a.j, level_a.l).matrix
-        return _block_report(f"angular theta_L {label_a}", numeric, reference, tol)
+        return _block_report(f"angular theta_L {label_a}", numeric, reference)
     if operator == "sigma_cross":
         level_b = Level.from_label(label_b, constants) if label_b else level_a
         numeric = sigma_cross_block(level_a, level_b).matrix
@@ -197,10 +196,11 @@ def validate_angular(label_a: str, label_b: str | None = None,
             sign = 1.0 if level_a.l == 0 else -1.0
             reference = sign * (2.0 / 3.0) * np.diag([1.0, -1.0]).astype(complex)
         else:
-            reference = sigma_cross_block(level_b, level_a).matrix.conj().T
+            raise ValidationError(f"no closed-form sigma_cross block for {label_a} -> "
+                                  f"{label_b}")
         name = f"angular sigma_cross {label_a}" + (f"->{label_b}" if label_b else " (within)")
-        return _block_report(name, numeric, reference, tol)
-    raise ValueError(f"operator must be 'theta_L' or 'sigma_cross', got {operator!r}")
+        return _block_report(name, numeric, reference)
+    raise ValidationError(f"operator must be 'theta_L' or 'sigma_cross', got {operator!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +217,7 @@ def _moment_diverges_numerically(n: int, l: int, k: int,
 
 
 def validate_moments(n: int, l: int,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                     tol: float = MOMENT_TOL) -> list[ValidationReport]:
+                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[ValidationReport]:
     """Validate <r^-k> for k = 3, 4, 5 at one (n, l).
 
     Finite moments must match quadrature at tolerance; the integrand
@@ -246,8 +245,8 @@ def validate_moments(n: int, l: int,
         reports.append(ValidationReport(
             name=name, closed_form=closed, quadrature=quad, rel_error=gap,
             quad_drift=0.0,
-            verdict=VERDICT_MATCH if gap <= tol else VERDICT_MISMATCH,
-            note="" if gap <= tol else f"closed vs quadrature gap {gap:.2e}"))
+            verdict=VERDICT_MATCH if gap <= MOMENT_TOL else VERDICT_MISMATCH,
+            note="" if gap <= MOMENT_TOL else f"closed vs quadrature gap {gap:.2e}"))
     return reports
 
 
@@ -256,15 +255,15 @@ def validate_moments(n: int, l: int,
 # ---------------------------------------------------------------------------
 
 
-def run_all(constants: PhysicalConstants = DEFAULT_CONSTANTS,
-            max_n_r: int = 3, max_abs_kappa: int = 3,
-            max_n_moments: int = 6) -> list[ValidationReport]:
-    """Run every validator; the CLI's verify command serializes this."""
+def run_all(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[ValidationReport]:
+    """Run every validator: radial integrals for n_r <= 3 and |kappa| <= 3,
+    the angular blocks, and the moments for n <= 6.  The CLI's verify
+    command serializes this."""
     reports: list[ValidationReport] = []
-    for kappa in range(-max_abs_kappa, max_abs_kappa + 1):
+    for kappa in range(-3, 4):
         if kappa == 0:
             continue
-        for n_r in range(0, max_n_r + 1):
+        for n_r in range(0, 4):
             if n_r == 0 and kappa > 0:
                 continue
             for kind in ("sum", "diff"):
@@ -275,7 +274,7 @@ def run_all(constants: PhysicalConstants = DEFAULT_CONSTANTS,
     reports.append(validate_angular("2P1/2", "2P1/2", "sigma_cross", constants))
     reports.append(validate_angular("2P3/2", "2P3/2", "sigma_cross", constants))
     reports.append(validate_angular("2S1/2", "2P1/2", "sigma_cross", constants))
-    for n in range(1, max_n_moments + 1):
+    for n in range(1, 7):
         for l in range(0, n):
             reports.extend(validate_moments(n, l, constants))
     return reports

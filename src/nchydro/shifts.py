@@ -372,8 +372,7 @@ class ShiftReport:
 
 
 def level_shift(level, theta: float,
-                constants: PhysicalConstants | None = None,
-                accuracy_hz: float = LAMB_ACCURACY_2P_HZ) -> ShiftReport:
+                constants: PhysicalConstants | None = None) -> ShiftReport:
     """First-order shifts Delta E = -(e^2/2) rho1 lambda_k theta for a level.
 
     `level` is a Level or a spectroscopic label.  Both the closed-form and
@@ -381,7 +380,9 @@ def level_shift(level, theta: float,
     ones are the headline numbers and the report is flagged whenever the
     two routes disagree beyond RADIAL_AGREEMENT_TOL (or the quadrature did
     not converge).  The within-level vector-piece block vanishes by parity
-    and contributes nothing here.
+    and contributes nothing here.  The report's theta_bound is the bound
+    from the largest |coefficient| at the 2P Lamb-shift accuracy
+    LAMB_ACCURACY_2P_HZ.
 
     A label is built with `constants` (default constants when None).  A
     Level carries its own constants, which set alpha and the bound's Hz
@@ -422,7 +423,7 @@ def level_shift(level, theta: float,
     bound = None
     max_coeff = max((abs(c) for c in coeff_closed), default=0.0)
     if max_coeff > 0.0:
-        bound = theta_bound(max_coeff, accuracy_hz, constants)
+        bound = theta_bound(max_coeff, LAMB_ACCURACY_2P_HZ, constants)
 
     return ShiftReport(label=level.label, theta=theta, eigenvalues=eigenvalues,
                        rho1=rho1_c, rho2=rho2_c,

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from nchydro import cli
 from nchydro.cli import RunConfig, build_parser, main, parse_half_integer, parse_theta
 from nchydro.errors import ValidationError
+from nchydro.shifts import level_shift
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -93,12 +95,57 @@ class TestGlobalFlags:
      "--lambda-qcd", "inf"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e-19",
      "--lambda-qcd", "inf"],
+    ["bound", "2P3/2", "--accuracy-khz", "inf"],
+    ["bound", "2P3/2", "--accuracy-khz", "0"],
+    ["bound", "2P3/2", "--accuracy-khz", "-1"],
+    ["bound", "1S1/2", "--accuracy-khz", "nan"],
+    ["bound", "1S1/2", "--accuracy-khz", "inf"],
+    ["bound", "1S1/2", "--accuracy-khz", "0"],
+    ["bound", "1S1/2", "--accuracy-khz", "-1"],
 ])
 def test_non_finite_input_exits_1_without_output(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--format", "json")
-    assert code == 1
-    assert out == ""
-    assert "nchydro: error:" in err
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1, fmt
+        assert out == "", fmt
+        assert "nchydro: error:" in err, fmt
+
+
+ONE_REQUEST_PER_SUBCOMMAND = {
+    "levels": ["levels", "2P3/2"],
+    "shift": ["shift", "2P3/2", "--theta", "1e-19"],
+    "bound": ["bound", "3D5/2"],
+    "nonrel": ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2",
+               "--theta", "1e-19"],
+    "sweep": ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", sorted(ONE_REQUEST_PER_SUBCOMMAND))
+def test_one_complete_output_in_one_place(capsys, tmp_path, command, fmt):
+    argv = [*ONE_REQUEST_PER_SUBCOMMAND[command], "--format", fmt]
+    code, printed, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert strict_json(printed)["schema"] == 1
+    else:
+        assert printed.endswith("\n") and not printed.startswith("{")
+    out_file = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0 and out == "" and err == ""
+    assert out_file.read_text(encoding="utf-8") == printed
+
+
+def test_csv_format_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3",
+              "--format", "csv"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
 
 
 class TestLevels:
@@ -165,6 +212,18 @@ class TestBound:
         assert scales[0] == pytest.approx(1.2, rel=0.15)
         assert scales[1] == pytest.approx(2.0, rel=0.15)
 
+    @pytest.mark.parametrize("label, count", [("1S1/2", 0), ("2P3/2", 2), ("3D5/2", 3)])
+    def test_distinct_magnitudes_in_first_appearance_order(self, capsys, label, count):
+        code, out, _ = run_cli(capsys, "bound", label, "--format", "json")
+        assert code == 0
+        expected = []
+        for c in level_shift(label, 0.0).coefficients:
+            if c and abs(c) not in expected:
+                expected.append(abs(c))
+        magnitudes = [b["coefficient_eV3"] for b in json.loads(out)["bounds"]]
+        assert magnitudes == expected
+        assert len(magnitudes) == count
+
 
 class TestNonrel:
     def test_d_state(self, capsys):
@@ -201,6 +260,17 @@ class TestSweep:
             report = level_shift(row["level"], float(row["theta_eV2"]))
             idx = report.eigenvalues.index(float(row["eigenvalue"]))
             assert float(row["shift_eV"]) == report.shifts_eV[idx]
+
+    def test_json_rows_equal_csv_rows(self, capsys):
+        argv = ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "4",
+                "--levels", "2P1/2,3D5/2"]
+        _, table, _ = run_cli(capsys, *argv)
+        _, text, _ = run_cli(capsys, *argv, "--format", "json")
+        csv_rows = [list(row.values()) for row in csv.DictReader(io.StringIO(table))]
+        json_rows = strict_json(text)["rows"]
+        assert len(json_rows) == 4 * (2 + 6)
+        assert csv_rows == [[repr(r["theta_eV2"]), r["level"], repr(r["eigenvalue"]),
+                             repr(r["shift_eV"])] for r in json_rows]
 
     def test_bad_steps(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta-min", "0",

@@ -2,7 +2,7 @@ import pytest
 
 from nchydro import specfun
 from nchydro.constants import DEFAULT_CONSTANTS
-from nchydro.errors import DivergenceError
+from nchydro.errors import DivergenceError, ValidationError
 from nchydro.nonrel import r_inverse_moment, r_inverse_moment_quadrature
 from nchydro.oracle import (norm_self_consistency, radial_ratio_small_alpha, run_all,
                             validate_angular, validate_moments, validate_radial)
@@ -90,6 +90,15 @@ class TestValidateAngular:
         assert report.verdict == "match"
         assert report.closed_form == pytest.approx(2.0 / 3.0, rel=1e-12)
 
+    def test_sigma_cross_without_closed_form_rejected(self):
+        # l = 1 -> 2 at j = 3/2: no closed-form block to compare against
+        with pytest.raises(ValidationError, match="no closed-form"):
+            validate_angular("2P3/2", "3D3/2", "sigma_cross")
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ValidationError, match="operator"):
+            validate_angular("2P1/2", operator="theta_x")
+
 
 class TestValidateMoments:
     def test_2p_match(self):
@@ -140,7 +149,8 @@ class TestValidateMoments:
 
 class TestSuite:
     def test_run_all_no_unexpected_mismatches(self):
-        reports = run_all(max_n_r=2, max_abs_kappa=2, max_n_moments=3)
+        reports = run_all()
+        assert len(reports) == 112
         mismatches = [r for r in reports if r.verdict == "mismatch"]
         assert mismatches == []
 
