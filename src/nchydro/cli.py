@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
-                        PhysicalConstants, check_theta, finite_real)
+                        PhysicalConstants, check_lambda_qcd, check_theta, finite_real)
 from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
 from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
@@ -100,7 +100,13 @@ def parse_half_integer(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract is 1
+    # argparse exits 2 on usage errors by default; the contract is 1.  A
+    # negative fraction or exponent form such as -3/2 or -1e-19 is a value,
+    # as -1.5 is, not an option.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?(/\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -238,30 +244,26 @@ def cmd_nonrel(args, cfg: RunConfig) -> Output:
     constants = cfg.constants()
     theta = parse_theta(args.theta)
     lam = args.lambda_qcd if args.lambda_qcd is not None else cfg.lambda_qcd
-    if not (math.isfinite(lam) and lam > 0):  # checked even where l > 0 leaves it unused
-        raise ValidationError(f"lambda-qcd must be finite and positive, got {lam}")
+    check_lambda_qcd(lam)  # checked even where l > 0 leaves it unused
+    state = SchrodingerState(n=args.n, l=args.l, j=args.j, m_j=args.mj,
+                             constants=constants)
+    head = {"n": args.n, "l": args.l, "j": args.j, "m_j": args.mj,
+            "energy_eV": schrodinger_energy(args.n, constants), "theta_eV2": theta}
     if args.l == 0:
-        shift = s_state_shift(theta, lam, constants)
         bound = s_state_bound(lambda_qcd=lam, constants=constants)
         return Output({
-            "n": args.n, "l": 0, "j": args.j, "m_j": args.mj,
-            "energy_eV": schrodinger_energy(args.n, constants),
-            "theta_eV2": theta,
+            **head,
             "lambda_qcd_eV": lam,
-            "s_state_shift_eV": shift,
+            "s_state_shift_eV": s_state_shift(theta, lam, constants),
             "default_bound_theta_eV2": bound.theta_max_ev2,
             "default_bound_gev_scale": bound.gev_scale,
         })
-    state = SchrodingerState(n=args.n, l=args.l, j=args.j, m_j=args.mj,
-                             constants=constants)
     table = expectation_table(state, theta)
     hyper = nc_hyperfine_shift(state, theta)
     expectations = {f.name: getattr(table, f.name) for f in fields(table)
                     if f.name != "divergent"}
     return Output({
-        "n": args.n, "l": args.l, "j": args.j, "m_j": args.mj,
-        "energy_eV": schrodinger_energy(args.n, constants),
-        "theta_eV2": theta,
+        **head,
         "fine_structure_eV": fine_structure_shift(args.n, args.l, args.j, constants),
         "fine_structure_standard_eV": fine_structure_shift(
             args.n, args.l, args.j, constants, p4_sign_corrected=True),

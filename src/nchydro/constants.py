@@ -37,6 +37,12 @@ def check_theta(theta: float):
         raise ValidationError(f"theta must be finite and >= 0, got {theta}")
 
 
+def check_lambda_qcd(lambda_qcd: float):
+    """Reject an S-state cutoff (eV) that is not a finite positive number."""
+    if not (finite_real(lambda_qcd) and lambda_qcd > 0.0):
+        raise ValidationError(f"lambda_qcd must be finite and positive, got {lambda_qcd}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Electron mass, fine-structure constant, and hbar in eV s."""

@@ -24,6 +24,8 @@ Conventions worth stating once:
 * _overlap is the one kernel for radial integrals of a pair of states,
   int x^beta e^-x (P_f P_f' +/- P_g P_g') dx: the norm here, and the
   radial and cross integrals in shifts.
+* kappa_to_lj, lj_to_kappa (the one test of j = l +/- 1/2) and the one
+  half-integer test check_magnetic live in specfun.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import gauss_laguerre, laguerre_general
+from .specfun import (check_magnetic, gauss_laguerre, kappa_to_lj, laguerre_general,
+                      lj_to_kappa)
 
 __all__ = [
     "RelativisticState",
@@ -54,23 +57,6 @@ __all__ = [
 ]
 
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
-
-
-def kappa_to_lj(kappa: int) -> tuple[int, float]:
-    """Orbital l and total j encoded by a nonzero integer kappa."""
-    if kappa == 0:
-        raise ValidationError("kappa = 0 is not allowed")
-    j = abs(kappa) - 0.5
-    l = kappa if kappa > 0 else -kappa - 1
-    return l, j
-
-
-def lj_to_kappa(l: int, j: float) -> int:
-    if abs(j - (l - 0.5)) < 1e-9:
-        return l
-    if abs(j - (l + 0.5)) < 1e-9:
-        return -(l + 1)
-    raise ValidationError(f"(l, j) = ({l}, {j}) is not a valid fine-structure pair")
 
 
 @dataclass(frozen=True)
@@ -104,16 +90,10 @@ class RelativisticState:
         return level_label(self.n_r, self.kappa)
 
 
-def _check_half_integer(M: float):
-    if abs(2.0 * M - round(2.0 * M)) > 1e-12 or abs(round(2.0 * M)) % 2 != 1:
-        raise ValidationError(f"M must be a half-integer, got {M}")
-
-
 def dirac_energy(n_r: int, kappa: int, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Bound-state energy E = m (n_r + nu) / sqrt(alpha^2 + (n_r + nu)^2)."""
     alpha, m = constants.alpha, constants.m_e
-    if kappa == 0:
-        raise ValidationError("kappa = 0 is not allowed")
+    kappa_to_lj(kappa)  # rejects kappa = 0
     if alpha >= abs(kappa):
         raise ValidationError(f"alpha = {alpha} >= |kappa| = {abs(kappa)}: nu is not real")
     nu = math.sqrt(kappa * kappa - alpha * alpha)
@@ -142,10 +122,8 @@ def make_state(n_r: int, kappa: int, M: float,
         raise ValidationError(f"n_r must be >= 0, got {n_r}")
     if n_r == 0 and kappa > 0:
         raise ValidationError(f"(n_r=0, kappa={kappa}): state is unnormalizable")
-    _check_half_integer(M)
     l, j = kappa_to_lj(kappa)
-    if abs(M) > j:
-        raise ValidationError(f"|M| = {abs(M)} exceeds j = {j}")
+    check_magnetic(j, M)
     alpha, m = constants.alpha, constants.m_e
     energy = dirac_energy(n_r, kappa, constants)
     nu = math.sqrt(kappa * kappa - alpha * alpha)
@@ -279,11 +257,8 @@ def parse_level_label(label: str) -> tuple[int, int]:
     two_j = int(match.group(3))
     if letter not in SPECTROSCOPIC_LETTERS:
         raise ValidationError(f"unknown orbital letter {letter!r} in {label!r}")
-    if two_j % 2 == 0:
-        raise ValidationError(f"j must be half-integral, got {two_j}/2 in {label!r}")
     l = SPECTROSCOPIC_LETTERS.index(letter)
-    j = two_j / 2.0
-    kappa = lj_to_kappa(l, j)  # raises if |l - j| != 1/2
+    kappa = lj_to_kappa(l, two_j / 2.0)  # raises unless j = l +/- 1/2 > 0
     n_r = n_principal - abs(kappa)
     if n_r < 0 or (n_r == 0 and kappa > 0) or n_principal <= l:
         raise ValidationError(f"{label!r} does not name a bound state")

@@ -17,6 +17,10 @@ verbatim (and flagged where they disagree with independent routes):
   mutually consistent, but assembling the same quantity line by line from
   the expectation table gives 1/3 of the parent value.  All three numbers
   are exposed.
+
+Each fine-structure factor is one formula in kappa (<L_z> is
+shifts.lz_expectation).  kappa comes from specfun.lj_to_kappa, the one test
+of j = l +/- 1/2; specfun.check_magnetic is the one half-integer test.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants, check_theta)
+                        PhysicalConstants, check_lambda_qcd, check_theta)
 from .errors import DivergenceError, DomainError, ValidationError
-from .shifts import ThetaBound, theta_bound
-from .specfun import gauss_laguerre, laguerre_general
+from .shifts import ThetaBound, lz_expectation, theta_bound
+from .specfun import check_magnetic, gauss_laguerre, laguerre_general, lj_to_kappa
 
 __all__ = [
     "SchrodingerState",
@@ -57,7 +61,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchrodingerState:
-    """Hydrogen level (n, l, j = l +/- 1/2, m_j) in the nonrelativistic stack."""
+    """Hydrogen level (n, l, j = l +/- 1/2, m_j) in the nonrelativistic stack;
+    (l, j) and m_j are checked for every l, 0 included."""
 
     n: int
     l: int
@@ -70,19 +75,17 @@ class SchrodingerState:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.l < self.n:
             raise ValidationError(f"l must satisfy 0 <= l < n, got l={self.l}, n={self.n}")
-        if abs(self.j - (self.l + 0.5)) > 1e-9 and abs(self.j - (self.l - 0.5)) > 1e-9:
-            raise ValidationError(f"j must be l +/- 1/2, got j={self.j}, l={self.l}")
-        if self.j < 0:
-            raise ValidationError("j must be positive")
-        if abs(self.m_j) > self.j + 1e-12:
-            raise ValidationError(f"|m_j| = {abs(self.m_j)} exceeds j = {self.j}")
-        if abs(2 * self.m_j - round(2 * self.m_j)) > 1e-12:
-            raise ValidationError(f"m_j must be a half-integer, got {self.m_j}")
+        lj_to_kappa(self.l, self.j)
+        check_magnetic(self.j, self.m_j)
+
+    @property
+    def kappa(self) -> int:
+        return lj_to_kappa(self.l, self.j)
 
     @property
     def branch(self) -> int:
-        """+1 for j = l + 1/2, -1 for j = l - 1/2."""
-        return 1 if abs(self.j - (self.l + 0.5)) < 1e-9 else -1
+        """+1 for j = l + 1/2 (kappa < 0), -1 for j = l - 1/2."""
+        return 1 if self.kappa < 0 else -1
 
     @property
     def a0(self) -> float:
@@ -116,18 +119,22 @@ def radial_R(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS
     return val if np.ndim(r) else float(val)
 
 
+def _dr_poly(n: int, l: int, x):
+    """(L, Q) with R_nl = N x^l e^{-x/2} L(x) and dR_nl/dr = (N/s) e^{-x/2} Q(x)
+    in x = r/s, s = n a0 / 2; uses d/dx L_q^a = -L_{q-1}^{a+1}."""
+    lag = laguerre_general(n - l - 1, 2 * l + 1, x)
+    dlag = -laguerre_general(n - l - 2, 2 * l + 2, x)
+    return lag, (l * x ** max(l - 1, 0) - 0.5 * x ** l) * lag + x ** l * dlag
+
+
 def radial_R_prime(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """dR_nl/dr, using d/dx L_q^a = -L_{q-1}^{a+1}."""
-    r_arr = np.asarray(r, dtype=float)
+    """dR_nl/dr, r in eV^-1."""
+    if not 0 <= l < n:
+        raise DomainError(f"radial_R_prime requires 0 <= l < n, got n={n}, l={l}")
     a0 = constants.bohr_radius
     scale = 2.0 / (n * a0)
-    x = scale * r_arr
-    q = n - l - 1
-    lag = laguerre_general(q, 2 * l + 1, x)
-    dlag = -laguerre_general(q - 1, 2 * l + 2, x) if q >= 1 else 0.0
-    norm = _radial_norm(n, l, a0)
-    poly = (l * x ** max(l - 1, 0) * (1.0 if l >= 1 else 0.0) - 0.5 * x ** l) * lag + x ** l * dlag
-    val = norm * np.exp(-x / 2.0) * poly * scale
+    x = scale * np.asarray(r, dtype=float)
+    val = _radial_norm(n, l, a0) * np.exp(-x / 2.0) * _dr_poly(n, l, x)[1] * scale
     return val if np.ndim(r) else float(val)
 
 
@@ -195,27 +202,20 @@ def r_inverse_moment_quadrature(n: int, l: int, k: int,
     return val * norm * (n * a0 / 2.0) ** (3 - k)
 
 
-def expectation_p2(n: int, l: int, constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                   order: int = 160) -> float:
+def expectation_p2(n: int, l: int, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """<p^2> by quadrature: int (R'^2 + l(l+1) R^2/r^2) r^2 dr, in eV^2.
 
-    Everything is assembled in the scaled variable x = 2r/(n a0) so the
-    exponential lives entirely in the Gauss-Laguerre weight.
+    Assembled in x = 2r/(n a0), where the exponential is the Gauss-Laguerre
+    weight and the rest is a polynomial of degree 2n, so the (n+1)-node
+    rule is exact.
     """
     a0 = constants.bohr_radius
-    s = n * a0 / 2.0
-    q = n - l - 1
-    norm2 = _radial_norm(n, l, a0) ** 2
-    rule = gauss_laguerre(order)
+    rule = gauss_laguerre(n + 1)
     x = rule.nodes
-    lag = laguerre_general(q, 2 * l + 1, x)
-    dlag = -laguerre_general(q - 1, 2 * l + 2, x) if q >= 1 else np.zeros_like(x)
-    # R(r) = N x^l e^{-x/2} L(x) with x = r/s; dR/dr = (N/s) e^{-x/2} Q(x)
-    poly_dr = (l * x ** max(l - 1, 0) * (1.0 if l >= 1 else 0.0)
-               - 0.5 * x ** l) * lag + x ** l * dlag
+    lag, poly_dr = _dr_poly(n, l, x)
     term_grad = float(np.sum(rule.weights * poly_dr * poly_dr * x * x))
     term_cent = l * (l + 1.0) * float(np.sum(rule.weights * x ** (2 * l) * lag * lag))
-    return norm2 * s * (term_grad + term_cent)
+    return _radial_norm(n, l, a0) ** 2 * (n * a0 / 2.0) * (term_grad + term_cent)
 
 
 def expectation_p4_physical(n: int, l: int,
@@ -266,11 +266,9 @@ class ExpectationTable:
     divergent: tuple[str, ...]
 
 
-def _branch_factors(state: SchrodingerState):
-    sgn = state.branch                    # +1 upper (j = l + 1/2), -1 lower
-    lz_factor = 1.0 - sgn / (2.0 * state.l + 1.0)
-    so_factor = state.j * (state.j + 1.0) - state.l * (state.l + 1.0) - 0.75
-    return sgn, lz_factor, so_factor
+def _spin_orbit(kappa: int) -> int:
+    """<sigma.L> = j(j+1) - l(l+1) - 3/4 on the (l, j) pair of kappa."""
+    return -(kappa + 1)
 
 
 def _bracket5(state: SchrodingerState) -> float:
@@ -288,34 +286,31 @@ def expectation_table(state: SchrodingerState, theta: float) -> ExpectationTable
     check_theta(theta)
     c = state.constants
     n, l, mj = state.n, state.l, state.m_j
-    sgn, lz_factor, so_factor = _branch_factors(state)
+    sgn = state.branch
+    l_z = lz_expectation(state.j, l, mj)
+    so_factor = _spin_orbit(state.kappa)
     r3 = r_inverse_moment(n, l, 3, c)
     r4 = r_inverse_moment(n, l, 4, c)
+    r5 = r_inverse_moment(n, l, 5, c) if l >= 2 else math.inf
     divergent = []
-    r5_exists = l >= 2
-    if r5_exists:
-        r5 = r_inverse_moment(n, l, 5, c)
-    else:
-        r5 = math.inf
 
     def r5_entry(coefficient: float, name: str) -> float:
         if coefficient == 0.0:
             return 0.0
-        if not r5_exists:
+        if l < 2:
             divergent.append(name)
             return math.copysign(math.inf, coefficient)
         return coefficient * r5
 
     p4_phys = expectation_p4_physical(n, l, c)
-    tl3 = theta * mj * lz_factor * r3
-    tl4 = theta * mj * lz_factor * r4
-    tl5 = r5_entry(theta * mj * lz_factor, "theta_L_over_r5")
+    tl3 = theta * l_z * r3
+    tl4 = theta * l_z * r4
+    tl5 = r5_entry(theta * l_z, "theta_L_over_r5")
     sth4 = sgn * theta * 2.0 * mj / (2.0 * l + 1.0) * r4
     srtr = sgn * theta * 2.0 * mj / (2.0 * l + 1.0) * _bracket5(state) * r4
     sl3 = so_factor * r3
-    tlsl5 = r5_entry(theta * mj * lz_factor * so_factor, "thetaL_sigmaL_over_r5")
-    tlp2 = (2.0 * theta * c.m_e * c.alpha * mj * lz_factor
-            * (r3 / (2.0 * c.bohr_radius * n * n) + r4))
+    tlsl5 = r5_entry(theta * l_z * so_factor, "thetaL_sigmaL_over_r5")
+    tlp2 = 2.0 * theta * c.m_e * c.alpha * l_z * (r3 / (2.0 * c.bohr_radius * n * n) + r4)
     return ExpectationTable(
         p4_printed=-p4_phys,
         p4_physical=p4_phys,
@@ -328,7 +323,7 @@ def expectation_table(state: SchrodingerState, theta: float) -> ExpectationTable
         thetaL_sigmaL_over_r5=tlsl5,
         pi_delta3=0.0,
         thetaL_p2_over_r3=tlp2,
-        l_z=mj * lz_factor,
+        l_z=l_z,
         s_z=sgn * mj / (2.0 * l + 1.0),
         divergent=tuple(divergent),
     )
@@ -344,20 +339,19 @@ def fine_structure_shift(n: int, l: int, j: float,
                          p4_sign_corrected: bool = False) -> float:
     """Ordinary fine-structure correction for l >= 1, in eV.
 
-    By default the quartic-momentum term enters with the positive sign the
-    closed-form table carries; with p4_sign_corrected=True it enters with
-    the physical negative sign, and the total then matches the standard
-    expansion -(alpha^4 m / 2 n^4)(n/(j+1/2) - 3/4) to O(alpha^6).
+    The quartic-momentum term is <p^4>/8m^3 (expectation_p4_physical).  By
+    default it enters with the positive sign the closed-form table carries;
+    with p4_sign_corrected=True it enters with the physical negative sign,
+    and the total then matches the standard expansion
+    -(alpha^4 m / 2 n^4)(n/(j+1/2) - 3/4) to O(alpha^6).
     """
+    so_factor = _spin_orbit(lj_to_kappa(l, j))
     if l < 1:
         raise DomainError("fine_structure_shift applies to l >= 1")
-    if abs(j - (l + 0.5)) > 1e-9 and abs(j - (l - 0.5)) > 1e-9:
-        raise ValidationError(f"j must be l +/- 1/2, got j={j}, l={l}")
     m, alpha = constants.m_e, constants.alpha
-    kinetic = m * alpha ** 4 / (2.0 * n ** 3) * (1.0 / (l + 0.5) - 3.0 / (4.0 * n))
+    kinetic = expectation_p4_physical(n, l, constants) / (8.0 * m ** 3)
     if p4_sign_corrected:
         kinetic = -kinetic
-    so_factor = j * (j + 1.0) - l * (l + 1.0) - 0.75
     spin_orbit = alpha / (4.0 * m * m) * so_factor * r_inverse_moment(n, l, 3, constants)
     return kinetic + spin_orbit
 
@@ -398,17 +392,16 @@ def nc_hyperfine_shift(state: SchrodingerState, theta: float) -> HyperfineShift:
     check_theta(theta)
     c = state.constants
     m, alpha = c.m_e, c.alpha
-    n, l, mj = state.n, state.l, state.m_j
-    sgn, lz_factor, _ = _branch_factors(state)
-    prefactor = 0.5 * theta * alpha * mj
+    n, l, mj, sgn = state.n, state.l, state.m_j, state.branch
+    l_z = lz_expectation(state.j, l, mj)
+    prefactor = 0.5 * theta * alpha
 
     r3 = r_inverse_moment(n, l, 3, c)
     r4 = r_inverse_moment(n, l, 4, c)
-    c3 = (-1.0 + alpha * alpha / (4.0 * n * n)) * lz_factor
-    c4 = -(alpha / (2.0 * m)) * ((5.0 + sgn * 6.0 / (2.0 * l + 1.0))
-                                 + sgn * 4.0 / (2.0 * l + 1.0) * _bracket5(state))
-    c5 = (3.0 / (4.0 * m * m)) * lz_factor * (state.j * (state.j + 1.0)
-                                              - l * (l + 1.0) + 1.25)
+    c3 = (-1.0 + alpha * alpha / (4.0 * n * n)) * l_z
+    c4 = -(alpha / (2.0 * m)) * mj * ((5.0 + sgn * 6.0 / (2.0 * l + 1.0))
+                                      + sgn * 4.0 / (2.0 * l + 1.0) * _bracket5(state))
+    c5 = (3.0 / (4.0 * m * m)) * l_z * (1 - state.kappa)
     r3_term = prefactor * c3 * r3
     r4_term = prefactor * c4 * r4
     if c5 == 0.0 or prefactor == 0.0:
@@ -431,7 +424,8 @@ def s_state_cutoff_expectation(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_
                                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Cutoff-regularized 1S expectation of the sigma/theta contact pair,
     (4 theta / 3) alpha^3 m^3 Lambda, in eV^2."""
-    _check_s_inputs(theta, lambda_qcd)
+    check_theta(theta)
+    check_lambda_qcd(lambda_qcd)
     alpha, m = constants.alpha, constants.m_e
     return (4.0 * theta / 3.0) * alpha ** 3 * m ** 3 * lambda_qcd
 
@@ -443,7 +437,8 @@ def s_state_shift(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
     Consistent with (e^4 / 8m) times s_state_cutoff_expectation.  Linear in
     both theta and the cutoff.
     """
-    _check_s_inputs(theta, lambda_qcd)
+    check_theta(theta)
+    check_lambda_qcd(lambda_qcd)
     alpha, m = constants.alpha, constants.m_e
     return theta * alpha ** 5 * m * m * lambda_qcd / 6.0
 
@@ -456,15 +451,14 @@ def s_state_shift_assembled(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_QCD
     Uses the cutoff moment <r^-4>_1S = 4 alpha^3 m^3 Lambda and the two
     l = 0 table lines; the result is theta alpha^5 m^2 Lambda / 18 at
     m_j = 1/2, one third of s_state_shift.  Exposed so the discrepancy
-    between the two assemblies stays visible.
+    between the two assemblies stays visible.  m_j is that of 1S1/2.
     """
-    _check_s_inputs(theta, lambda_qcd)
+    check_theta(theta)
+    check_lambda_qcd(lambda_qcd)
+    state = SchrodingerState(n=1, l=0, j=0.5, m_j=m_j, constants=constants)
     alpha, m = constants.alpha, constants.m_e
     r4_cut = 4.0 * alpha ** 3 * m ** 3 * lambda_qcd
-    l = 0
-    bracket = ((l + m_j + 0.5) * (l - m_j + 0.5) / (2.0 * l + 1.0) ** 2
-               + (l + m_j + 1.5) * (l - m_j + 1.5) / (2.0 * (l + 1.0) + 1.0) ** 2)
-    combo = theta * 2.0 * m_j * r4_cut * (1.0 - 4.0 * bracket)
+    combo = theta * 2.0 * m_j * r4_cut * (1.0 - 4.0 * _bracket5(state))
     return (alpha * alpha / (8.0 * m)) * combo
 
 
@@ -472,16 +466,8 @@ def s_state_bound(accuracy_hz: float = LAMB_ACCURACY_1S_HZ,
                   lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ThetaBound:
     """Bound on theta from the 1S accuracy: theta_max = E(acc)/(alpha^5 m^2 Lambda/6)."""
-    if not (math.isfinite(accuracy_hz) and accuracy_hz > 0.0):
-        raise DomainError(f"accuracy must be finite and positive, got {accuracy_hz}")
-    if not (math.isfinite(lambda_qcd) and lambda_qcd > 0.0):
-        raise DomainError(f"lambda_qcd must be finite and positive, got {lambda_qcd}")
+    check_lambda_qcd(lambda_qcd)
     alpha, m = constants.alpha, constants.m_e
     coefficient = alpha ** 5 * m * m * lambda_qcd / 6.0
     return theta_bound(coefficient, accuracy_hz, constants)
 
-
-def _check_s_inputs(theta: float, lambda_qcd: float):
-    check_theta(theta)
-    if not (math.isfinite(lambda_qcd) and lambda_qcd > 0.0):
-        raise ValidationError(f"lambda_qcd must be finite and positive, got {lambda_qcd}")

@@ -38,10 +38,11 @@ import numpy as np
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_theta, ev2_to_gev_scale, hz_to_ev)
-from .dirac import RelativisticState, _overlap, kappa_to_lj, make_state, parse_level_label
+from .dirac import RelativisticState, _overlap, make_state, parse_level_label
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import (IntegrationResult, adaptive_sampled_endpoint, sphere_integrate,
-                      sphere_rule, spinor_harmonic, spinor_orbital_m)
+from .specfun import (IntegrationResult, adaptive_sampled_endpoint, check_magnetic,
+                      kappa_to_lj, lj_to_kappa, sphere_integrate, sphere_rule,
+                      spinor_harmonic, spinor_orbital_m)
 
 __all__ = [
     "AngularBlock",
@@ -130,13 +131,17 @@ class AngularBlock:
         return bool(np.max(np.abs(off)) < 1e-12)
 
 
+def _lz(kappa: int, M: float) -> float:
+    # <L_z> = M (1 + 1/(2 kappa + 1)) = M (1 -/+ 1/(2l+1)), upper sign for
+    # j = l + 1/2: the one formula, for quantum numbers already checked
+    return M * (1.0 + 1.0 / (2.0 * kappa + 1.0))
+
+
 def lz_expectation(j: float, l: int, M: float) -> float:
-    """<L_z> = M (1 -/+ 1/(2l+1)), upper sign for j = l + 1/2."""
-    if abs(j - (l + 0.5)) < 1e-9:
-        return M * (1.0 - 1.0 / (2.0 * l + 1.0))
-    if abs(j - (l - 0.5)) < 1e-9:
-        return M * (1.0 + 1.0 / (2.0 * l + 1.0))
-    raise ValidationError(f"(j, l) = ({j}, {l}) is not a fine-structure pair")
+    """<L_z> for (j, l, M), after lj_to_kappa and check_magnetic accept them."""
+    kappa = lj_to_kappa(l, j)
+    check_magnetic(j, M)
+    return _lz(kappa, M)
 
 
 def lz_block(j: float, l: int) -> AngularBlock:
@@ -398,7 +403,7 @@ def level_shift(level, theta: float,
     constants = level.constants
     state0 = level.states[0]
     alpha = constants.alpha
-    eigenvalues = tuple(lz_expectation(level.j, level.l, m) for m in level.m_basis)
+    eigenvalues = tuple(_lz(level.kappa, m) for m in level.m_basis)
 
     rho1_c = radial_integral_closed(state0, "sum")
     rho2_c = radial_integral_closed(state0, "diff")
@@ -487,7 +492,7 @@ def perturbation_kernels(state: RelativisticState, theta: float, position):
         raise SingularityError("perturbation kernels are singular at r = 0")
     check_theta(theta)
     alpha = state.constants.alpha
-    m_eff = lz_expectation(state.j, state.l, state.M)
+    m_eff = _lz(state.kappa, state.M)
     term1 = -(alpha / (2.0 * r ** 3)) * theta * m_eff
     theta_vec = np.array([0.0, 0.0, theta])
     term2 = (alpha * alpha / 4.0) * np.cross(pos, theta_vec) / r ** 4

@@ -7,6 +7,11 @@ two-component spinor spherical harmonics, and Gauss-Laguerre quadrature
 convergent integrands and a two-order sample for divergent ones; and a
 fixed 16 x 16 sphere rule for the angular blocks.  Units never enter;
 callers scale their own variables.
+
+Two angular-momentum conventions are decided here, the lowest module that
+needs them, and nowhere else: lj_to_kappa is the one test of j = l +/- 1/2
+and check_magnetic the one half-integer test.  dirac re-exports kappa_to_lj
+and lj_to_kappa.
 """
 
 from __future__ import annotations
@@ -17,11 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .constants import finite_real
 from .errors import DomainError, ValidationError
 
 __all__ = [
     "QuadratureRule",
     "IntegrationResult",
+    "kappa_to_lj",
+    "lj_to_kappa",
+    "check_magnetic",
     "laguerre_general",
     "spherical_harmonic",
     "spinor_harmonic",
@@ -104,24 +113,41 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     return y if (np.ndim(theta) or np.ndim(phi)) else complex(y)
 
 
-def _half_integer(value: float) -> bool:
-    return abs(2.0 * value - round(2.0 * value)) < 1e-12
+def kappa_to_lj(kappa: int) -> tuple[int, float]:
+    """Orbital l and total j encoded by a nonzero integer kappa."""
+    if kappa == 0:
+        raise ValidationError("kappa = 0 is not allowed")
+    return (kappa if kappa > 0 else -kappa - 1), abs(kappa) - 0.5
+
+
+def lj_to_kappa(l: int, j: float) -> int:
+    """kappa = l for j = l - 1/2 and -(l + 1) for j = l + 1/2; anything else,
+    l < 0 or the j = -1/2 that would give kappa = 0 included, is rejected."""
+    if finite_real(l) and finite_real(j) and l == int(l) and l >= 0:
+        if abs(j - (l - 0.5)) < 1e-9 and l > 0:
+            return int(l)
+        if abs(j - (l + 0.5)) < 1e-9:
+            return -int(l) - 1
+    raise ValidationError(f"(l, j) = ({l}, {j}) is not a fine-structure pair")
+
+
+def check_magnetic(j: float, M: float):
+    """Reject M unless 2 M is an odd integer (to 1e-12) and |M| <= j."""
+    if not (finite_real(M) and abs(2.0 * M - round(2.0 * M)) <= 1e-12
+            and round(2.0 * M) % 2 == 1 and abs(M) <= j):
+        raise ValidationError(f"M = {M} is not a half-integer with |M| <= j = {j}")
 
 
 def spinor_clebsch(j: float, l: int, M: float) -> tuple[float, float]:
     """Coefficients (c_up, c_down) coupling Y_{l,M-1/2}, Y_{l,M+1/2} to (j, M)."""
-    if not _half_integer(j) or not _half_integer(M) or _half_integer(j + 0.25):
-        raise ValidationError(f"j and M must be half-integers, got j={j}, M={M}")
-    if abs(M) > j:
-        raise ValidationError(f"|M| must not exceed j, got j={j}, M={M}")
-    if abs(l - (j - 0.5)) < 1e-9:  # j = l + 1/2
+    kappa = lj_to_kappa(l, j)
+    check_magnetic(j, M)
+    if kappa < 0:  # j = l + 1/2
         c_up = math.sqrt((l + M + 0.5) / (2.0 * l + 1.0))
         c_dn = math.sqrt((l - M + 0.5) / (2.0 * l + 1.0))
-    elif abs(l - (j + 0.5)) < 1e-9:  # j = l - 1/2
+    else:  # j = l - 1/2
         c_up = -math.sqrt((l - M + 0.5) / (2.0 * l + 1.0))
         c_dn = math.sqrt((l + M + 0.5) / (2.0 * l + 1.0))
-    else:
-        raise ValidationError(f"(j, l) must satisfy l = j -/+ 1/2, got j={j}, l={l}")
     return c_up, c_dn
 
 
@@ -221,26 +247,21 @@ class IntegrationResult:
     converged: bool
 
 
-def _adaptive(evaluate, tol: float, start: int, max_order: int) -> IntegrationResult:
-    order = start
-    prev = evaluate(order)
-    drift = math.inf
-    while order < max_order:
-        order *= 2
-        cur = evaluate(order)
-        scale = max(abs(cur), abs(prev), 1e-300)
-        drift = abs(cur - prev) / scale
-        if drift <= tol:
-            return IntegrationResult(value=cur, order=order, drift=drift, converged=True)
-        prev = cur
-    return IntegrationResult(value=prev, order=order, drift=drift, converged=False)
-
-
 def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
                       start: int = 80, max_order: int = 1280) -> IntegrationResult:
     """Integral of func(x) x^beta e^-x dx over (0, inf) by doubling the
     Gauss-Laguerre order until the relative change falls below tol."""
-    return _adaptive(lambda n: gauss_laguerre(n, beta).integrate(func), tol, start, max_order)
+    order = start
+    prev = gauss_laguerre(order, beta).integrate(func)
+    drift = math.inf
+    while order < max_order:
+        order *= 2
+        cur = gauss_laguerre(order, beta).integrate(func)
+        drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
+        if drift <= tol:
+            return IntegrationResult(value=cur, order=order, drift=drift, converged=True)
+        prev = cur
+    return IntegrationResult(value=prev, order=order, drift=drift, converged=False)
 
 
 def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> IntegrationResult:

@@ -242,6 +242,32 @@ class TestNonrel:
         assert payload["s_state_shift_eV"] > 0.0
         assert payload["default_bound_gev_scale"] == pytest.approx(1.76, rel=0.02)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2", "--l", "0", "--j", "1/2", "--mj=7"],
+        ["--n", "2", "--l", "0", "--j", "3/2", "--mj", "1/2"],
+        ["--n", "2", "--l", "1", "--j", "3/2", "--mj=1"],
+    ], ids=["l0-mj-7", "l0-j-3/2", "integer-mj"])
+    def test_quantum_numbers_checked_for_every_l(self, capsys, argv, fmt):
+        code, out, err = run_cli(capsys, "nonrel", *argv, "--theta", "1e-19", "--format", fmt)
+        assert code == 1 and out == ""
+        assert "nchydro: error:" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_negative_fraction_is_its_own_argument(self, capsys, fmt):
+        head = ["nonrel", "--n", "3", "--l", "2", "--j", "5/2"]
+        tail = ["--theta", "1e-19", "--format", fmt]
+        separate = run_cli(capsys, *head, "--mj", "-3/2", *tail)
+        joined = run_cli(capsys, *head, "--mj=-3/2", *tail)
+        assert separate == joined
+        assert separate[0] == 0 and separate[1]
+
+    def test_negative_theta_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "nonrel", "--n", "3", "--l", "2", "--j", "5/2",
+                                 "--mj", "1/2", "--theta", "-1e-19")
+        assert code == 1 and out == ""
+        assert "nchydro: error: theta must be finite and >= 0" in err
+
 
 class TestSweep:
     def test_zero_row_and_round_trip(self, capsys, tmp_path):

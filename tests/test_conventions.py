@@ -1,0 +1,93 @@
+"""Each angular-momentum convention is decided in one place.
+
+specfun.lj_to_kappa is the only test of j = l +/- 1/2 and
+specfun.check_magnetic the only half-integer test.  Every fine-structure
+factor follows from kappa, and every entry point rejects what they reject.
+"""
+
+import math
+
+import pytest
+
+from nchydro.dirac import dirac_energy, kappa_to_lj, lj_to_kappa, make_state
+from nchydro.errors import ValidationError
+from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_table,
+                            fine_structure_shift, r_inverse_moment)
+from nchydro.shifts import Level, level_shift, lz_expectation
+from nchydro.specfun import spinor_clebsch, spinor_harmonic
+
+STATES = [(l, j, -j + k) for l in range(7) for j in ((l - 0.5, l + 0.5) if l else (0.5,))
+          for k in range(int(2 * j) + 1)]
+
+
+@pytest.mark.parametrize("l,j,M", STATES, ids=[f"l{l}-j{j}-M{M}" for l, j, M in STATES])
+def test_factors_follow_from_kappa(l, j, M):
+    kappa = lj_to_kappa(l, j)
+    upper = kappa < 0  # j = l + 1/2
+    assert kappa_to_lj(kappa) == (l, j)
+    assert kappa == (-(l + 1) if j > l else l)
+
+    lz = lz_expectation(j, l, M)
+    assert lz == M * (1.0 + 1.0 / (2.0 * kappa + 1.0))
+    # bit for bit the (l, j) form M (1 -/+ 1/(2l+1)), upper sign for j = l + 1/2
+    assert lz == M * ((1.0 - 1.0 / (2.0 * l + 1.0)) if upper else (1.0 + 1.0 / (2.0 * l + 1.0)))
+
+    state = SchrodingerState(n=l + 1, l=l, j=j, m_j=M)
+    assert state.kappa == kappa
+    assert state.branch == (1 if upper else -1)
+    assert _spin_orbit(kappa) == j * (j + 1.0) - l * (l + 1.0) - 0.75
+    if l >= 1:
+        table = expectation_table(state, 1.0)
+        assert table.l_z == lz
+        assert table.sigma_L_over_r3 == _spin_orbit(kappa) * r_inverse_moment(l + 1, l, 3)
+
+    # |c_up|^2 = (1 - 2M/(2 kappa + 1))/2, and c_up < 0 exactly on the j = l - 1/2 branch
+    c_up, c_dn = spinor_clebsch(j, l, M)
+    assert c_up ** 2 == pytest.approx(0.5 * (1.0 - 2.0 * M / (2.0 * kappa + 1.0)), abs=1e-15)
+    assert c_dn ** 2 == pytest.approx(0.5 * (1.0 + 2.0 * M / (2.0 * kappa + 1.0)), abs=1e-15)
+    assert math.copysign(1.0, c_up) == (1.0 if upper else -1.0)
+
+
+PAIRS = sorted({(l, j) for l, j, _ in STATES})
+
+
+@pytest.mark.parametrize("l,j", PAIRS, ids=[f"l{l}-j{j}" for l, j in PAIRS])
+def test_level_eigenvalues_are_lz(l, j):
+    level = Level.from_quantum_numbers(1, lj_to_kappa(l, j))
+    assert level_shift(level, 0.0).eigenvalues == tuple(
+        lz_expectation(j, l, M) for M in level.m_basis)
+
+
+# j = l +/- 3/2, and j = -1/2 with l = 0 (which the branch formula would map to kappa = 0)
+BAD_PAIRS = [(1, 2.5), (1, -0.5), (2, 3.5), (2, 0.5), (0, 1.5), (0, -0.5)]
+PAIR_ENTRY_POINTS = {
+    "lj_to_kappa": lambda l, j: lj_to_kappa(l, j),
+    "spinor_harmonic": lambda l, j: spinor_harmonic(j, l, 0.5, 0.3, 0.2),
+    "lz_expectation": lambda l, j: lz_expectation(j, l, 0.5),
+    "SchrodingerState": lambda l, j: SchrodingerState(n=l + 3, l=l, j=j, m_j=0.5),
+    "fine_structure_shift": lambda l, j: fine_structure_shift(l + 3, l, j),
+}
+# 2P3/2 (kappa = -2) with a magnetic number that is not a half-integer
+BAD_M = [1.0, 0.0, -1, 0.25, math.nan, "1/2", True]
+M_ENTRY_POINTS = {
+    "make_state": lambda M: make_state(1, -2, M),
+    "spinor_harmonic": lambda M: spinor_harmonic(1.5, 1, M, 0.3, 0.2),
+    "lz_expectation": lambda M: lz_expectation(1.5, 1, M),
+    "SchrodingerState": lambda M: SchrodingerState(n=2, l=1, j=1.5, m_j=M),
+}
+REJECTED = (
+    [pytest.param(call, (l, j), id=f"{name}-l{l}-j{j}")
+     for name, call in PAIR_ENTRY_POINTS.items() for l, j in BAD_PAIRS]
+    + [pytest.param(call, (M,), id=f"{name}-M{M!r}")
+       for name, call in M_ENTRY_POINTS.items() for M in BAD_M]
+    + [pytest.param(call, (0,), id=f"{name}-kappa0")
+       for name, call in {"kappa_to_lj": kappa_to_lj,
+                          "make_state": lambda kappa: make_state(1, kappa, 0.5),
+                          "dirac_energy": lambda kappa: dirac_energy(1, kappa)}.items()]
+)
+
+
+@pytest.mark.parametrize("call,args", REJECTED)
+def test_rejected_at_every_entry_point(call, args):
+    with pytest.raises(ValidationError):
+        call(*args)

@@ -64,6 +64,14 @@ class TestRadialR:
     def test_invalid_quantum_numbers(self):
         with pytest.raises(DomainError):
             radial_R(2, 2, 1.0)
+        with pytest.raises(DomainError):
+            radial_R_prime(2, 2, 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_p2_exact_on_n_plus_1_nodes(self, n):
+        # <p^2> = (m alpha / n)^2 for every l: the (n+1)-node rule is exact
+        for l in range(n):
+            assert expectation_p2(n, l) == pytest.approx((M_E * ALPHA / n) ** 2, rel=1e-14)
 
     def test_virial_consistency(self):
         # <p^2>/2m + <-alpha/r> = eps_n for the whole stack beneath
@@ -291,6 +299,16 @@ class TestSStateChannel:
             s_state_shift(-1.0e-19)
         with pytest.raises(ValidationError):
             s_state_shift(1.0e-19, -2.0e8)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -2.0e8, "2e8", True])
+    def test_bound_rejects_bad_cutoff(self, lam):
+        with pytest.raises(ValidationError):
+            s_state_bound(14.0e3, lam)
+
+    @pytest.mark.parametrize("m_j", [1.5, 1.0, 0.0, -1.5])
+    def test_assembly_rejects_non_1s_m_j(self, m_j):
+        with pytest.raises(ValidationError):
+            s_state_shift_assembled(1.0e-19, 2.0e8, m_j=m_j)
 
 
 class TestSchrodingerStateValidation:
