@@ -260,8 +260,7 @@ def cmd_nonrel(args, cfg: RunConfig) -> Output:
         })
     table = expectation_table(state, theta)
     hyper = nc_hyperfine_shift(state, theta)
-    expectations = {f.name: getattr(table, f.name) for f in fields(table)
-                    if f.name != "divergent"}
+    expectations = {f.name: getattr(table, f.name) for f in fields(table)}
     return Output({
         **head,
         "fine_structure_eV": fine_structure_shift(args.n, args.l, args.j, constants),
@@ -272,8 +271,7 @@ def cmd_nonrel(args, cfg: RunConfig) -> Output:
         "nc_shift_r4_eV": hyper.r4_term,
         "nc_shift_r5_eV": None if hyper.r5_divergent else hyper.r5_term,
         "nc_shift_r5_divergent": hyper.r5_divergent,
-        "expectations": {k: (None if isinstance(v, float) and math.isinf(v) else v)
-                         for k, v in expectations.items()},
+        "expectations": {k: None if math.isinf(v) else v for k, v in expectations.items()},
         "divergent_entries": list(table.divergent),
     })
 

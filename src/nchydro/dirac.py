@@ -15,7 +15,9 @@ Conventions worth stating once:
   The coefficient of the first polynomial is written per unit mass so the
   two terms carry the same dimension; with that reading the pair solves
   the coupled radial equations to machine precision (checked in tests).
-* make_state is the one place that derives nu, E, lam, a and the shape
+* _check_level is the one bound-state test of (n_r, kappa), and _nu_energy,
+  behind it, the one derivation of nu and E; every entry point uses them.
+* make_state is the one place that derives lam, a and the shape
   coefficients (f1, f2, g1, g2), kept in state.shape.  The state computes
   its normalization constant state.norm from them when it is built: the
   norm integral on the exact Gauss rule for the weight x^(2 nu) e^-x, with
@@ -38,8 +40,8 @@ import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import (check_magnetic, gauss_laguerre, kappa_to_lj, laguerre_general,
-                      lj_to_kappa)
+from .specfun import (check_integer, check_magnetic, gauss_laguerre, kappa_to_lj,
+                      laguerre_general, lj_to_kappa)
 
 __all__ = [
     "RelativisticState",
@@ -90,43 +92,49 @@ class RelativisticState:
         return level_label(self.n_r, self.kappa)
 
 
+def _check_level(n_r: int, kappa: int, label: str | None = None):
+    """The one bound-state test: integer n_r >= 0, kappa as kappa_to_lj
+    accepts it, and no n_r = 0 with kappa > 0 (no such level exists)."""
+    check_integer("n_r", n_r)
+    kappa_to_lj(kappa)
+    if n_r < 0 or (n_r == 0 and kappa > 0):
+        name = repr(label) if label else f"(n_r, kappa) = ({n_r}, {kappa})"
+        raise ValidationError(f"{name} does not name a bound state")
+
+
+def _nu_energy(n_r: int, kappa: int, constants: PhysicalConstants) -> tuple[float, float]:
+    """(nu, E) of the level _check_level accepts: the one derivation of nu."""
+    _check_level(n_r, kappa)
+    alpha = constants.alpha
+    nu = math.sqrt(kappa * kappa - alpha * alpha)
+    return nu, constants.m_e * (n_r + nu) / math.sqrt(alpha * alpha + (n_r + nu) ** 2)
+
+
 def dirac_energy(n_r: int, kappa: int, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Bound-state energy E = m (n_r + nu) / sqrt(alpha^2 + (n_r + nu)^2)."""
-    alpha, m = constants.alpha, constants.m_e
-    kappa_to_lj(kappa)  # rejects kappa = 0
-    if alpha >= abs(kappa):
-        raise ValidationError(f"alpha = {alpha} >= |kappa| = {abs(kappa)}: nu is not real")
-    nu = math.sqrt(kappa * kappa - alpha * alpha)
-    return m * (n_r + nu) / math.sqrt(alpha * alpha + (n_r + nu) ** 2)
+    return _nu_energy(n_r, kappa, constants)[1]
 
 
 def dirac_binding_energy(n_r: int, kappa: int,
                          constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """m - E evaluated without cancellation (log1p/expm1 route)."""
-    alpha, m = constants.alpha, constants.m_e
-    nu = math.sqrt(kappa * kappa - alpha * alpha)
-    u = (alpha / (n_r + nu)) ** 2
+    nu = _nu_energy(n_r, kappa, constants)[0]
+    u = (constants.alpha / (n_r + nu)) ** 2
     # 1 - (1+u)^(-1/2), computed stably
-    return -m * math.expm1(-0.5 * math.log1p(u))
+    return -constants.m_e * math.expm1(-0.5 * math.log1p(u))
 
 
 def make_state(n_r: int, kappa: int, M: float,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> RelativisticState:
     """Validate quantum numbers and build a fully derived state.
 
-    This is the one place that derives nu, E, lam, a and the shape
-    coefficients (f1, f2, g1, g2).  n_r = 0 with kappa > 0 is rejected: the
-    closed-form prefactor vanishes there, i.e. no such bound state exists.
+    This is the one place that derives lam, a and the shape coefficients
+    (f1, f2, g1, g2); nu and E come from the one (n_r, kappa) check.
     """
-    if n_r < 0:
-        raise ValidationError(f"n_r must be >= 0, got {n_r}")
-    if n_r == 0 and kappa > 0:
-        raise ValidationError(f"(n_r=0, kappa={kappa}): state is unnormalizable")
+    nu, energy = _nu_energy(n_r, kappa, constants)
     l, j = kappa_to_lj(kappa)
     check_magnetic(j, M)
     alpha, m = constants.alpha, constants.m_e
-    energy = dirac_energy(n_r, kappa, constants)
-    nu = math.sqrt(kappa * kappa - alpha * alpha)
     lam = math.sqrt((m - energy) * (m + energy))
     a = lam / m
     # f1 and g1 carry a factor m relative to the bare ratio
@@ -260,8 +268,7 @@ def parse_level_label(label: str) -> tuple[int, int]:
     l = SPECTROSCOPIC_LETTERS.index(letter)
     kappa = lj_to_kappa(l, two_j / 2.0)  # raises unless j = l +/- 1/2 > 0
     n_r = n_principal - abs(kappa)
-    if n_r < 0 or (n_r == 0 and kappa > 0) or n_principal <= l:
-        raise ValidationError(f"{label!r} does not name a bound state")
+    _check_level(n_r, kappa, label)
     return n_r, kappa
 
 

@@ -21,12 +21,14 @@ verbatim (and flagged where they disagree with independent routes):
 Each fine-structure factor is one formula in kappa (<L_z> is
 shifts.lz_expectation).  kappa comes from specfun.lj_to_kappa, the one test
 of j = l +/- 1/2; specfun.check_magnetic is the one half-integer test.
+_check_nl is the one (n, l) test, for SchrodingerState and every function
+taking n; _moment_precondition alone decides which moments exist.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +36,8 @@ from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_
                         PhysicalConstants, check_lambda_qcd, check_theta)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, lz_expectation, theta_bound
-from .specfun import check_magnetic, gauss_laguerre, laguerre_general, lj_to_kappa
+from .specfun import (check_integer, check_magnetic, gauss_laguerre, laguerre_general,
+                      lj_to_kappa)
 
 __all__ = [
     "SchrodingerState",
@@ -71,10 +74,7 @@ class SchrodingerState:
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.l < self.n:
-            raise ValidationError(f"l must satisfy 0 <= l < n, got l={self.l}, n={self.n}")
+        _check_nl(self.n, self.l)
         lj_to_kappa(self.l, self.j)
         check_magnetic(self.j, self.m_j)
 
@@ -87,15 +87,18 @@ class SchrodingerState:
         """+1 for j = l + 1/2 (kappa < 0), -1 for j = l - 1/2."""
         return 1 if self.kappa < 0 else -1
 
-    @property
-    def a0(self) -> float:
-        return self.constants.bohr_radius
+
+def _check_nl(n: int, l: int = 0):
+    """The one (n, l) test: integers with 0 <= l < n; _check_nl(n) checks n."""
+    check_integer("n", n, 1)
+    check_integer("l", l, 0)
+    if l >= n:
+        raise ValidationError(f"l must satisfy 0 <= l < n, got l={l}, n={n}")
 
 
 def schrodinger_energy(n: int, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Unperturbed level energy -alpha^2 m / (2 n^2) in eV."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_nl(n)
     return -constants.alpha ** 2 * constants.m_e / (2.0 * n * n)
 
 
@@ -107,8 +110,7 @@ def _radial_norm(n: int, l: int, a0: float) -> float:
 
 def radial_R(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Normalized Schrodinger radial function R_nl(r), r in eV^-1."""
-    if not 0 <= l < n:
-        raise DomainError(f"radial_R requires 0 <= l < n, got n={n}, l={l}")
+    _check_nl(n, l)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise DomainError("radial_R requires r > 0")
@@ -129,8 +131,7 @@ def _dr_poly(n: int, l: int, x):
 
 def radial_R_prime(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """dR_nl/dr, r in eV^-1."""
-    if not 0 <= l < n:
-        raise DomainError(f"radial_R_prime requires 0 <= l < n, got n={n}, l={l}")
+    _check_nl(n, l)
     a0 = constants.bohr_radius
     scale = 2.0 / (n * a0)
     x = scale * np.asarray(r, dtype=float)
@@ -144,13 +145,11 @@ def radial_R_prime(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CON
 
 
 def _moment_precondition(l: int, k: int):
+    """<r^-k> exists iff x^(2l+2-k) is integrable at the origin: 2l + 3 > k."""
     if k not in (3, 4, 5):
         raise DomainError(f"k must be 3, 4 or 5, got {k}")
-    if k in (3, 4) and l < 1:
-        raise DivergenceError(
-            f"<r^-{k}> diverges for l = 0; use the cutoff S-state channel instead")
-    if k == 5 and l < 2:
-        raise DivergenceError(f"<r^-5> diverges for l = {l} (needs l >= 2)")
+    if 2 * l + 3 <= k:
+        raise DivergenceError(f"<r^-{k}> diverges for l = {l} (needs 2l + 3 > k)")
 
 
 def r_inverse_moment(n: int, l: int, k: int,
@@ -160,8 +159,7 @@ def r_inverse_moment(n: int, l: int, k: int,
     Raises DivergenceError when the moment does not exist (l = 0 for any k,
     l = 1 for k = 5).
     """
-    if not 0 <= l < n:
-        raise DomainError(f"need 0 <= l < n, got n={n}, l={l}")
+    _check_nl(n, l)
     _moment_precondition(l, k)
     a0 = constants.bohr_radius
     if k == 3:
@@ -186,8 +184,7 @@ def r_inverse_moment_quadrature(n: int, l: int, k: int,
     or below); with check=False the raw finite sample is returned, which
     lets callers probe the non-convergence directly.
     """
-    if not 0 <= l < n:
-        raise DomainError(f"need 0 <= l < n, got n={n}, l={l}")
+    _check_nl(n, l)
     if check:
         _moment_precondition(l, k)
     a0 = constants.bohr_radius
@@ -209,6 +206,7 @@ def expectation_p2(n: int, l: int, constants: PhysicalConstants = DEFAULT_CONSTA
     weight and the rest is a polynomial of degree 2n, so the (n+1)-node
     rule is exact.
     """
+    _check_nl(n, l)
     a0 = constants.bohr_radius
     rule = gauss_laguerre(n + 1)
     x = rule.nodes
@@ -221,6 +219,7 @@ def expectation_p2(n: int, l: int, constants: PhysicalConstants = DEFAULT_CONSTA
 def expectation_p4_physical(n: int, l: int,
                             constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Positive-definite <p^4> = (4 m^2 e^4 / n^3 a0^2) [1/(l+1/2) - 3/(4n)]."""
+    _check_nl(n, l)
     m, alpha = constants.m_e, constants.alpha
     a0 = constants.bohr_radius
     return 4.0 * m * m * alpha * alpha / (n ** 3 * a0 ** 2) * (1.0 / (l + 0.5) - 3.0 / (4.0 * n))
@@ -229,8 +228,7 @@ def expectation_p4_physical(n: int, l: int,
 def pi_delta_expectation(n: int, l: int,
                          constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """pi <delta^3(r)> = (e^2 m)^3 / n^3 for l = 0, and 0 otherwise (eV^3)."""
-    if not 0 <= l < n:
-        raise DomainError(f"need 0 <= l < n, got n={n}, l={l}")
+    _check_nl(n, l)
     if l > 0:
         return 0.0
     return (constants.alpha * constants.m_e) ** 3 / n ** 3
@@ -245,9 +243,9 @@ def pi_delta_expectation(n: int, l: int,
 class ExpectationTable:
     """All tabulated first-order expectation values for one (n, l, j, m_j).
 
-    Entries proportional to <r^-5> diverge for l = 1; those fields are set
-    to +/-inf (or 0 when their angular coefficient vanishes) and listed in
-    `divergent`.  hbar = 1: angular momenta are pure numbers.
+    Entries proportional to a moment that does not exist are +/-inf (or 0
+    when their angular coefficient vanishes) and listed in `divergent`.
+    hbar = 1: angular momenta are pure numbers.
     """
 
     p4_printed: float
@@ -263,7 +261,10 @@ class ExpectationTable:
     thetaL_p2_over_r3: float
     l_z: float
     s_z: float
-    divergent: tuple[str, ...]
+
+    @property
+    def divergent(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self) if math.isinf(getattr(self, f.name)))
 
 
 def _spin_orbit(kappa: int) -> int:
@@ -278,6 +279,18 @@ def _bracket5(state: SchrodingerState) -> float:
     return first + second
 
 
+def _moment_terms(state: SchrodingerState, k: int, *coefficients: float) -> list[float]:
+    """coefficient * <r^-k> at the state's (n, l) for each coefficient: 0 where
+    it is 0, +/-inf where r_inverse_moment finds that the moment diverges."""
+    if not any(coefficients):
+        return [0.0] * len(coefficients)
+    try:
+        moment = r_inverse_moment(state.n, state.l, k, state.constants)
+    except DivergenceError:
+        moment = math.inf
+    return [c * moment if c else 0.0 for c in coefficients]
+
+
 def expectation_table(state: SchrodingerState, theta: float) -> ExpectationTable:
     """Evaluate every tabulated entry for an l >= 1 state at a given theta."""
     if state.l < 1:
@@ -285,31 +298,18 @@ def expectation_table(state: SchrodingerState, theta: float) -> ExpectationTable
                           "use the cutoff S-state channel for l = 0")
     check_theta(theta)
     c = state.constants
-    n, l, mj = state.n, state.l, state.m_j
-    sgn = state.branch
+    n, l, mj, sgn = state.n, state.l, state.m_j, state.branch
     l_z = lz_expectation(state.j, l, mj)
     so_factor = _spin_orbit(state.kappa)
     r3 = r_inverse_moment(n, l, 3, c)
     r4 = r_inverse_moment(n, l, 4, c)
-    r5 = r_inverse_moment(n, l, 5, c) if l >= 2 else math.inf
-    divergent = []
-
-    def r5_entry(coefficient: float, name: str) -> float:
-        if coefficient == 0.0:
-            return 0.0
-        if l < 2:
-            divergent.append(name)
-            return math.copysign(math.inf, coefficient)
-        return coefficient * r5
-
+    tl5, tlsl5 = _moment_terms(state, 5, theta * l_z, theta * l_z * so_factor)
     p4_phys = expectation_p4_physical(n, l, c)
     tl3 = theta * l_z * r3
     tl4 = theta * l_z * r4
-    tl5 = r5_entry(theta * l_z, "theta_L_over_r5")
     sth4 = sgn * theta * 2.0 * mj / (2.0 * l + 1.0) * r4
     srtr = sgn * theta * 2.0 * mj / (2.0 * l + 1.0) * _bracket5(state) * r4
     sl3 = so_factor * r3
-    tlsl5 = r5_entry(theta * l_z * so_factor, "thetaL_sigmaL_over_r5")
     tlp2 = 2.0 * theta * c.m_e * c.alpha * l_z * (r3 / (2.0 * c.bohr_radius * n * n) + r4)
     return ExpectationTable(
         p4_printed=-p4_phys,
@@ -325,7 +325,6 @@ def expectation_table(state: SchrodingerState, theta: float) -> ExpectationTable
         thetaL_p2_over_r3=tlp2,
         l_z=l_z,
         s_z=sgn * mj / (2.0 * l + 1.0),
-        divergent=tuple(divergent),
     )
 
 
@@ -345,6 +344,7 @@ def fine_structure_shift(n: int, l: int, j: float,
     and the total then matches the standard expansion
     -(alpha^4 m / 2 n^4)(n/(j+1/2) - 3/4) to O(alpha^6).
     """
+    _check_nl(n, l)
     so_factor = _spin_orbit(lj_to_kappa(l, j))
     if l < 1:
         raise DomainError("fine_structure_shift applies to l >= 1")
@@ -359,6 +359,7 @@ def fine_structure_shift(n: int, l: int, j: float,
 def fine_structure_dirac_expansion(n: int, j: float,
                                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Standard O(alpha^4) fine-structure term of the exact spectrum."""
+    _check_nl(n)
     m, alpha = constants.m_e, constants.alpha
     return -(alpha ** 4 * m / (2.0 * n ** 4)) * (n / (j + 0.5) - 0.75)
 
@@ -371,7 +372,10 @@ class HyperfineShift:
     r3_term: float
     r4_term: float
     r5_term: float
-    r5_divergent: bool
+
+    @property
+    def r5_divergent(self) -> bool:
+        return math.isinf(self.r5_term)
 
     @property
     def finite_part(self) -> float:
@@ -404,15 +408,9 @@ def nc_hyperfine_shift(state: SchrodingerState, theta: float) -> HyperfineShift:
     c5 = (3.0 / (4.0 * m * m)) * l_z * (1 - state.kappa)
     r3_term = prefactor * c3 * r3
     r4_term = prefactor * c4 * r4
-    if c5 == 0.0 or prefactor == 0.0:
-        r5_term, divergent = 0.0, False
-    elif l >= 2:
-        r5_term, divergent = prefactor * c5 * r_inverse_moment(n, l, 5, c), False
-    else:
-        r5_term, divergent = math.copysign(math.inf, prefactor * c5), True
+    r5_term, = _moment_terms(state, 5, prefactor * c5)
     total = r3_term + r4_term + r5_term
-    return HyperfineShift(total=total, r3_term=r3_term, r4_term=r4_term,
-                          r5_term=r5_term, r5_divergent=divergent)
+    return HyperfineShift(total=total, r3_term=r3_term, r4_term=r4_term, r5_term=r5_term)
 
 
 # ---------------------------------------------------------------------------

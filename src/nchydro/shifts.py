@@ -94,8 +94,7 @@ class Level:
     def from_quantum_numbers(cls, n_r: int, kappa: int,
                              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "Level":
         l, j = kappa_to_lj(kappa)
-        ms = m_values(j)
-        states = tuple(make_state(n_r, kappa, m, constants) for m in ms)
+        states = tuple(make_state(n_r, kappa, m, constants) for m in m_values(j))
         return cls(label=states[0].label, n_r=n_r, kappa=kappa, j=j, l=l, states=states)
 
     @property
@@ -152,27 +151,26 @@ def lz_block(j: float, l: int) -> AngularBlock:
                         matrix=np.diag(np.asarray(diag, dtype=complex)))
 
 
+def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act, rule):
+    """M basis and matrix <bra, M_a| O |ket, M_b> of two (j, l) waves sharing
+    j, by sphere quadrature; act(spinor, M) applies O to the ket spinor of
+    magnetic number M on the rule's grid."""
+    th, ph, _ = sphere_rule() if rule is None else rule
+    basis = m_values(bra[0])
+    bras = [spinor_harmonic(*bra, m, th, ph) for m in basis]
+    kets = [act(spinor_harmonic(*ket, m, th, ph), m) for m in basis]
+    return basis, np.array([[sphere_integrate(np.conj(b[0]) * k[0] + np.conj(b[1]) * k[1], rule)
+                             for k in kets] for b in bras])
+
+
 def lz_block_numeric(j: float, l: int, rule=None) -> AngularBlock:
     """theta.L block from 2-D sphere quadrature over spinor harmonics.
 
     L_z acts on each spinor component through its definite orbital magnetic
     number; only the sphere integrals are numerical.
     """
-    if rule is None:
-        rule = sphere_rule()
-    th, ph, _ = rule
-    basis = m_values(j)
-    dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    spinors = [spinor_harmonic(j, l, m, th, ph) for m in basis]
-    for b, mb in enumerate(basis):
-        m_up, m_dn = spinor_orbital_m(mb)
-        acted = np.empty_like(spinors[b])
-        acted[0] = m_up * spinors[b][0]
-        acted[1] = m_dn * spinors[b][1]
-        for a in range(dim):
-            mat[a, b] = sphere_integrate(
-                np.conj(spinors[a][0]) * acted[0] + np.conj(spinors[a][1]) * acted[1], rule)
+    basis, mat = _sphere_block((j, l), (j, l), lambda spinor, M: [
+        m * part for m, part in zip(spinor_orbital_m(M), spinor)], rule)
     return AngularBlock(label=f"Lz numeric(j={j}, l={l})", basis=basis, matrix=mat)
 
 
@@ -185,28 +183,14 @@ def sigma_cross_block(bra, ket, rule=None) -> AngularBlock:
     transitions, matching the convention in which the small bi-spinor
     component carries an explicit i.
     """
-    j_a, l_a = bra.j, bra.l
-    j_b, l_b = ket.j, ket.l
-    if abs(j_a - j_b) > 1e-9:
-        raise ValidationError(f"states must share j, got {j_a} and {j_b}")
-    if rule is None:
-        rule = sphere_rule()
-    th, ph, _ = rule
-    sin_th = np.sin(th)
-    w_top = -1j * np.exp(-1j * ph) * sin_th  # acting on the lower component
-    w_bot = 1j * np.exp(1j * ph) * sin_th    # acting on the upper component
-    basis = m_values(j_a)
-    dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    bras = [spinor_harmonic(j_a, l_a, m, th, ph) for m in basis]
-    kets = [spinor_harmonic(j_b, l_b, m, th, ph) for m in basis]
-    for a in range(dim):
-        for b in range(dim):
-            val = sphere_integrate(
-                np.conj(bras[a][0]) * w_top * kets[b][1]
-                + np.conj(bras[a][1]) * w_bot * kets[b][0], rule)
-            mat[a, b] = 1j * val
-    return AngularBlock(label=f"sigma-cross(l={l_a}->{l_b}, j={j_a})",
+    if abs(bra.j - ket.j) > 1e-9:
+        raise ValidationError(f"states must share j, got {bra.j} and {ket.j}")
+    th, ph, _ = sphere_rule() if rule is None else rule
+    # i sigma.(z-hat x r-hat) = [[0, e^{-i phi} sin th], [-e^{i phi} sin th, 0]]
+    top, bottom = np.exp(-1j * ph) * np.sin(th), -np.exp(1j * ph) * np.sin(th)
+    basis, mat = _sphere_block((bra.j, bra.l), (ket.j, ket.l),
+                               lambda spinor, M: (top * spinor[1], bottom * spinor[0]), rule)
+    return AngularBlock(label=f"sigma-cross(l={bra.l}->{ket.l}, j={bra.j})",
                         basis=basis, matrix=mat)
 
 

@@ -8,15 +8,16 @@ convergent integrands and a two-order sample for divergent ones; and a
 fixed 16 x 16 sphere rule for the angular blocks.  Units never enter;
 callers scale their own variables.
 
-Two angular-momentum conventions are decided here, the lowest module that
-needs them, and nowhere else: lj_to_kappa is the one test of j = l +/- 1/2
-and check_magnetic the one half-integer test.  dirac re-exports kappa_to_lj
-and lj_to_kappa.
+Three quantum-number conventions are decided here and nowhere else:
+check_integer is the one integer test (bools and floats are not integers),
+lj_to_kappa the one test of j = l +/- 1/2 and check_magnetic the one
+half-integer test.  dirac re-exports kappa_to_lj and lj_to_kappa.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ from .errors import DomainError, ValidationError
 __all__ = [
     "QuadratureRule",
     "IntegrationResult",
+    "check_integer",
     "kappa_to_lj",
     "lj_to_kappa",
     "check_magnetic",
@@ -113,21 +115,31 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     return y if (np.ndim(theta) or np.ndim(phi)) else complex(y)
 
 
+def check_integer(name: str, value, minimum: int | None = None):
+    """Reject value unless it is an integer (not a bool) and >= minimum."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def kappa_to_lj(kappa: int) -> tuple[int, float]:
     """Orbital l and total j encoded by a nonzero integer kappa."""
+    check_integer("kappa", kappa)
     if kappa == 0:
         raise ValidationError("kappa = 0 is not allowed")
     return (kappa if kappa > 0 else -kappa - 1), abs(kappa) - 0.5
 
 
 def lj_to_kappa(l: int, j: float) -> int:
-    """kappa = l for j = l - 1/2 and -(l + 1) for j = l + 1/2; anything else,
-    l < 0 or the j = -1/2 that would give kappa = 0 included, is rejected."""
-    if finite_real(l) and finite_real(j) and l == int(l) and l >= 0:
+    """kappa = l for j = l - 1/2 and -(l + 1) for j = l + 1/2 (l an integer >=
+    0); anything else, the j = -1/2 that would give kappa = 0 included, fails."""
+    check_integer("l", l, 0)
+    if finite_real(j):
         if abs(j - (l - 0.5)) < 1e-9 and l > 0:
-            return int(l)
+            return l
         if abs(j - (l + 0.5)) < 1e-9:
-            return -int(l) - 1
+            return -l - 1
     raise ValidationError(f"(l, j) = ({l}, {j}) is not a fine-structure pair")
 
 

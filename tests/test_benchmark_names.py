@@ -1,8 +1,9 @@
 """The benchmark's tracer rebinds nchydro functions by name.
 
 perfbench/tracer.py wraps every name in its WRAPPED table with getattr, so
-deleting or renaming one breaks every traced benchmark run.  These tests
-keep the package and that table in step.
+deleting or renaming one breaks every traced benchmark run, and its
+_keyify reads the attributes that name a level or a state.  These tests
+keep the package, that table and those attributes in step.
 """
 
 import importlib
@@ -15,11 +16,15 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _wrapped():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(short, name) for short, names in tracer.WRAPPED.items() for name in names]
+    return tracer
+
+
+def _wrapped():
+    return [(short, name) for short, names in _tracer().WRAPPED.items() for name in names]
 
 
 @pytest.mark.parametrize("short,name", _wrapped())
@@ -33,3 +38,17 @@ def test_adaptive_samplers_keep_start():
     specfun = importlib.import_module("nchydro.specfun")
     for name in ("adaptive_sampled_endpoint", "adaptive_weighted"):
         assert "start" in inspect.signature(getattr(specfun, name)).parameters, name
+
+
+def test_keyify_names_levels_and_states():
+    # a Level by states/label/constants, a state by n_r/kappa/M/constants
+    from nchydro.dirac import make_state
+    from nchydro.nonrel import SchrodingerState
+    from nchydro.shifts import Level
+
+    keyify = _tracer()._keyify
+    level, state = Level.from_label("2P3/2"), make_state(1, -2, 0.5)
+    assert keyify(level) == ("level", "2P3/2", level.constants)
+    assert keyify(state) == ("state", 1, -2, 0.5, state.constants)
+    for value in (level, state, SchrodingerState(n=3, l=2, j=2.5, m_j=0.5)):
+        hash(keyify(value))

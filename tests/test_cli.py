@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -384,3 +385,29 @@ class TestVerify:
         assert lines[-1] == ("112 checks, 0 unexpected mismatches "
                              "(75 match, 37 flagged_paper_inconsistency, 0 mismatch)")
         assert sum(line.startswith(f"[{'match':>28}]") for line in lines) == 75
+
+
+def _readme_block(heading, fence):
+    """The first fenced block after a README heading, without its fences."""
+    section = README.read_text(encoding="utf-8").split(heading + "\n")[1]
+    return section.split(fence + "\n")[1].split("```")[0]
+
+
+README_COMMANDS = [shlex.split(line, comments=True)[1:]
+                   for line in _readme_block("## Command line", "```").splitlines()
+                   if line.startswith("nchydro ")]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if "--out" in argv:
+        assert out == "" and (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+    else:
+        assert out
+
+
+def test_readme_library_snippet_runs():
+    exec(_readme_block("## Library entry points", "```python"), {})

@@ -1,18 +1,25 @@
-"""Each angular-momentum convention is decided in one place.
+"""Each quantum-number convention is decided in one place.
 
-specfun.lj_to_kappa is the only test of j = l +/- 1/2 and
-specfun.check_magnetic the only half-integer test.  Every fine-structure
-factor follows from kappa, and every entry point rejects what they reject.
+specfun.check_integer is the only integer test, specfun.lj_to_kappa the
+only test of j = l +/- 1/2 and specfun.check_magnetic the only half-integer
+test; dirac._check_level is the only bound-state test of (n_r, kappa) and
+nonrel._check_nl the only (n, l) test.  Every fine-structure factor follows
+from kappa, and every entry point rejects what they reject.
 """
 
 import math
 
 import pytest
 
-from nchydro.dirac import dirac_energy, kappa_to_lj, lj_to_kappa, make_state
+from nchydro.dirac import (dirac_binding_energy, dirac_energy, kappa_to_lj, lj_to_kappa,
+                           make_state)
 from nchydro.errors import ValidationError
-from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_table,
-                            fine_structure_shift, r_inverse_moment)
+from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p2,
+                            expectation_p4_physical, expectation_table,
+                            fine_structure_dirac_expansion, fine_structure_shift,
+                            pi_delta_expectation, r_inverse_moment,
+                            r_inverse_moment_quadrature, radial_R, radial_R_prime,
+                            schrodinger_energy)
 from nchydro.shifts import Level, level_shift, lz_expectation
 from nchydro.specfun import spinor_clebsch, spinor_harmonic
 
@@ -75,6 +82,34 @@ M_ENTRY_POINTS = {
     "lz_expectation": lambda M: lz_expectation(1.5, 1, M),
     "SchrodingerState": lambda M: SchrodingerState(n=2, l=1, j=1.5, m_j=M),
 }
+# (n_r, kappa) pairs that name no bound level: n_r or kappa not an integer
+# (bools and 1.0-style floats included), n_r < 0, and n_r = 0 with kappa > 0
+BAD_LEVELS = ([(n_r, -1) for n_r in (-1, 1.5, True)] + [(0, 1)]
+              + [(1, kappa) for kappa in (1.5, -1.0, True)])
+LEVEL_ENTRY_POINTS = {
+    "dirac_energy": dirac_energy,
+    "dirac_binding_energy": dirac_binding_energy,
+    "make_state": lambda n_r, kappa: make_state(n_r, kappa, 0.5),
+    "Level.from_quantum_numbers": Level.from_quantum_numbers,
+}
+# (n, l) outside integers 0 <= l < n, and the bad n among them
+BAD_NL = [(0, 0), (2.5, 1), (2, 2), (2, 1.5), (True, 0)]
+BAD_N = [0, 2.5, True]
+NL_ENTRY_POINTS = {
+    "SchrodingerState": lambda n, l: SchrodingerState(n=n, l=l, j=l + 0.5, m_j=0.5),
+    "radial_R": lambda n, l: radial_R(n, l, 1.0),
+    "radial_R_prime": lambda n, l: radial_R_prime(n, l, 1.0),
+    "r_inverse_moment": lambda n, l: r_inverse_moment(n, l, 3),
+    "r_inverse_moment_quadrature": lambda n, l: r_inverse_moment_quadrature(n, l, 3),
+    "expectation_p2": expectation_p2,
+    "expectation_p4_physical": expectation_p4_physical,
+    "pi_delta_expectation": pi_delta_expectation,
+    "fine_structure_shift": lambda n, l: fine_structure_shift(n, l, l + 0.5),
+}
+N_ENTRY_POINTS = {
+    "schrodinger_energy": schrodinger_energy,
+    "fine_structure_dirac_expansion": lambda n: fine_structure_dirac_expansion(n, 0.5),
+}
 REJECTED = (
     [pytest.param(call, (l, j), id=f"{name}-l{l}-j{j}")
      for name, call in PAIR_ENTRY_POINTS.items() for l, j in BAD_PAIRS]
@@ -84,6 +119,12 @@ REJECTED = (
        for name, call in {"kappa_to_lj": kappa_to_lj,
                           "make_state": lambda kappa: make_state(1, kappa, 0.5),
                           "dirac_energy": lambda kappa: dirac_energy(1, kappa)}.items()]
+    + [pytest.param(call, pair, id=f"{name}-n_r{pair[0]!r}-kappa{pair[1]!r}")
+       for name, call in LEVEL_ENTRY_POINTS.items() for pair in BAD_LEVELS]
+    + [pytest.param(call, pair, id=f"{name}-n{pair[0]!r}-l{pair[1]!r}")
+       for name, call in NL_ENTRY_POINTS.items() for pair in BAD_NL]
+    + [pytest.param(call, (n,), id=f"{name}-n{n!r}")
+       for name, call in N_ENTRY_POINTS.items() for n in BAD_N]
 )
 
 

@@ -62,9 +62,9 @@ class TestRadialR:
         assert rdf_derivative(4.1 * A0) < 0.0
 
     def test_invalid_quantum_numbers(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             radial_R(2, 2, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             radial_R_prime(2, 2, 1.0)
 
     @pytest.mark.parametrize("n", range(1, 9))
