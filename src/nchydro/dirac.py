@@ -20,12 +20,25 @@ Conventions worth stating once:
 * make_state is the one place that derives lam, a and the shape
   coefficients (f1, f2, g1, g2), kept in state.shape.  The state computes
   its normalization constant state.norm from them when it is built: the
-  norm integral on the exact Gauss rule for the weight x^(2 nu) e^-x, with
-  sign fixed positive; the physics downstream only consumes normalized
-  shapes.
+  norm integral for the weight x^(2 nu) e^-x as the exact Laguerre series
+  below, with sign fixed positive; the physics downstream only consumes
+  normalized shapes.
 * _overlap is the one kernel for radial integrals of a pair of states,
-  int x^beta e^-x (P_f P_f' +/- P_g P_g') dx: the norm here, and the
-  radial and cross integrals in shifts.
+  int x^beta e^-x (P_f P_f' +/- P_g P_g') dx with beta = 2 nu + shift: the
+  norm here (shift 0), and the radial and cross integrals in shifts
+  (shift -3).  It has two modes.  Without sample points (beta > -1) it is
+  exact: each shape is expanded in the Laguerre polynomials of the
+  weight's own beta, L_n^(beta + d) = sum_k C(d - 1 + n - k, n - k) L_k^beta
+  for the integer d of each term, and
+  x L_k^beta = (2k + beta + 1) L_k^beta - (k + 1) L_{k+1}^beta - (k + beta) L_{k-1}^beta
+  for the x L_{n_r-1}^{2 nu + 1} term, so orthogonality leaves
+  sum_k (p_k p'_k +/- q_k q'_k) Gamma(k + beta + 1) / k!, n_r + 1 terms in
+  pure Python.  Given an ndarray of points it returns the integrand there,
+  for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where the
+  series is not the integral).  The Gauss rules of specfun check the
+  series independently in oracle.
+* numpy is imported inside the functions that build or take arrays, so
+  the scalar paths (energies, states, norms, the series) never load it.
 * kappa_to_lj, lj_to_kappa (the one test of j = l +/- 1/2) and the one
   half-integer test check_magnetic live in specfun.
 """
@@ -34,13 +47,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import (check_integer, check_magnetic, gauss_laguerre, kappa_to_lj,
+from .specfun import (IntegrationResult, check_integer, check_magnetic, kappa_to_lj,
                       laguerre_general, lj_to_kappa)
 
 __all__ = [
@@ -80,7 +92,7 @@ class RelativisticState:
 
     def __post_init__(self):
         # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
-        integral = _overlap(self, self, 2.0 * self.nu, 1.0, self.n_r + 1)
+        integral = _overlap(self, self, 0, 1.0).value
         object.__setattr__(self, "norm", math.sqrt((2.0 * self.lam) ** 3 / integral))
 
     @property
@@ -156,6 +168,8 @@ def radial_polynomials(state: RelativisticState, x):
     with (g1, g2), the coefficients in state.shape.  For n_r = 0 the first
     term is absent and f1 = g1 = 0.
     """
+    import numpy as np
+
     f1, f2, g1, g2 = state.shape
     low = laguerre_general(state.n_r, 2.0 * state.nu - 1.0, x)
     if state.n_r >= 1:
@@ -166,27 +180,65 @@ def radial_polynomials(state: RelativisticState, x):
     return f1 * high + f2 * low, g1 * high + g2 * low
 
 
-def _overlap(bra: RelativisticState, ket: RelativisticState, beta: float, sign: float,
-             nodes):
-    """Radial overlap int x^beta e^-x (P_f P_f' + sign P_g P_g') dx of two states.
+def _connection(n: int, d: int) -> list[int]:
+    """c_k with L_n^(beta + d) = sum_k c_k L_k^beta for an integer d (empty for
+    n = -1): c_k = C(d - 1 + n - k, n - k), the generalized binomial."""
+    out = []
+    for k in range(n + 1):
+        s, j = d - 1 + n - k, n - k
+        out.append(math.comb(s, j) if s >= 0 else (-1) ** j * math.comb(j - s - 1, j))
+    return out
 
-    An int `nodes` integrates on the nodes-point Gauss rule for the weight
-    x^beta e^-x (beta > -1).  The polynomial has degree n_r + n_r', so
-    nodes >= (n_r + n_r')/2 + 1 gives the exact integral up to rounding.
-    An ndarray `nodes` returns the integrand without its e^-x,
+
+def _laguerre_series(state: RelativisticState,
+                     shift: int) -> tuple[list[float], list[float], list[float]]:
+    """(p, q, h): P_f = sum_k p_k L_k^beta, P_g = sum_k q_k L_k^beta and
+    h_k = int x^beta e^-x (L_k^beta)^2 dx = Gamma(k + beta + 1) / k!, for
+    beta = 2 nu + shift > -1, k = 0..n_r."""
+    n_r, beta = state.n_r, 2.0 * state.nu + shift
+    f1, f2, g1, g2 = state.shape
+    low = _connection(n_r, -1 - shift)  # L_{n_r}^{2nu-1}
+    high = [0.0] * (n_r + 1)            # x L_{n_r-1}^{2nu+1}, by the three-term recurrence
+    for k, c in enumerate(_connection(n_r - 1, 1 - shift)):
+        high[k] += (2 * k + beta + 1.0) * c
+        high[k + 1] -= (k + 1) * c
+        if k:
+            high[k - 1] -= (k + beta) * c
+    h = [math.gamma(beta + 1.0)]
+    for k in range(n_r):
+        h.append(h[-1] * (k + beta + 1.0) / (k + 1))
+    return ([f1 * u + f2 * v for u, v in zip(high, low)],
+            [g1 * u + g2 * v for u, v in zip(high, low)], h)
+
+
+def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int, sign: float,
+             x=None):
+    """Radial overlap int x^beta e^-x (P_f P_f' + sign P_g P_g') dx of two states
+    sharing nu, for the weight exponent beta = 2 nu + shift.
+
+    Without x (beta > -1) it is the exact Laguerre series: with both shapes
+    expanded as P = sum_k p_k L_k^beta, orthogonality leaves
+    sum_k (p_k p'_k + sign q_k q'_k) Gamma(k + beta + 1) / k!.  The result's
+    order is the number of terms and its drift the a-priori relative
+    rounding bound eps (terms + 1) sum |t_k| / |sum t_k|.
+    With an ndarray x it returns the integrand without its e^-x,
     x^beta (P_f P_f' + sign P_g P_g'), at those points: the form a sampler
     such as adaptive_sampled_endpoint weights itself.
     """
-    sampled = isinstance(nodes, np.ndarray)
-    if sampled:
-        x, scale = nodes, np.exp(beta * np.log(nodes))
-    else:
-        rule = gauss_laguerre(nodes, beta)
-        x, scale = rule.nodes, rule.weights
-    pf, pg = radial_polynomials(bra, x)
-    pf2, pg2 = (pf, pg) if ket is bra else radial_polynomials(ket, x)
-    values = scale * (pf * pf2 + sign * pg * pg2)
-    return values if sampled else float(np.sum(values))
+    if x is not None:
+        import numpy as np
+
+        pf, pg = radial_polynomials(bra, x)
+        pf2, pg2 = (pf, pg) if ket is bra else radial_polynomials(ket, x)
+        return np.exp((2.0 * bra.nu + shift) * np.log(x)) * (pf * pf2 + sign * pg * pg2)
+    p, q, h = _laguerre_series(bra, shift)
+    p2, q2, _ = (p, q, h) if ket is bra else _laguerre_series(ket, shift)
+    terms = [(a * a2 + sign * b * b2) * w for a, b, a2, b2, w in zip(p, q, p2, q2, h)]
+    value = sum(terms)
+    drift = (sys.float_info.epsilon * (len(terms) + 1) * sum(abs(t) for t in terms)
+             / max(abs(value), 1e-300))
+    return IntegrationResult(value=value, order=len(terms), drift=drift,
+                             converged=drift <= 1e-10)
 
 
 def radial_fg(state: RelativisticState, r):
@@ -195,6 +247,8 @@ def radial_fg(state: RelativisticState, r):
     Both components decay as e^(-x/2) with x = 2 sqrt(m^2 - E^2) r and share
     the x^(nu-1) envelope.  int (f^2 + g^2) r^2 dr = 1.
     """
+    import numpy as np
+
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise DomainError("radial_fg requires r > 0")
@@ -206,15 +260,6 @@ def radial_fg(state: RelativisticState, r):
     if np.ndim(r):
         return f, g
     return float(f), float(g)
-
-
-def analytic_norm_nodeless(state: RelativisticState) -> float:
-    """Closed-form normalization for n_r = 0 states (single-term shapes)."""
-    if state.n_r != 0:
-        raise ValidationError("closed-form norm only applies to n_r = 0 states")
-    _, f2, _, g2 = state.shape
-    integral = (f2 * f2 + g2 * g2) * math.gamma(2.0 * state.nu + 1.0)
-    return math.sqrt((2.0 * state.lam) ** 3 / integral)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +275,8 @@ def deformed_potential(x_vec, theta: ThetaTensor,
     the vector part e^3 (x cross theta)/(4 r^4), with e = sqrt(alpha).
     Setting all theta components to zero recovers (-e/r, 0).
     """
+    import numpy as np
+
     xv = np.asarray(x_vec, dtype=float)
     if xv.shape != (3,):
         raise DomainError(f"x_vec must be a 3-vector, got shape {xv.shape}")

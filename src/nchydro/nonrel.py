@@ -30,10 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants, check_lambda_qcd, check_theta)
+                        PhysicalConstants, check_lambda_qcd, check_theta, finite_real)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, lz_expectation, theta_bound
 from .specfun import (check_integer, check_magnetic, gauss_laguerre, laguerre_general,
@@ -110,6 +108,8 @@ def _radial_norm(n: int, l: int, a0: float) -> float:
 
 def radial_R(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """Normalized Schrodinger radial function R_nl(r), r in eV^-1."""
+    import numpy as np
+
     _check_nl(n, l)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
@@ -131,6 +131,8 @@ def _dr_poly(n: int, l: int, x):
 
 def radial_R_prime(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS):
     """dR_nl/dr, r in eV^-1."""
+    import numpy as np
+
     _check_nl(n, l)
     a0 = constants.bohr_radius
     scale = 2.0 / (n * a0)
@@ -184,6 +186,8 @@ def r_inverse_moment_quadrature(n: int, l: int, k: int,
     or below); with check=False the raw finite sample is returned, which
     lets callers probe the non-convergence directly.
     """
+    import numpy as np
+
     _check_nl(n, l)
     if check:
         _moment_precondition(l, k)
@@ -206,6 +210,8 @@ def expectation_p2(n: int, l: int, constants: PhysicalConstants = DEFAULT_CONSTA
     weight and the rest is a polynomial of degree 2n, so the (n+1)-node
     rule is exact.
     """
+    import numpy as np
+
     _check_nl(n, l)
     a0 = constants.bohr_radius
     rule = gauss_laguerre(n + 1)
@@ -358,8 +364,17 @@ def fine_structure_shift(n: int, l: int, j: float,
 
 def fine_structure_dirac_expansion(n: int, j: float,
                                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Standard O(alpha^4) fine-structure term of the exact spectrum."""
+    """Standard O(alpha^4) fine-structure term of the exact spectrum, for
+    n and a j that some l < n carries: j = l + 1/2 is a half-integer with
+    1/2 <= j <= n - 1/2."""
     _check_nl(n)
+    l = round(j - 0.5) if finite_real(j) else j  # the l of j = l + 1/2
+    try:
+        _check_nl(n, l)
+        lj_to_kappa(l, j)
+    except ValidationError:
+        raise ValidationError(f"j = {j!r} is not a half-integer with "
+                              f"1/2 <= j <= n - 1/2 = {n - 0.5}") from None
     m, alpha = constants.m_e, constants.alpha
     return -(alpha ** 4 * m / (2.0 * n ** 4)) * (n / (j + 0.5) - 0.75)
 

@@ -4,15 +4,17 @@ Every closed form that the rest of the package evaluates is recomputed here
 from its defining integral and compared:
 
 * radial integrals: radial_integral_quadrature (or its 2S-2P cross
-  counterpart) runs once and its reported drift must be small; the closed
-  form is recorded alongside.  For |kappa| >= 2 that is the exact
-  generalized-weight rule, whose drift is the gap to one more node; it is
-  not an independent route.  For |kappa| = 1 and the 2S-2P cross element
-  the endpoint-substituted plain rule is sampled at orders 80 and 160 and
-  the drift is the gap between the two samples; those integrals diverge at
-  the origin, which is detected rather than hidden, and reported as a
-  flagged inconsistency because the closed forms quote finite values
-  there.
+  counterpart) runs once; the closed form is recorded alongside.  For
+  |kappa| >= 2 the library's value is the exact Laguerre series, and it
+  is checked against an independent route: the n_r + 2 node Gauss rules
+  (gauss_laguerre) for the weights x^(2nu-3) e^-x and x^(2nu) e^-x (the
+  norm), with the integrand from radial_polynomials; both are exact for
+  these polynomials, so the gap between the routes is rounding.  For
+  |kappa| = 1 and the 2S-2P cross element the endpoint-substituted plain
+  rule is sampled at orders 80 and 160 and the drift is the gap between
+  the two samples; those integrals diverge at the origin, which is
+  detected rather than hidden, and reported as a flagged inconsistency
+  because the closed forms quote finite values there.
 * angular blocks: the 16 x 16 sphere rule (specfun.sphere_rule, exact for
   these blocks) against the closed-form blocks, including the parity
   zeros.
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac import make_state, radial_polynomials
@@ -40,7 +41,10 @@ from .nonrel import r_inverse_moment, r_inverse_moment_quadrature
 from .shifts import (Level, cross_radial_integral_closed, cross_radial_integral_quadrature,
                      lz_block, lz_block_numeric, radial_integral_closed,
                      radial_integral_quadrature, sigma_cross_block)
-from .specfun import adaptive_weighted
+from .specfun import adaptive_weighted, gauss_laguerre
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 __all__ = [
     "ValidationReport",
@@ -97,14 +101,31 @@ def _rel(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _gauss_route(state, sign: float) -> float:
+    """int (f^2 + sign g^2)/r dr in eV^3 on Gauss rules instead of the
+    library's Laguerre series, for nu > 1: the defining integral and the
+    norm integral, each on the n_r + 2 node rule for its weight x^beta e^-x
+    (beta = 2 nu - 3 and 2 nu), exact for their degree-2 n_r polynomials."""
+    import numpy as np
+
+    def integral(beta, sgn):
+        rule = gauss_laguerre(state.n_r + 2, beta)
+        pf, pg = radial_polynomials(state, rule.nodes)
+        return float(np.sum(rule.weights * (pf * pf + sgn * pg * pg)))
+
+    return ((2.0 * state.lam) ** 3 * integral(2.0 * state.nu - 3.0, sign)
+            / integral(2.0 * state.nu, 1.0))
+
+
 def validate_radial(n_r: int, kappa: int, kind: str = "sum",
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ValidationReport:
-    """Validate one radial integral by its quadrature's own drift.
+    """Validate one radial integral by a second quadrature route.
 
-    The quadrature runs once.  For |kappa| >= 2 its drift is the gap
-    between the exact n_r + 1 and n_r + 2 node rules; for |kappa| = 1 and
-    the cross element it is the gap between the samples at orders 80 and
-    160 of an integral that diverges at the origin.
+    The quadrature runs once.  For |kappa| >= 2 its value, the Laguerre
+    series, is compared with _gauss_route, and the relative gap between
+    the two is the drift; for |kappa| = 1 and the cross element the drift
+    is the gap between the samples at orders 80 and 160 of an integral that
+    diverges at the origin.
 
     kind is "sum", "diff" or "cross" (the 2S-2P element; n_r/kappa ignored).
     The verdict reflects the robustness of the *quadrature* value; the
@@ -122,11 +143,15 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
         closed = radial_integral_closed(state, kind)
         quad = radial_integral_quadrature(state, kind)
         diverges = state.nu < 1.0
+    drift, converged = quad.drift, quad.converged
+    if not diverges:
+        drift = _rel(quad.value, _gauss_route(state, 1.0 if kind == "sum" else -1.0))
+        converged = converged and drift <= RADIAL_TOL
     closed_gap = _rel(closed, quad.value)
 
-    if quad.converged and closed_gap <= RADIAL_TOL:
+    if converged and closed_gap <= RADIAL_TOL:
         verdict, note = VERDICT_MATCH, ""
-    elif quad.converged:
+    elif converged:
         verdict = VERDICT_FLAGGED
         note = (f"the closed form differs from the quadrature by {closed_gap:.2e}; "
                 f"closed form kept verbatim")
@@ -137,9 +162,10 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
                 "a finite number")
     else:
         verdict = VERDICT_MISMATCH
-        note = f"quadrature failed to self-converge (drift {quad.drift:.2e})"
+        note = (f"Laguerre series and Gauss rule disagree by {drift:.2e} "
+                f"(series rounding bound {quad.drift:.2e})")
     return ValidationReport(name=name, closed_form=closed, quadrature=quad.value,
-                            rel_error=closed_gap, quad_drift=quad.drift,
+                            rel_error=closed_gap, quad_drift=drift,
                             verdict=verdict, note=note)
 
 
@@ -159,6 +185,8 @@ def radial_ratio_small_alpha(n_r: int = 0, kappa: int = -2,
 
 
 def _block_report(name: str, numeric: np.ndarray, reference: np.ndarray) -> ValidationReport:
+    import numpy as np
+
     gap = float(np.max(np.abs(numeric - reference)))
     hermit = float(np.max(np.abs(numeric - numeric.conj().T)))
     ok = gap <= ANGULAR_TOL and hermit <= 1e-12
@@ -180,6 +208,8 @@ def validate_angular(label_a: str, label_b: str | None = None,
     A sigma_cross pair with no closed-form reference raises ValidationError,
     as does any other operator.
     """
+    import numpy as np
+
     level_a = Level.from_label(label_a, constants)
     if operator == "theta_L":
         numeric = lz_block_numeric(level_a.j, level_a.l).matrix
@@ -288,6 +318,8 @@ def norm_self_consistency(n_r: int, kappa: int,
     plain-weight route so it does not share discretization with the
     generalized-weight normalization.
     """
+    import numpy as np
+
     state = make_state(n_r, kappa, 0.5, constants)
     nu = state.nu
 

@@ -16,14 +16,20 @@ Every radial quantity is computed twice:
 * "quadrature" integrates the defining integral int (f f' +/- g g')/r dr
   directly; one private helper serves the level integrals and the 2S-2P
   cross element, through the overlap kernel of dirac.  For |kappa| >= 2
-  the integrand is a polynomial against the weight x^(2nu-3) e^-x, so the
-  Gauss rule for that weight with n_r + 1 nodes is exact; one more node
-  measures the rounding drift.  For |kappa| = 1 the x^(2nu-3) endpoint is
-  nonintegrable (2nu - 3 < -1) and the integral mathematically diverges;
-  the endpoint-substituted plain rule is sampled at 80 and 160 nodes, the
-  160-node sample is reported with converged=False, and the report is
-  flagged rather than silently trusted.  That sample depends on the order
-  and is not a value of the integral.
+  the integrand is a polynomial against the weight x^(2nu-3) e^-x
+  (2nu - 3 > -1), and the value is exact: the Laguerre series of
+  dirac._overlap, sum_k (p_k p'_k +/- q_k q'_k) Gamma(k + 2nu - 2) / k!
+  over the n_r + 1 expansion coefficients of P_f and P_g in
+  L_k^(2nu-3).  The report gives route "laguerre_series", order n_r + 1
+  and the series' a-priori rounding bound eps (terms + 1) sum|t| / |sum t|
+  as drift; oracle checks the value against the Gauss rule with n_r + 2
+  nodes.  For |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable
+  (2nu - 3 < -1) and the integral mathematically diverges; the
+  endpoint-substituted plain rule is sampled at 80 and 160 nodes (route
+  "endpoint_sample"), the 160-node sample is reported with
+  converged=False, and the report is flagged rather than silently
+  trusted.  That sample depends on the order and is not a value of the
+  integral.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -33,8 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_theta, ev2_to_gev_scale, hz_to_ev)
@@ -43,6 +48,9 @@ from .errors import DomainError, SingularityError, ValidationError
 from .specfun import (IntegrationResult, adaptive_sampled_endpoint, check_magnetic,
                       kappa_to_lj, lj_to_kappa, sphere_integrate, sphere_rule,
                       spinor_harmonic, spinor_orbital_m)
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 __all__ = [
     "AngularBlock",
@@ -122,10 +130,14 @@ class AngularBlock:
 
     @property
     def eigenvalues(self) -> np.ndarray:
+        import numpy as np
+
         return np.sort(np.linalg.eigvalsh(self.matrix))
 
     @property
     def is_diagonal(self) -> bool:
+        import numpy as np
+
         off = self.matrix - np.diag(np.diag(self.matrix))
         return bool(np.max(np.abs(off)) < 1e-12)
 
@@ -145,6 +157,8 @@ def lz_expectation(j: float, l: int, M: float) -> float:
 
 def lz_block(j: float, l: int) -> AngularBlock:
     """Closed-form theta.L block: diagonal in M with entries <L_z>."""
+    import numpy as np
+
     basis = m_values(j)
     diag = [lz_expectation(j, l, m) for m in basis]
     return AngularBlock(label=f"Lz(j={j}, l={l})", basis=basis,
@@ -155,6 +169,8 @@ def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act, rule):
     """M basis and matrix <bra, M_a| O |ket, M_b> of two (j, l) waves sharing
     j, by sphere quadrature; act(spinor, M) applies O to the ket spinor of
     magnetic number M on the rule's grid."""
+    import numpy as np
+
     th, ph, _ = sphere_rule() if rule is None else rule
     basis = m_values(bra[0])
     bras = [spinor_harmonic(*bra, m, th, ph) for m in basis]
@@ -183,6 +199,8 @@ def sigma_cross_block(bra, ket, rule=None) -> AngularBlock:
     transitions, matching the convention in which the small bi-spinor
     component carries an explicit i.
     """
+    import numpy as np
+
     if abs(bra.j - ket.j) > 1e-9:
         raise ValidationError(f"states must share j, got {bra.j} and {ket.j}")
     th, ph, _ = sphere_rule() if rule is None else rule
@@ -228,19 +246,20 @@ def radial_integral_closed(state: RelativisticState, kind: str = "sum") -> float
     raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
 
 
+def _exact_series(state: RelativisticState) -> bool:
+    # x^(2nu-3) is integrable at the origin (|kappa| >= 2), so the Laguerre
+    # series is the integral; for |kappa| = 1 it is not
+    return 2.0 * state.nu - 3.0 > -1.0 + 1e-9
+
+
 def _radial_overlap(bra: RelativisticState, ket: RelativisticState,
                     sign: float) -> IntegrationResult:
     """int (f f' + sign g g')/r dr in eV^3 for two states sharing x = 2 lam r;
-    see radial_integral_quadrature for the two branches."""
-    beta = 2.0 * bra.nu - 3.0
-    if beta > -1.0 + 1e-9:
-        prev = _overlap(bra, ket, beta, sign, bra.n_r + 1)
-        cur = _overlap(bra, ket, beta, sign, bra.n_r + 2)
-        drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
-        res = IntegrationResult(value=cur, order=bra.n_r + 2, drift=drift,
-                                converged=drift <= 1e-10)
+    see radial_integral_quadrature for the two routes."""
+    if _exact_series(bra):
+        res = _overlap(bra, ket, -3, sign)
     else:
-        res = adaptive_sampled_endpoint(lambda x: _overlap(bra, ket, beta, sign, x))
+        res = adaptive_sampled_endpoint(lambda x: _overlap(bra, ket, -3, sign, x))
     return IntegrationResult(value=res.value * (bra.norm * ket.norm), order=res.order,
                              drift=res.drift, converged=res.converged)
 
@@ -248,12 +267,12 @@ def _radial_overlap(bra: RelativisticState, ket: RelativisticState,
 def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> IntegrationResult:
     """Direct quadrature of int (f^2 +/- g^2)/r dr in eV^3.
 
-    For |kappa| >= 2 (nu > 1) the value is exact: the n_r + 2 node Gauss
-    rule for the weight x^(2nu-3) e^-x, with the gap to n_r + 1 nodes as
-    drift and converged = drift <= 1e-10.  For |kappa| = 1 the integral
-    diverges at the origin; the value is the order-160 sample of the
-    endpoint-substituted plain rule, with the gap to the order-80 sample as
-    drift and converged=False.
+    For |kappa| >= 2 (nu > 1) the value is exact: the Laguerre series of
+    dirac._overlap for the weight x^(2nu-3) e^-x, with order = its n_r + 1
+    terms, drift = its a-priori rounding bound and converged = drift <=
+    1e-10.  For |kappa| = 1 the integral diverges at the origin; the value
+    is the order-160 sample of the endpoint-substituted plain rule, with the
+    gap to the order-80 sample as drift and converged=False.
     """
     if kind not in ("sum", "diff"):
         raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
@@ -327,8 +346,9 @@ class ShiftReport:
     rho1_quadrature: float
     rho2_quadrature: float
     quadrature_converged: bool
-    quadrature_order: int                    # rule order shared by both quadratures
-    quadrature_drift: float                  # larger of the two quadrature drifts
+    quadrature_route: str                    # "laguerre_series" or "endpoint_sample"
+    quadrature_order: int                    # series terms, or the larger sample's order
+    quadrature_drift: float                  # larger of the two: rounding bound, or sample gap
     coefficients: tuple[float, ...]          # closed-form route, eV^3 per theta
     coefficients_quadrature: tuple[float, ...]
     shifts_eV: tuple[float, ...]             # closed-form coefficients times theta
@@ -346,6 +366,7 @@ class ShiftReport:
             "rho1_quadrature_eV3": self.rho1_quadrature,
             "rho2_quadrature_eV3": self.rho2_quadrature,
             "quadrature_converged": self.quadrature_converged,
+            "quadrature_route": self.quadrature_route,
             "quadrature_order": self.quadrature_order,
             "quadrature_drift": self.quadrature_drift,
             "coefficients_eV3": list(self.coefficients),
@@ -418,6 +439,8 @@ def level_shift(level, theta: float,
                        rho1=rho1_c, rho2=rho2_c,
                        rho1_quadrature=rho1_q.value, rho2_quadrature=rho2_q.value,
                        quadrature_converged=rho1_q.converged and rho2_q.converged,
+                       quadrature_route=("laguerre_series" if _exact_series(state0)
+                                         else "endpoint_sample"),
                        quadrature_order=rho1_q.order,
                        quadrature_drift=max(rho1_q.drift, rho2_q.drift),
                        coefficients=coeff_closed, coefficients_quadrature=coeff_quad,
@@ -468,6 +491,8 @@ def perturbation_kernels(state: RelativisticState, theta: float, position):
     the vector kernel (e^4/4)(r x theta)/r^4 that multiplies the alpha
     matrices.  The vector is perpendicular to both r and the theta axis.
     """
+    import numpy as np
+
     pos = np.asarray(position, dtype=float)
     if pos.shape != (3,):
         raise DomainError(f"position must be a 3-vector, got shape {pos.shape}")

@@ -12,6 +12,9 @@ Three quantum-number conventions are decided here and nowhere else:
 check_integer is the one integer test (bools and floats are not integers),
 lj_to_kappa the one test of j = l +/- 1/2 and check_magnetic the one
 half-integer test.  dirac re-exports kappa_to_lj and lj_to_kappa.
+
+numpy is imported inside the functions that build or take arrays, so
+importing this module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import finite_real
 from .errors import DomainError, ValidationError
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 __all__ = [
     "QuadratureRule",
@@ -53,6 +58,8 @@ def laguerre_general(n: int, a: float, x):
     accepted and returns 0 (empty-sum convention used by radial solutions).
     Accepts scalar or ndarray x.
     """
+    import numpy as np
+
     if n == -1:
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
     if n < -1:
@@ -80,6 +87,8 @@ def _norm_legendre(l: int, m: int, cos_theta, sin_theta):
     Condon-Shortley phase, so Y_lm = P~_l^m(cos theta) e^{i m phi}.
     Stable seeded recurrence (sectoral seed, upward in l).
     """
+    import numpy as np
+
     p_mm = np.full_like(cos_theta, 1.0 / math.sqrt(4.0 * math.pi))
     for k in range(1, m + 1):
         p_mm = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sin_theta * p_mm
@@ -101,6 +110,8 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     Condon-Shortley phase; integral of |Y_lm|^2 over the sphere is 1.
     theta and phi may be scalars or broadcastable arrays.
     """
+    import numpy as np
+
     if l < 0:
         raise DomainError(f"spherical_harmonic requires l >= 0, got l={l}")
     if abs(m) > l:
@@ -170,6 +181,8 @@ def spinor_harmonic(j: float, l: int, M: float, theta, phi):
     the two-branch coupling coefficients.  Normalized over the sphere.
     Returns an array of shape (2,) + broadcast shape of theta/phi.
     """
+    import numpy as np
+
     c_up, c_dn = spinor_clebsch(j, l, M)
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
@@ -202,11 +215,15 @@ class QuadratureRule:
     beta: float = 0.0
 
     def integrate(self, func) -> float:
+        import numpy as np
+
         return float(np.sum(self.weights * func(self.nodes)))
 
 
 @lru_cache(maxsize=512)
 def _laguerre_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     # Golub-Welsch nodes from the symmetric Jacobi matrix; weights from the
     # Christoffel sum 1/sum_k p~_k(x)^2 evaluated in exponentially scaled
     # form q_k = p~_k(x) x^{beta/2} e^{-x/2} so nothing overflows.
@@ -288,6 +305,8 @@ def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> Inte
     divergent integrand converged is False and the value is a sample, not
     a value of the integral.
     """
+    import numpy as np
+
     def sample(order):
         rule = gauss_laguerre(order, 0.0)
         t = rule.nodes
@@ -323,6 +342,8 @@ def sphere_rule():
     Returns (theta_grid, phi_grid, weight_grid), each of shape (16, 16),
     with sum(weights) = 4 pi.
     """
+    import numpy as np
+
     n = 16
     k = np.arange(1, n, dtype=float)
     off = k / np.sqrt(4.0 * k * k - 1.0)
@@ -339,6 +360,8 @@ def sphere_rule():
 
 def sphere_integrate(values, rule=None) -> complex:
     """Integrate grid samples produced on sphere_rule grids."""
+    import numpy as np
+
     if rule is None:
         rule = sphere_rule()
     _, _, w = rule

@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nchydro
 from nchydro import cli
 from nchydro.cli import RunConfig, build_parser, main, parse_half_integer, parse_theta
 from nchydro.errors import ValidationError
@@ -411,3 +415,41 @@ def test_readme_command_runs(capsys, monkeypatch, tmp_path, argv):
 
 def test_readme_library_snippet_runs():
     exec(_readme_block("## Library entry points", "```python"), {})
+
+
+# Requests answered by scalar arithmetic and the exact Laguerre series; the
+# |kappa| = 1 samples (2P1/2) need arrays, so that request loads numpy.
+NUMPY_FREE_REQUESTS = [
+    ["levels", "2P3/2"],
+    ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e-19"],
+    ["shift", "3D5/2", "--theta", "1e-19"],
+    ["bound", "4F7/2"],
+    ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3",
+     "--levels", "2P3/2,3D5/2"],
+]
+
+
+def _request_loads_numpy(argv) -> bool:
+    """Run one CLI request in a fresh interpreter; True if numpy got imported."""
+    script = ("import contextlib, io, sys\n"
+              "from nchydro.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(sys.argv[1:])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    src = str(Path(nchydro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == "0", argv
+    return out[1] == "True"
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_REQUESTS, ids=" ".join)
+def test_scalar_request_does_not_import_numpy(argv):
+    assert not _request_loads_numpy(argv)
+
+
+def test_kappa_1_shift_imports_numpy():
+    # the positive control: the endpoint samples are numpy arrays
+    assert _request_loads_numpy(["shift", "2P1/2", "--theta", "1e-19"])

@@ -110,6 +110,8 @@ N_ENTRY_POINTS = {
     "schrodinger_energy": schrodinger_energy,
     "fine_structure_dirac_expansion": lambda n: fine_structure_dirac_expansion(n, 0.5),
 }
+# j that no l < n = 2 carries: not a positive half-integer, or above n - 1/2
+BAD_J_AT_N2 = [-0.5, 7.5, 1.0, 2.5, math.nan]
 REJECTED = (
     [pytest.param(call, (l, j), id=f"{name}-l{l}-j{j}")
      for name, call in PAIR_ENTRY_POINTS.items() for l, j in BAD_PAIRS]
@@ -125,6 +127,8 @@ REJECTED = (
        for name, call in NL_ENTRY_POINTS.items() for pair in BAD_NL]
     + [pytest.param(call, (n,), id=f"{name}-n{n!r}")
        for name, call in N_ENTRY_POINTS.items() for n in BAD_N]
+    + [pytest.param(fine_structure_dirac_expansion, (2, j),
+                    id=f"fine_structure_dirac_expansion-n2-j{j!r}") for j in BAD_J_AT_N2]
 )
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
-from nchydro.dirac import (analytic_norm_nodeless, deformed_potential,
-                           dirac_binding_energy, dirac_energy, level_label,
-                           make_state, parse_level_label, radial_fg,
+from nchydro.dirac import (deformed_potential, dirac_binding_energy, dirac_energy,
+                           level_label, make_state, parse_level_label, radial_fg,
                            radial_polynomials)
 from nchydro.errors import DomainError, SingularityError, ValidationError
 from nchydro.specfun import gauss_laguerre
@@ -153,8 +152,11 @@ class TestNormalizationConstant:
         assert norm_2 == pytest.approx(4.0 * norm_1, rel=1e-14)
 
     def test_1s_against_closed_form(self):
+        # n_r = 0: one term per component, C^2 = (2 lam)^3 / ((f2^2 + g2^2) Gamma(2 nu + 1))
         s = make_state(0, -1, 0.5)
-        assert s.norm == pytest.approx(analytic_norm_nodeless(s), rel=1e-12)
+        _, f2, _, g2 = s.shape
+        closed = (2.0 * s.lam) ** 3 / ((f2 * f2 + g2 * g2) * math.gamma(2.0 * s.nu + 1.0))
+        assert s.norm == pytest.approx(math.sqrt(closed), rel=1e-12)
 
     def test_idempotent_renormalization(self):
         from nchydro.oracle import norm_self_consistency

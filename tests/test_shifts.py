@@ -142,11 +142,11 @@ class TestRadialQuadrature:
         assert res.value == pytest.approx(M3A3 / 24.0, rel=0.05)
 
     def test_exact_rule_for_kappa_ge_2(self):
-        # a polynomial against x^(2nu-3) e^-x: n_r + 1 nodes are exact and one
-        # more node measures the drift
+        # a polynomial against x^(2nu-3) e^-x: the Laguerre series has n_r + 1
+        # terms, and its drift is its rounding bound
         s = make_state(2, 3, 0.5)
         res = radial_integral_quadrature(s, "diff")
-        assert res.order == s.n_r + 2
+        assert res.order == s.n_r + 1
         assert res.converged and res.drift <= 1e-13
         rule = gauss_laguerre(40, 2.0 * s.nu - 3.0)
         pf, pg = radial_polynomials(s, rule.nodes)
@@ -211,13 +211,17 @@ class TestLevelShift:
         assert report.quadrature_order == 160
         assert report.quadrature_drift > 1e-10
         assert "order 160" in report.notes[0]
-        # |kappa| >= 2: the exact n_r + 1 node rule plus one node for the drift
-        report = level_shift("2P3/2", 1.0e-19)
-        assert report.quadrature_order == make_state(0, -2, 0.5).n_r + 2
-        assert report.quadrature_drift <= 1e-13
-        d = report.as_dict()
-        assert (d["quadrature_order"], d["quadrature_drift"]) == (
-            report.quadrature_order, report.quadrature_drift)
+        assert report.quadrature_route == "endpoint_sample"
+        # |kappa| >= 2: the exact Laguerre series, n_r + 1 terms, its rounding
+        # bound as drift
+        for label in ("2P3/2", "5D5/2"):
+            report = level_shift(label, 1.0e-19)
+            assert report.quadrature_route == "laguerre_series"
+            assert report.quadrature_order == Level.from_label(label).n_r + 1
+            assert report.quadrature_drift <= 1e-13
+            d = report.as_dict()
+            assert (d["quadrature_route"], d["quadrature_order"], d["quadrature_drift"]) == (
+                report.quadrature_route, report.quadrature_order, report.quadrature_drift)
 
     def test_level_constants_set_alpha(self):
         # a Level built with other constants must not mix in the defaults
