@@ -33,8 +33,8 @@ def finite_real(value) -> bool:
 
 def check_theta(theta: float):
     """Reject a theta (eV^-2) that is negative or not finite."""
-    if not (math.isfinite(theta) and theta >= 0.0):
-        raise ValidationError(f"theta must be finite and >= 0, got {theta}")
+    if not (finite_real(theta) and theta >= 0.0):
+        raise ValidationError(f"theta must be finite and >= 0, got {theta!r}")
 
 
 def check_lambda_qcd(lambda_qcd: float):
@@ -98,6 +98,6 @@ def hz_to_ev(frequency_hz: float, constants: PhysicalConstants = DEFAULT_CONSTAN
 
 def ev2_to_gev_scale(theta_ev2: float) -> float:
     """Render a theta value (eV^-2) as the X of 'theta = (X GeV)^-2'."""
-    if theta_ev2 <= 0.0:
-        raise ValidationError(f"theta must be positive, got {theta_ev2}")
+    if not (finite_real(theta_ev2) and theta_ev2 > 0.0):
+        raise ValidationError(f"theta must be finite and positive, got {theta_ev2!r}")
     return 1.0 / (math.sqrt(theta_ev2) * GEV)

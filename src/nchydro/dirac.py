@@ -17,6 +17,8 @@ Conventions worth stating once:
   the coupled radial equations to machine precision (checked in tests).
 * _check_level is the one bound-state test of (n_r, kappa), and _nu_energy,
   behind it, the one derivation of nu and E; every entry point uses them.
+  _exact_series is the one test of whether the series below is a state's
+  radial integral (|kappa| >= 2).
 * make_state is the one place that derives lam, a and the shape
   coefficients (f1, f2, g1, g2), kept in state.shape.  The state computes
   its normalization constant state.norm from them when it is built: the
@@ -36,7 +38,9 @@ Conventions worth stating once:
   pure Python.  Given an ndarray of points it returns the integrand there,
   for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where the
   series is not the integral).  The Gauss rules of specfun check the
-  series independently in oracle.
+  series independently in oracle.  A |kappa| >= 2 state computes its
+  series radial integrals (shift -3, sum and diff) once, on first use,
+  and keeps them in state.radial_series; later calls read them.
 * numpy is imported inside the functions that build or take arrays, so
   the scalar paths (energies, states, norms, the series) never load it.
 * kappa_to_lj, lj_to_kappa (the one test of j = l +/- 1/2) and the one
@@ -49,6 +53,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
 from .errors import DomainError, SingularityError, ValidationError
@@ -94,6 +99,19 @@ class RelativisticState:
         # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
         integral = _overlap(self, self, 0, 1.0).value
         object.__setattr__(self, "norm", math.sqrt((2.0 * self.lam) ** 3 / integral))
+
+    @cached_property
+    def radial_series(self) -> tuple[IntegrationResult, IntegrationResult]:
+        """(sum, diff): int (f^2 +/- g^2)/r dr in eV^3 for |kappa| >= 2, the
+        exact series of _overlap (shift -3) times norm^2.  Computed on first
+        use and kept in the instance dict, outside the fields, so eq, hash
+        and repr ignore it."""
+        if not _exact_series(self):
+            raise DomainError("the radial integrals diverge at the origin for |kappa| = 1")
+        scale = self.norm * self.norm
+        return tuple(IntegrationResult(value=res.value * scale, order=res.order,
+                                       drift=res.drift, converged=res.converged)
+                     for res in (_overlap(self, self, -3, 1.0), _overlap(self, self, -3, -1.0)))
 
     @property
     def n_principal(self) -> int:
@@ -241,6 +259,12 @@ def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int, sign: f
                              converged=drift <= 1e-10)
 
 
+def _exact_series(state: RelativisticState) -> bool:
+    # x^(2nu-3) is integrable at the origin (|kappa| >= 2), so the Laguerre
+    # series is the radial integral; for |kappa| = 1 it is not
+    return 2.0 * state.nu - 3.0 > -1.0 + 1e-9
+
+
 def radial_fg(state: RelativisticState, r):
     """Normalized radial pair (f, g) at radius r > 0 (eV^-1; scalar or array).
 
@@ -302,9 +326,9 @@ def parse_level_label(label: str) -> tuple[int, int]:
 
     Grammar: principal integer, orbital letter (S, P, D, F, ...), total j as
     an odd numerator over 2.  Raises ValidationError on anything else or on
-    physically impossible combinations.
+    physically impossible combinations, and on a label that is not a str.
     """
-    match = _LABEL_RE.match(label)
+    match = _LABEL_RE.match(label) if isinstance(label, str) else None
     if not match:
         raise ValidationError(f"cannot parse level label {label!r} (expected e.g. '2P3/2')")
     n_principal = int(match.group(1))

@@ -23,7 +23,9 @@ Every radial quantity is computed twice:
   L_k^(2nu-3).  The report gives route "laguerre_series", order n_r + 1
   and the series' a-priori rounding bound eps (terms + 1) sum|t| / |sum t|
   as drift; oracle checks the value against the Gauss rule with n_r + 2
-  nodes.  For |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable
+  nodes.  A state computes its two series (sum and diff) once, on first
+  use, and keeps them in state.radial_series; every later call, at any
+  theta, reads them.  For |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable
   (2nu - 3 < -1) and the integral mathematically diverges; the
   endpoint-substituted plain rule is sampled at 80 and 160 nodes (route
   "endpoint_sample"), the 160-node sample is reported with
@@ -37,13 +39,12 @@ disagreement instead of having it averaged away.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
-                        check_theta, ev2_to_gev_scale, hz_to_ev)
-from .dirac import RelativisticState, _overlap, make_state, parse_level_label
+                        check_theta, ev2_to_gev_scale, finite_real, hz_to_ev)
+from .dirac import RelativisticState, _exact_series, _overlap, make_state, parse_level_label
 from .errors import DomainError, SingularityError, ValidationError
 from .specfun import (IntegrationResult, adaptive_sampled_endpoint, check_magnetic,
                       kappa_to_lj, lj_to_kappa, sphere_integrate, sphere_rule,
@@ -246,17 +247,13 @@ def radial_integral_closed(state: RelativisticState, kind: str = "sum") -> float
     raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
 
 
-def _exact_series(state: RelativisticState) -> bool:
-    # x^(2nu-3) is integrable at the origin (|kappa| >= 2), so the Laguerre
-    # series is the integral; for |kappa| = 1 it is not
-    return 2.0 * state.nu - 3.0 > -1.0 + 1e-9
-
-
 def _radial_overlap(bra: RelativisticState, ket: RelativisticState,
                     sign: float) -> IntegrationResult:
     """int (f f' + sign g g')/r dr in eV^3 for two states sharing x = 2 lam r;
     see radial_integral_quadrature for the two routes."""
     if _exact_series(bra):
+        if ket is bra:
+            return bra.radial_series[sign < 0.0]
         res = _overlap(bra, ket, -3, sign)
     else:
         res = adaptive_sampled_endpoint(lambda x: _overlap(bra, ket, -3, sign, x))
@@ -270,7 +267,9 @@ def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> I
     For |kappa| >= 2 (nu > 1) the value is exact: the Laguerre series of
     dirac._overlap for the weight x^(2nu-3) e^-x, with order = its n_r + 1
     terms, drift = its a-priori rounding bound and converged = drift <=
-    1e-10.  For |kappa| = 1 the integral diverges at the origin; the value
+    1e-10.  The first call on a state computes both kinds and keeps them
+    (state.radial_series); later calls return the kept result.  For
+    |kappa| = 1 the integral diverges at the origin; the value
     is the order-160 sample of the endpoint-substituted plain rule, with the
     gap to the order-80 sample as drift and converged=False.
     """
@@ -323,11 +322,11 @@ def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
     Planck quantum per cycle (see hz_to_ev).  Doubling the accuracy doubles
     the bound.
     """
-    if not (math.isfinite(shift_coefficient_ev3) and shift_coefficient_ev3 > 0.0):
+    if not (finite_real(shift_coefficient_ev3) and shift_coefficient_ev3 > 0.0):
         raise DomainError(f"shift coefficient must be finite and positive, "
-                          f"got {shift_coefficient_ev3}")
-    if not (math.isfinite(accuracy_hz) and accuracy_hz > 0.0):
-        raise DomainError(f"accuracy must be finite and positive, got {accuracy_hz}")
+                          f"got {shift_coefficient_ev3!r}")
+    if not (finite_real(accuracy_hz) and accuracy_hz > 0.0):
+        raise DomainError(f"accuracy must be finite and positive, got {accuracy_hz!r}")
     e_acc = hz_to_ev(accuracy_hz, constants)
     theta_max = e_acc / shift_coefficient_ev3
     return ThetaBound(theta_max_ev2=theta_max, gev_scale=ev2_to_gev_scale(theta_max),
@@ -400,7 +399,7 @@ def level_shift(level, theta: float,
     ValidationError.
     """
     check_theta(theta)
-    if isinstance(level, str):
+    if not isinstance(level, Level):
         level = Level.from_label(level, constants or DEFAULT_CONSTANTS)
     elif constants is not None and constants != level.constants:
         raise ValidationError(f"constants differ from those level {level.label} "

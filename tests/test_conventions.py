@@ -4,23 +4,27 @@ specfun.check_integer is the only integer test, specfun.lj_to_kappa the
 only test of j = l +/- 1/2 and specfun.check_magnetic the only half-integer
 test; dirac._check_level is the only bound-state test of (n_r, kappa) and
 nonrel._check_nl the only (n, l) test.  Every fine-structure factor follows
-from kappa, and every entry point rejects what they reject.
+from kappa, and every entry point rejects what they reject.  Likewise
+constants.check_theta (a finite real theta >= 0) and the level-label parser
+decide alone which theta and which label an entry point takes.
 """
 
 import math
 
 import pytest
 
+from nchydro.constants import ev2_to_gev_scale
 from nchydro.dirac import (dirac_binding_energy, dirac_energy, kappa_to_lj, lj_to_kappa,
-                           make_state)
+                           make_state, parse_level_label)
 from nchydro.errors import ValidationError
 from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p2,
                             expectation_p4_physical, expectation_table,
                             fine_structure_dirac_expansion, fine_structure_shift,
                             pi_delta_expectation, r_inverse_moment,
-                            r_inverse_moment_quadrature, radial_R, radial_R_prime,
-                            schrodinger_energy)
-from nchydro.shifts import Level, level_shift, lz_expectation
+                            nc_hyperfine_shift, r_inverse_moment_quadrature, radial_R,
+                            radial_R_prime, s_state_shift, schrodinger_energy)
+from nchydro.shifts import (Level, level_shift, lz_expectation, perturbation_kernels,
+                            transition_element_2s2p)
 from nchydro.specfun import spinor_clebsch, spinor_harmonic
 
 STATES = [(l, j, -j + k) for l in range(7) for j in ((l - 0.5, l + 0.5) if l else (0.5,))
@@ -112,6 +116,27 @@ N_ENTRY_POINTS = {
 }
 # j that no l < n = 2 carries: not a positive half-integer, or above n - 1/2
 BAD_J_AT_N2 = [-0.5, 7.5, 1.0, 2.5, math.nan]
+# theta (eV^-2) that is not a finite real >= 0: a bool and a str are not numbers
+BAD_THETA = [True, "1e-19", None, math.nan, math.inf, -1.0]
+THETA_ENTRY_POINTS = {
+    "level_shift": lambda theta: level_shift("2P3/2", theta),
+    "transition_element_2s2p": transition_element_2s2p,
+    "perturbation_kernels": lambda theta: perturbation_kernels(
+        make_state(1, 1, 0.5), theta, [1.0, 0.0, 0.0]),
+    "s_state_shift": s_state_shift,
+    "expectation_table": lambda theta: expectation_table(
+        SchrodingerState(n=2, l=1, j=1.5, m_j=0.5), theta),
+    "nc_hyperfine_shift": lambda theta: nc_hyperfine_shift(
+        SchrodingerState(n=2, l=1, j=1.5, m_j=0.5), theta),
+    "ev2_to_gev_scale": ev2_to_gev_scale,
+}
+# level labels that are not a str
+BAD_LABELS = [2, None, b"2P3/2"]
+LABEL_ENTRY_POINTS = {
+    "level_shift": lambda label: level_shift(label, 1.0e-19),
+    "Level.from_label": Level.from_label,
+    "parse_level_label": parse_level_label,
+}
 REJECTED = (
     [pytest.param(call, (l, j), id=f"{name}-l{l}-j{j}")
      for name, call in PAIR_ENTRY_POINTS.items() for l, j in BAD_PAIRS]
@@ -129,6 +154,10 @@ REJECTED = (
        for name, call in N_ENTRY_POINTS.items() for n in BAD_N]
     + [pytest.param(fine_structure_dirac_expansion, (2, j),
                     id=f"fine_structure_dirac_expansion-n2-j{j!r}") for j in BAD_J_AT_N2]
+    + [pytest.param(call, (theta,), id=f"{name}-theta{theta!r}")
+       for name, call in THETA_ENTRY_POINTS.items() for theta in BAD_THETA]
+    + [pytest.param(call, (label,), id=f"{name}-label{label!r}")
+       for name, call in LABEL_ENTRY_POINTS.items() for label in BAD_LABELS]
 )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nchydro.dirac import _overlap, make_state, radial_polynomials
-from nchydro.specfun import gauss_laguerre
+from nchydro.specfun import IntegrationResult, gauss_laguerre
 
 
 def _levels(n_max):
@@ -42,6 +42,9 @@ def test_series_matches_gauss_rule(n_r, kappa):
         # the rounding bound eps (terms + 1) sum|t| / |sum t|: the terms barely cancel
         assert res.converged and res.drift <= 1.001 * (n_r + 2) * sys.float_info.epsilon
         assert res.value == pytest.approx(_gauss(state, shift, sign), rel=1e-13), (shift, sign)
+        if shift:  # the state keeps this radial series, times norm^2, bit for bit
+            assert state.radial_series[sign < 0.0] == IntegrationResult(
+                res.value * (state.norm * state.norm), res.order, res.drift, res.converged)
 
 
 def _mp_integral(mp, state, shift, sign):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nchydro import dirac
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.dirac import dirac_energy, lj_to_kappa, make_state, radial_polynomials
 from nchydro.errors import DomainError, SingularityError, ValidationError
@@ -29,6 +30,14 @@ COEFF_2P12_PRINTED_EV3 = 6.57668e6
 # depend on nothing else
 PARTIAL_WAVES = sorted({(l + s / 2, l) for n in range(1, 6) for l in range(n)
                         for s in (-1, 1) if 2 * l + s > 0})
+
+
+def _count_series_expansions(monkeypatch) -> list:
+    """Record the (state, shift) of every dirac._laguerre_series call."""
+    calls, expand = [], dirac._laguerre_series
+    monkeypatch.setattr(dirac, "_laguerre_series", lambda state, shift: (
+        calls.append((state, shift)) or expand(state, shift)))
+    return calls
 
 
 class TestAngularBlocks:
@@ -153,6 +162,15 @@ class TestRadialQuadrature:
         reference = s.norm ** 2 * float(np.sum(rule.weights * (pf * pf - pg * pg)))
         assert res.value == pytest.approx(reference, rel=1e-13)
 
+    def test_first_call_expands_each_kind_once(self, monkeypatch):
+        s = make_state(2, 3, 0.5)  # fresh: only its norm has been expanded
+        calls = _count_series_expansions(monkeypatch)
+        first = radial_integral_quadrature(s, "sum")
+        assert calls == [(s, -3), (s, -3)]  # the sum and the diff series
+        assert radial_integral_quadrature(s, "diff") is s.radial_series[1]
+        assert radial_integral_quadrature(s, "sum") is first
+        assert len(calls) == 2
+
     def test_diff_to_sum_ratio_small_alpha(self):
         from nchydro.oracle import radial_ratio_small_alpha
         assert abs(radial_ratio_small_alpha(0, -2, 5.0e-4) - 1.0) < 1e-6
@@ -222,6 +240,22 @@ class TestLevelShift:
             d = report.as_dict()
             assert (d["quadrature_route"], d["quadrature_order"], d["quadrature_drift"]) == (
                 report.quadrature_route, report.quadrature_order, report.quadrature_drift)
+
+    def test_warm_kappa_ge_2_reads_the_state_memo(self, monkeypatch):
+        level = Level.from_label("3D5/2")
+        cold = level_shift(level, 1.0e-19)
+        calls = _count_series_expansions(monkeypatch)
+        assert level_shift(level, 1.0e-19) == cold
+        assert calls == []
+
+    def test_kappa_1_is_sampled_on_every_call(self):
+        # the divergent |kappa| = 1 integrals have no series to keep
+        level = Level.from_label("2P1/2")
+        for _ in range(2):
+            report = level_shift(level, 1.0e-19)
+            assert (report.quadrature_route, report.quadrature_order) == ("endpoint_sample", 160)
+        with pytest.raises(DomainError):
+            level.states[0].radial_series
 
     def test_level_constants_set_alpha(self):
         # a Level built with other constants must not mix in the defaults
@@ -323,7 +357,8 @@ class TestThetaBound:
 
     def test_non_finite_rejected(self):
         for coefficient, accuracy in ((math.nan, 80.0), (math.inf, 80.0),
-                                      (1.0e6, math.nan), (1.0e6, math.inf)):
+                                      (1.0e6, math.nan), (1.0e6, math.inf),
+                                      (1.0e6, True), ("1e6", 80.0)):
             with pytest.raises(DomainError):
                 theta_bound(coefficient, accuracy)
 
