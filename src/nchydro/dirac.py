@@ -27,14 +27,15 @@ Conventions worth stating once:
   normalized shapes.
 * _overlap is the one kernel for radial integrals of a pair of states,
   int x^beta e^-x (P_f P_f' +/- P_g P_g') dx with beta = 2 nu + shift: the
-  norm here (shift 0), and the radial and cross integrals in shifts
-  (shift -3).  It has two modes.  Without sample points (beta > -1) it is
-  exact: each shape is expanded in the Laguerre polynomials of the
+  norm and the |kappa| >= 2 radial integrals here (shift 0 and -3), and the
+  sampled radial and cross integrals in shifts (shift -3).  It has two
+  modes.  Without sample points (a state's own overlap, beta > -1) it is
+  exact: the shape is expanded in the Laguerre polynomials of the
   weight's own beta, L_n^(beta + d) = sum_k C(d - 1 + n - k, n - k) L_k^beta
   for the integer d of each term, and
   x L_k^beta = (2k + beta + 1) L_k^beta - (k + 1) L_{k+1}^beta - (k + beta) L_{k-1}^beta
   for the x L_{n_r-1}^{2 nu + 1} term, so orthogonality leaves
-  sum_k (p_k p'_k +/- q_k q'_k) Gamma(k + beta + 1) / k!, n_r + 1 terms in
+  sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!, n_r + 1 terms in
   pure Python.  Given an ndarray of points it returns the integrand there,
   for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where the
   series is not the integral).  The Gauss rules of specfun check the
@@ -109,9 +110,8 @@ class RelativisticState:
         if not _exact_series(self):
             raise DomainError("the radial integrals diverge at the origin for |kappa| = 1")
         scale = self.norm * self.norm
-        return tuple(IntegrationResult(value=res.value * scale, order=res.order,
-                                       drift=res.drift, converged=res.converged)
-                     for res in (_overlap(self, self, -3, 1.0), _overlap(self, self, -3, -1.0)))
+        return (_overlap(self, self, -3, 1.0).scaled(scale),
+                _overlap(self, self, -3, -1.0).scaled(scale))
 
     @property
     def n_principal(self) -> int:
@@ -234,9 +234,10 @@ def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int, sign: f
     """Radial overlap int x^beta e^-x (P_f P_f' + sign P_g P_g') dx of two states
     sharing nu, for the weight exponent beta = 2 nu + shift.
 
-    Without x (beta > -1) it is the exact Laguerre series: with both shapes
-    expanded as P = sum_k p_k L_k^beta, orthogonality leaves
-    sum_k (p_k p'_k + sign q_k q'_k) Gamma(k + beta + 1) / k!.  The result's
+    Without x it is the exact Laguerre series of a state's own overlap
+    (ket is bra, beta > -1): with the shapes expanded as
+    P = sum_k p_k L_k^beta, orthogonality leaves
+    sum_k (p_k^2 + sign q_k^2) Gamma(k + beta + 1) / k!.  The result's
     order is the number of terms and its drift the a-priori relative
     rounding bound eps (terms + 1) sum |t_k| / |sum t_k|.
     With an ndarray x it returns the integrand without its e^-x,
@@ -249,9 +250,9 @@ def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int, sign: f
         pf, pg = radial_polynomials(bra, x)
         pf2, pg2 = (pf, pg) if ket is bra else radial_polynomials(ket, x)
         return np.exp((2.0 * bra.nu + shift) * np.log(x)) * (pf * pf2 + sign * pg * pg2)
+    assert ket is bra, "the series covers a state's own overlap only"
     p, q, h = _laguerre_series(bra, shift)
-    p2, q2, _ = (p, q, h) if ket is bra else _laguerre_series(ket, shift)
-    terms = [(a * a2 + sign * b * b2) * w for a, b, a2, b2, w in zip(p, q, p2, q2, h)]
+    terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]
     value = sum(terms)
     drift = (sys.float_info.epsilon * (len(terms) + 1) * sum(abs(t) for t in terms)
              / max(abs(value), 1e-300))

@@ -14,11 +14,10 @@ Every radial quantity is computed twice:
   inconsistent with their own defining integrals, which is exactly why the
   second route exists.
 * "quadrature" integrates the defining integral int (f f' +/- g g')/r dr
-  directly; one private helper serves the level integrals and the 2S-2P
-  cross element, through the overlap kernel of dirac.  For |kappa| >= 2
+  directly, through the overlap kernel of dirac.  For |kappa| >= 2
   the integrand is a polynomial against the weight x^(2nu-3) e^-x
   (2nu - 3 > -1), and the value is exact: the Laguerre series of
-  dirac._overlap, sum_k (p_k p'_k +/- q_k q'_k) Gamma(k + 2nu - 2) / k!
+  dirac._overlap, sum_k (p_k^2 +/- q_k^2) Gamma(k + 2nu - 2) / k!
   over the n_r + 1 expansion coefficients of P_f and P_g in
   L_k^(2nu-3).  The report gives route "laguerre_series", order n_r + 1
   and the series' a-priori rounding bound eps (terms + 1) sum|t| / |sum t|
@@ -31,7 +30,8 @@ Every radial quantity is computed twice:
   "endpoint_sample"), the 160-node sample is reported with
   converged=False, and the report is flagged rather than silently
   trusted.  That sample depends on the order and is not a value of the
-  integral.
+  integral.  One private helper takes these samples for the level
+  integrals and for the 2S-2P cross element.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -249,16 +249,11 @@ def radial_integral_closed(state: RelativisticState, kind: str = "sum") -> float
 
 def _radial_overlap(bra: RelativisticState, ket: RelativisticState,
                     sign: float) -> IntegrationResult:
-    """int (f f' + sign g g')/r dr in eV^3 for two states sharing x = 2 lam r;
-    see radial_integral_quadrature for the two routes."""
-    if _exact_series(bra):
-        if ket is bra:
-            return bra.radial_series[sign < 0.0]
-        res = _overlap(bra, ket, -3, sign)
-    else:
-        res = adaptive_sampled_endpoint(lambda x: _overlap(bra, ket, -3, sign, x))
-    return IntegrationResult(value=res.value * (bra.norm * ket.norm), order=res.order,
-                             drift=res.drift, converged=res.converged)
+    """The order-160 endpoint sample of int (f f' + sign g g')/r dr in eV^3
+    for two |kappa| = 1 states sharing x = 2 lam r, where the integral
+    diverges at the origin."""
+    res = adaptive_sampled_endpoint(lambda x: _overlap(bra, ket, -3, sign, x))
+    return res.scaled(bra.norm * ket.norm)
 
 
 def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> IntegrationResult:
@@ -275,6 +270,8 @@ def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> I
     """
     if kind not in ("sum", "diff"):
         raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
+    if _exact_series(state):
+        return state.radial_series[kind == "diff"]
     return _radial_overlap(state, state, 1.0 if kind == "sum" else -1.0)
 
 

@@ -275,6 +275,11 @@ class IntegrationResult:
     drift: float
     converged: bool
 
+    def scaled(self, factor: float) -> IntegrationResult:
+        """The same result with its value multiplied by factor."""
+        return IntegrationResult(value=self.value * factor, order=self.order,
+                                 drift=self.drift, converged=self.converged)
+
 
 def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
                       start: int = 80, max_order: int = 1280) -> IntegrationResult:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nchydro import dirac
+from nchydro import dirac, shifts
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.dirac import dirac_energy, lj_to_kappa, make_state, radial_polynomials
 from nchydro.errors import DomainError, SingularityError, ValidationError
@@ -248,12 +248,17 @@ class TestLevelShift:
         assert level_shift(level, 1.0e-19) == cold
         assert calls == []
 
-    def test_kappa_1_is_sampled_on_every_call(self):
+    def test_kappa_1_is_sampled_on_every_call(self, monkeypatch):
         # the divergent |kappa| = 1 integrals have no series to keep
         level = Level.from_label("2P1/2")
-        for _ in range(2):
+        level_shift(level, 1.0e-19)
+        calls, sample = [], shifts.adaptive_sampled_endpoint
+        monkeypatch.setattr(shifts, "adaptive_sampled_endpoint", lambda func: (
+            calls.append(func) or sample(func)))
+        for warm in (1, 2):
             report = level_shift(level, 1.0e-19)
             assert (report.quadrature_route, report.quadrature_order) == ("endpoint_sample", 160)
+            assert len(calls) == 2 * warm  # one sample per kind, sum and diff
         with pytest.raises(DomainError):
             level.states[0].radial_series
 
