@@ -287,6 +287,8 @@ def cmd_sweep(args, cfg: RunConfig) -> Output:
     if theta_max < theta_min:
         raise ValidationError("theta-max must be >= theta-min")
     labels = [s.strip() for s in args.levels.split(",") if s.strip()]
+    if not labels:
+        raise ValidationError(f"--levels names no level: {args.levels!r}")
     reports = [level_shift(lbl, 0.0, constants) for lbl in labels]
     rows = []
     for i in range(args.steps):

@@ -27,6 +27,8 @@ DEFAULT_LAMBDA_QCD_EV = 2.0e8
 
 def finite_real(value) -> bool:
     """True for a finite real number (bools and strings are not numbers here)."""
+    if type(value) is float:  # the common case, without the numbers.Real ABC check
+        return math.isfinite(value)
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
 

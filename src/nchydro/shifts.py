@@ -31,7 +31,14 @@ Every radial quantity is computed twice:
   converged=False, and the report is flagged rather than silently
   trusted.  That sample depends on the order and is not a value of the
   integral.  One private helper takes these samples for the level
-  integrals and for the 2S-2P cross element.
+  integrals and for the 2S-2P cross element, on every call.
+
+A Level keeps the theta-independent closed-form side of level_shift
+(Level.closed_form: eigenvalues, both closed integrals, the closed-form
+coefficients and the 2P Lamb-shift theta bound), computed on first use.
+level_shift is linear in theta by construction: per call it checks theta,
+reads the quadrature route, forms its coefficients, flag and notes, and
+multiplies the kept coefficients by theta.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -40,6 +47,7 @@ disagreement instead of having it averaged away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
@@ -113,6 +121,26 @@ class Level:
     @property
     def constants(self) -> PhysicalConstants:
         return self.states[0].constants
+
+    @cached_property
+    def closed_form(self) -> tuple:
+        """(eigenvalues, rho1, rho2, coefficients, theta_bound): the
+        theta-independent closed-form side of level_shift.  The eigenvalues
+        are <L_z> over m_basis, rho1 and rho2 the closed sum and diff
+        integrals, the coefficients -(alpha/2) rho1 lambda_k in eV^3 per
+        theta, and theta_bound the LAMB_ACCURACY_2P_HZ bound from the
+        largest |coefficient| (None when every coefficient is 0).  Computed
+        on first use and kept in the instance dict, outside the fields, so
+        eq, hash and repr ignore it."""
+        state0, alpha = self.states[0], self.constants.alpha
+        eigenvalues = tuple(_lz(self.kappa, m) for m in self.m_basis)
+        rho1 = radial_integral_closed(state0, "sum")
+        rho2 = radial_integral_closed(state0, "diff")
+        coefficients = tuple(-(alpha / 2.0) * rho1 * lam for lam in eigenvalues)
+        max_coeff = max((abs(c) for c in coefficients), default=0.0)
+        bound = (theta_bound(max_coeff, LAMB_ACCURACY_2P_HZ, self.constants)
+                 if max_coeff > 0.0 else None)
+        return eigenvalues, rho1, rho2, coefficients, bound
 
 
 def m_values(j: float) -> tuple[float, ...]:
@@ -390,6 +418,14 @@ def level_shift(level, theta: float,
     from the largest |coefficient| at the 2P Lamb-shift accuracy
     LAMB_ACCURACY_2P_HZ.
 
+    The eigenvalues, closed-form integrals, closed-form coefficients and
+    bound do not depend on theta; the Level keeps them (Level.closed_form)
+    after its first call, and every report on it shares the same
+    coefficients tuple.  Per call only theta is checked, the quadrature
+    integrals are read (the state's series for |kappa| >= 2) or sampled
+    (|kappa| = 1), their coefficients, flag and notes formed, and the shifts
+    taken as coefficient * theta.
+
     A label is built with `constants` (default constants when None).  A
     Level carries its own constants, which set alpha and the bound's Hz
     conversion; an explicit `constants` that differs from them raises
@@ -401,17 +437,12 @@ def level_shift(level, theta: float,
     elif constants is not None and constants != level.constants:
         raise ValidationError(f"constants differ from those level {level.label} "
                               f"was built with")
-    constants = level.constants
     state0 = level.states[0]
-    alpha = constants.alpha
-    eigenvalues = tuple(_lz(level.kappa, m) for m in level.m_basis)
-
-    rho1_c = radial_integral_closed(state0, "sum")
-    rho2_c = radial_integral_closed(state0, "diff")
+    alpha = level.constants.alpha
+    eigenvalues, rho1_c, rho2_c, coeff_closed, bound = level.closed_form
     rho1_q = radial_integral_quadrature(state0, "sum")
     rho2_q = radial_integral_quadrature(state0, "diff")
 
-    coeff_closed = tuple(-(alpha / 2.0) * rho1_c * lam for lam in eigenvalues)
     coeff_quad = tuple(-(alpha / 2.0) * rho1_q.value * lam for lam in eigenvalues)
     shifts = tuple(c * theta for c in coeff_closed)
 
@@ -425,11 +456,6 @@ def level_shift(level, theta: float,
     if rel > RADIAL_AGREEMENT_TOL:
         notes.append(f"closed-form and quadrature radial integrals disagree "
                      f"(relative difference {rel:.3e}); both are reported")
-
-    bound = None
-    max_coeff = max((abs(c) for c in coeff_closed), default=0.0)
-    if max_coeff > 0.0:
-        bound = theta_bound(max_coeff, LAMB_ACCURACY_2P_HZ, constants)
 
     return ShiftReport(label=level.label, theta=theta, eigenvalues=eigenvalues,
                        rho1=rho1_c, rho2=rho2_c,

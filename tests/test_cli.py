@@ -107,6 +107,8 @@ class TestGlobalFlags:
     ["bound", "1S1/2", "--accuracy-khz", "inf"],
     ["bound", "1S1/2", "--accuracy-khz", "0"],
     ["bound", "1S1/2", "--accuracy-khz", "-1"],
+    ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3", "--levels", ","],
+    ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3", "--levels", " , "],
 ])
 def test_non_finite_input_exits_1_without_output(capsys, argv):
     for fmt in ("table", "json"):

@@ -5,15 +5,18 @@ only test of j = l +/- 1/2 and specfun.check_magnetic the only half-integer
 test; dirac._check_level is the only bound-state test of (n_r, kappa) and
 nonrel._check_nl the only (n, l) test.  Every fine-structure factor follows
 from kappa, and every entry point rejects what they reject.  Likewise
-constants.check_theta (a finite real theta >= 0) and the level-label parser
-decide alone which theta and which label an entry point takes.
+constants.check_theta (a finite real theta >= 0, through
+constants.finite_real) and the level-label parser decide alone which theta
+and which label an entry point takes.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from nchydro.constants import ev2_to_gev_scale
+from nchydro.constants import ev2_to_gev_scale, finite_real
 from nchydro.dirac import (dirac_binding_energy, dirac_energy, kappa_to_lj, lj_to_kappa,
                            make_state, parse_level_label)
 from nchydro.errors import ValidationError
@@ -165,3 +168,21 @@ REJECTED = (
 def test_rejected_at_every_entry_point(call, args):
     with pytest.raises(ValidationError):
         call(*args)
+
+
+# finite_real takes a float on a fast path and everything else through the
+# numbers.Real check; both must give the same answers
+FINITE_REALS = [0.0, -0.0, 1.0e-19, -2.5, 0, 3, -7, np.float64(1.5), np.float64(-0.0),
+                Fraction(1, 3)]
+NOT_FINITE_REALS = [True, False, "1e-19", "nan", None, b"1", math.nan, math.inf, -math.inf,
+                    np.float64(math.nan), np.float64(math.inf), 1j, [1.0]]
+
+
+@pytest.mark.parametrize("value", FINITE_REALS, ids=repr)
+def test_finite_real_accepts(value):
+    assert finite_real(value) is True
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=repr)
+def test_finite_real_rejects(value):
+    assert finite_real(value) is False

@@ -262,6 +262,37 @@ class TestLevelShift:
         with pytest.raises(DomainError):
             level.states[0].radial_series
 
+    @pytest.mark.parametrize("label, bounds", [("2P1/2", 1), ("3D5/2", 1), ("2S1/2", 0)])
+    def test_first_call_derives_the_closed_form_once(self, monkeypatch, label, bounds):
+        calls, closed, bound = [], shifts.radial_integral_closed, shifts.theta_bound
+        monkeypatch.setattr(shifts, "radial_integral_closed", lambda state, kind: (
+            calls.append(kind) or closed(state, kind)))
+        monkeypatch.setattr(shifts, "theta_bound", lambda *args: (
+            calls.append("bound") or bound(*args)))
+        level = Level.from_label(label)  # fresh: nothing derived yet
+        level_shift(level, 1.0e-19)
+        assert sorted(calls) == ["bound"] * bounds + ["diff", "sum"]
+        for theta in (0.0, 1.0e-19, 3.7e-21):
+            level_shift(level, theta)
+        assert len(calls) == 2 + bounds
+
+    @pytest.mark.parametrize("label", ["1S1/2", "2P1/2", "2P3/2", "5G9/2"])
+    def test_shifts_are_the_kept_coefficients_times_theta(self, label):
+        level = Level.from_label(label)
+        r1, r2 = level_shift(level, 1.0e-19), level_shift(level, 3.7e-21)
+        assert r1.coefficients is r2.coefficients
+        assert r1.theta_bound is r2.theta_bound
+        for report, theta in ((r1, 1.0e-19), (r2, 3.7e-21)):
+            assert report.shifts_eV == tuple(c * theta for c in report.coefficients)
+
+    def test_warm_level_equals_a_cold_one(self):
+        warm, cold = Level.from_label("2P3/2"), Level.from_label("2P3/2")
+        level_shift(warm, 1.0e-19)
+        assert "closed_form" in vars(warm) and "closed_form" not in vars(cold)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+
     def test_level_constants_set_alpha(self):
         # a Level built with other constants must not mix in the defaults
         other = C.with_(alpha=1.0e-3)
