@@ -4,7 +4,8 @@ Subcommands: levels, shift, bound, nonrel, sweep, verify.  Each handler
 returns its exit code, its payload and, where the two-column table does not
 fit, its own table text; only `main` reads --format and --out and writes.
 Output formats are table (default; the CSV for sweep) and json
-(schema-versioned).  Exit codes: 0 ok, 1 usage or validation problem, 2
+(schema-versioned).  Exit codes: 0 ok, 1 usage or validation problem or
+inputs out of range (a payload holding inf or NaN is never written), 2
 unexpected validation mismatch from the verify suite.
 """
 
@@ -28,7 +29,7 @@ from .errors import ValidationError
 from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
                      nc_hyperfine_shift, s_state_bound, s_state_shift, schrodinger_energy)
 from .oracle import VERDICTS, run_all
-from .shifts import level_shift, theta_bound
+from .shifts import Level, level_shift, theta_bound
 
 JSON_SCHEMA_VERSION = 1
 SWEEP_HEADER = ["theta_eV2", "level", "eigenvalue", "shift_eV"]
@@ -277,8 +278,9 @@ def cmd_nonrel(args, cfg: RunConfig) -> Output:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> Output:
-    """Rows of shift = coefficient * theta; shifts are linear in theta, so
-    each level's report is computed once."""
+    """Rows of shift = coefficient * theta from each level's closed-form
+    eigenvalues and coefficients (Level.closed_form), which do not depend on
+    theta; no quadrature runs."""
     constants = cfg.constants()
     theta_min = parse_theta(args.theta_min)
     theta_max = parse_theta(args.theta_max)
@@ -289,13 +291,14 @@ def cmd_sweep(args, cfg: RunConfig) -> Output:
     labels = [s.strip() for s in args.levels.split(",") if s.strip()]
     if not labels:
         raise ValidationError(f"--levels names no level: {args.levels!r}")
-    reports = [level_shift(lbl, 0.0, constants) for lbl in labels]
+    levels = [Level.from_label(lbl, constants) for lbl in labels]
     rows = []
     for i in range(args.steps):
         theta = theta_min + (theta_max - theta_min) * i / (args.steps - 1)
-        for report in reports:
-            for eig, coeff in zip(report.eigenvalues, report.coefficients):
-                rows.append((theta, report.label, eig, coeff * theta))
+        for level in levels:
+            eigenvalues, _, _, coefficients, _ = level.closed_form
+            for eig, coeff in zip(eigenvalues, coefficients):
+                rows.append((theta, level.label, eig, coeff * theta))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
@@ -332,6 +335,10 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         result = handler(args, cfg)
+        try:  # a result that overflowed is an error in either format
+            json.dumps(result.payload, allow_nan=False)
+        except ValueError:
+            raise ArithmeticError("a result is not finite") from None
         if args.format == "json":
             text = json.dumps({"schema": JSON_SCHEMA_VERSION, **result.payload}, indent=2,
                               allow_nan=False) + "\n"
@@ -343,6 +350,9 @@ def main(argv=None) -> int:
         return result.code
     except (ValidationError, OSError, ValueError) as exc:
         print(f"nchydro: error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # overflow, underflow to 0 in a divisor, inf or NaN
+        print(f"nchydro: error: the inputs are out of range ({exc})", file=sys.stderr)
         return 1
 
 

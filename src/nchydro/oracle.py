@@ -4,17 +4,19 @@ Every closed form that the rest of the package evaluates is recomputed here
 from its defining integral and compared:
 
 * radial integrals: radial_integral_quadrature (or its 2S-2P cross
-  counterpart) runs once; the closed form is recorded alongside.  For
-  |kappa| >= 2 the library's value is the exact Laguerre series, and it
-  is checked against an independent route: the n_r + 2 node Gauss rules
-  (gauss_laguerre) for the weights x^(2nu-3) e^-x and x^(2nu) e^-x (the
-  norm), with the integrand from radial_polynomials; both are exact for
-  these polynomials, so the gap between the routes is rounding.  For
-  |kappa| = 1 and the 2S-2P cross element the endpoint-substituted plain
-  rule is sampled at orders 80 and 160 and the drift is the gap between
-  the two samples; those integrals diverge at the origin, which is
-  detected rather than hidden, and reported as a flagged inconsistency
-  because the closed forms quote finite values there.
+  counterpart) runs once; the closed form is recorded alongside.  The
+  library's |kappa| >= 2 values and every state's normalization are exact
+  Laguerre series, checked against an independent route: the n_r + 2 node
+  Gauss rule (gauss_laguerre) for each integral's own weight x^beta e^-x,
+  beta = 2nu - 3 for the radial integral and 2nu for the norm (also
+  norm_self_consistency, every state), with the integrand from
+  radial_polynomials; the rule is exact for these polynomials, so the gap
+  between the routes is rounding.  For |kappa| = 1 and the 2S-2P cross
+  element the endpoint-substituted plain rule is sampled at orders 80 and
+  160 and the drift is the gap between the two samples; those integrals
+  diverge at the origin, which is detected rather than hidden, and
+  reported as a flagged inconsistency because the closed forms quote
+  finite values there.
 * angular blocks: the 16 x 16 sphere rule (specfun.sphere_rule, exact for
   these blocks) against the closed-form blocks, including the parity
   zeros.
@@ -35,13 +37,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .dirac import make_state, radial_polynomials
+from .dirac import _exact_series, make_state, radial_polynomials
 from .errors import DivergenceError, ValidationError
 from .nonrel import r_inverse_moment, r_inverse_moment_quadrature
 from .shifts import (Level, cross_radial_integral_closed, cross_radial_integral_quadrature,
                      lz_block, lz_block_numeric, radial_integral_closed,
                      radial_integral_quadrature, sigma_cross_block)
-from .specfun import adaptive_weighted, gauss_laguerre
+from .specfun import gauss_laguerre
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
     import numpy as np
@@ -101,20 +103,23 @@ def _rel(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_route(state, sign: float) -> float:
-    """int (f^2 + sign g^2)/r dr in eV^3 on Gauss rules instead of the
-    library's Laguerre series, for nu > 1: the defining integral and the
-    norm integral, each on the n_r + 2 node rule for its weight x^beta e^-x
-    (beta = 2 nu - 3 and 2 nu), exact for their degree-2 n_r polynomials."""
+def _gauss_integral(state, beta: float, sign: float) -> float:
+    """int x^beta e^-x (P_f^2 + sign P_g^2) dx on the n_r + 2 node Gauss
+    rule for its own weight x^beta e^-x, exact for the degree-2 n_r
+    polynomials of radial_polynomials."""
     import numpy as np
 
-    def integral(beta, sgn):
-        rule = gauss_laguerre(state.n_r + 2, beta)
-        pf, pg = radial_polynomials(state, rule.nodes)
-        return float(np.sum(rule.weights * (pf * pf + sgn * pg * pg)))
+    rule = gauss_laguerre(state.n_r + 2, beta)
+    pf, pg = radial_polynomials(state, rule.nodes)
+    return float(np.sum(rule.weights * (pf * pf + sign * pg * pg)))
 
-    return ((2.0 * state.lam) ** 3 * integral(2.0 * state.nu - 3.0, sign)
-            / integral(2.0 * state.nu, 1.0))
+
+def _gauss_route(state, sign: float) -> float:
+    """int (f^2 + sign g^2)/r dr in eV^3 on Gauss rules instead of the
+    library's Laguerre series, for nu > 1: the defining integral
+    (beta = 2 nu - 3) over the norm integral (beta = 2 nu)."""
+    return ((2.0 * state.lam) ** 3 * _gauss_integral(state, 2.0 * state.nu - 3.0, sign)
+            / _gauss_integral(state, 2.0 * state.nu, 1.0))
 
 
 def validate_radial(n_r: int, kappa: int, kind: str = "sum",
@@ -142,7 +147,7 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
         name = f"radial {kind} {state.label}"
         closed = radial_integral_closed(state, kind)
         quad = radial_integral_quadrature(state, kind)
-        diverges = state.nu < 1.0
+        diverges = not _exact_series(state)
     drift, converged = quad.drift, quad.converged
     if not diverges:
         drift = _rel(quad.value, _gauss_route(state, 1.0 if kind == "sum" else -1.0))
@@ -312,21 +317,10 @@ def run_all(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[Validation
 
 def norm_self_consistency(n_r: int, kappa: int,
                           constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Norm of the normalized radial pair recomputed on an independent rule.
-
-    Returns the norm integral, which must be 1 to high accuracy; uses the
-    plain-weight route so it does not share discretization with the
-    generalized-weight normalization.
-    """
-    import numpy as np
-
+    """int (f^2 + g^2) r^2 dr of the normalized pair, which must be 1 to
+    rounding: the norm integral that the library sums as an exact Laguerre
+    series, here on the n_r + 2 node Gauss rule for its weight x^(2 nu) e^-x
+    (exact for it, and independent of the series)."""
     state = make_state(n_r, kappa, 0.5, constants)
-    nu = state.nu
-
-    def integrand(x):
-        pf, pg = radial_polynomials(state, x)
-        with np.errstate(under="ignore"):
-            return np.exp(2.0 * nu * np.log(x)) * (pf * pf + pg * pg)
-
-    res = adaptive_weighted(integrand, beta=0.0, tol=1e-12, start=96, max_order=768)
-    return state.norm ** 2 * res.value / (2.0 * state.lam) ** 3
+    return (state.norm ** 2 * _gauss_integral(state, 2.0 * state.nu, 1.0)
+            / (2.0 * state.lam) ** 3)

@@ -2,11 +2,10 @@
 
 Everything here is a pure function of its arguments: generalized Laguerre
 polynomials, complex spherical harmonics with the Condon-Shortley phase,
-two-component spinor spherical harmonics, and Gauss-Laguerre quadrature
-(plain and generalized weight x^beta e^-x): a doubling refinement for
-convergent integrands and a two-order sample for divergent ones; and a
-fixed 16 x 16 sphere rule for the angular blocks.  Units never enter;
-callers scale their own variables.
+two-component spinor spherical harmonics, Gauss-Laguerre rules (plain and
+generalized weight x^beta e^-x), a two-order endpoint sample for integrals
+that diverge at the origin, and a fixed 16 x 16 sphere rule for the
+angular blocks.  Units never enter; callers scale their own variables.
 
 Three quantum-number conventions are decided here and nowhere else:
 check_integer is the one integer test (bools and floats are not integers),
@@ -284,7 +283,8 @@ class IntegrationResult:
 def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
                       start: int = 80, max_order: int = 1280) -> IntegrationResult:
     """Integral of func(x) x^beta e^-x dx over (0, inf) by doubling the
-    Gauss-Laguerre order until the relative change falls below tol."""
+    Gauss-Laguerre order until the relative change falls below tol.  No
+    package code calls it; it stays while the benchmark's tracer names it."""
     order = start
     prev = gauss_laguerre(order, beta).integrate(func)
     drift = math.inf
@@ -298,7 +298,7 @@ def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
     return IntegrationResult(value=prev, order=order, drift=drift, converged=False)
 
 
-def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> IntegrationResult:
+def adaptive_sampled_endpoint(func, start: int = 80) -> IntegrationResult:
     """Samples of int func(x) e^-x dx over (0, inf) at orders start and 2 start.
 
     Each sample is the plain Gauss-Laguerre rule after the substitution
@@ -306,7 +306,7 @@ def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> Inte
     Meant for integrals the caller already knows to diverge at the origin,
     where more nodes only move the sample, so there is no refinement loop.
     Reports the 2 start sample with order = 2 start, the relative gap
-    between the two samples as drift and converged = drift <= tol; for a
+    between the two samples as drift and converged = drift <= 1e-10; for a
     divergent integrand converged is False and the value is a sample, not
     a value of the integral.
     """
@@ -321,7 +321,7 @@ def adaptive_sampled_endpoint(func, tol: float = 1e-10, start: int = 80) -> Inte
 
     prev, cur = sample(start), sample(2 * start)
     drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
-    return IntegrationResult(value=cur, order=2 * start, drift=drift, converged=drift <= tol)
+    return IntegrationResult(value=cur, order=2 * start, drift=drift, converged=drift <= 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,9 @@ class TestGlobalFlags:
     ["bound", "1S1/2", "--accuracy-khz", "-1"],
     ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3", "--levels", ","],
     ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3", "--levels", " , "],
+    ["shift", "2P3/2", "--theta", "1e307"],
+    ["sweep", "--theta-min", "0", "--theta-max", "1e307", "--steps", "2", "--levels", "3D5/2"],
+    ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e307"],
 ])
 def test_non_finite_input_exits_1_without_output(capsys, argv):
     for fmt in ("table", "json"):
@@ -116,6 +119,35 @@ def test_non_finite_input_exits_1_without_output(capsys, argv):
         assert code == 1, fmt
         assert out == "", fmt
         assert "nchydro: error:" in err, fmt
+
+
+NONREL_3D52 = ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e-19"]
+SWEEP_3D52 = ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "2",
+              "--levels", "3D5/2"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("constants,argv", [
+    ({"m_e": 1e300}, ["levels", "2P3/2"]),
+    ({"m_e": 1e300}, ["shift", "3D5/2", "--theta", "1e-19"]),
+    ({"m_e": 1e300}, SWEEP_3D52),
+    ({"m_e": 1e300}, NONREL_3D52),
+    ({"m_e": 1e-300}, ["shift", "3D5/2", "--theta", "1e-19"]),
+    ({"m_e": 1e-300}, ["bound", "3D5/2"]),
+    ({"m_e": 1e-300}, SWEEP_3D52),
+    ({"m_e": 1e-300}, NONREL_3D52),
+    ({"alpha": 1e-300}, NONREL_3D52),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v))
+def test_out_of_range_constants_exit_1_without_output(capsys, tmp_path, constants, argv, fmt):
+    # finite constants whose results overflow, or divide by an underflowed
+    # zero: one error line, no traceback, nothing on stdout or in --out
+    constants_file, out_file = tmp_path / "constants.json", tmp_path / "out"
+    constants_file.write_text(json.dumps(constants))
+    code, out, err = run_cli(capsys, "--constants-file", str(constants_file), *argv,
+                             "--format", fmt, "--out", str(out_file))
+    assert code == 1 and out == ""
+    assert not out_file.exists()
+    assert err.startswith("nchydro: error:") and err.count("\n") == 1
 
 
 ONE_REQUEST_PER_SUBCOMMAND = {
@@ -428,6 +460,8 @@ NUMPY_FREE_REQUESTS = [
     ["bound", "4F7/2"],
     ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3",
      "--levels", "2P3/2,3D5/2"],
+    ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3",
+     "--levels", "2P1/2,1S1/2"],
 ]
 
 

@@ -9,6 +9,8 @@ from nchydro.oracle import (norm_self_consistency, radial_ratio_small_alpha, run
 
 C = DEFAULT_CONSTANTS
 MOMENTS_N_LE_6 = [(n, l, k) for n in range(1, 7) for l in range(n) for k in (3, 4, 5)]
+CRITERION_6_STATES = [(n_r, kappa) for kappa in (-3, -2, -1, 1, 2, 3) for n_r in range(4)
+                      if not (n_r == 0 and kappa > 0)]
 
 
 def _diverges(n: int, l: int, k: int) -> bool:
@@ -157,6 +159,13 @@ class TestSuite:
     def test_norm_self_consistency_sample(self):
         for n_r, kappa in [(0, -1), (1, 1), (0, -2), (3, -3)]:
             assert norm_self_consistency(n_r, kappa) == pytest.approx(1.0, abs=1e-8)
+        # the exact Gauss rule against the exact series: rounding only, on
+        # every level with n <= 15 (225 levels, |kappa| = 1 included)
+        levels = [(n - abs(kappa), kappa) for n in range(1, 16) for kappa in range(-n, n)
+                  if kappa != 0]
+        assert len(levels) == 225
+        for n_r, kappa in levels:
+            assert abs(norm_self_consistency(n_r, kappa) - 1.0) <= 1e-14, (n_r, kappa)
 
     def test_no_default_path_builds_a_large_rule(self, rules_built):
         from nchydro.shifts import level_shift, transition_element_2s2p
@@ -166,6 +175,8 @@ class TestSuite:
             level_shift(label, 1.0e-19)
         transition_element_2s2p(1.0e-19, method="quadrature")
         run_all()
+        for n_r, kappa in CRITERION_6_STATES:
+            norm_self_consistency(n_r, kappa)
         assert max(rules_built) <= 160
 
     def test_kappa_1_sampled_at_two_orders(self):
