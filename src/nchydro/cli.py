@@ -19,7 +19,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
@@ -261,18 +261,17 @@ def cmd_nonrel(args, cfg: RunConfig) -> Output:
         })
     table = expectation_table(state, theta)
     hyper = nc_hyperfine_shift(state, theta)
-    expectations = {f.name: getattr(table, f.name) for f in fields(table)}
     return Output({
         **head,
         "fine_structure_eV": fine_structure_shift(args.n, args.l, args.j, constants),
         "fine_structure_standard_eV": fine_structure_shift(
             args.n, args.l, args.j, constants, p4_sign_corrected=True),
-        "nc_shift_eV": hyper.total if not hyper.r5_divergent else None,
+        "nc_shift_eV": hyper.total,
         "nc_shift_r3_eV": hyper.r3_term,
         "nc_shift_r4_eV": hyper.r4_term,
-        "nc_shift_r5_eV": None if hyper.r5_divergent else hyper.r5_term,
+        "nc_shift_r5_eV": hyper.r5_term,
         "nc_shift_r5_divergent": hyper.r5_divergent,
-        "expectations": {k: None if math.isinf(v) else v for k, v in expectations.items()},
+        "expectations": asdict(table),
         "divergent_entries": list(table.divergent),
     })
 
@@ -317,7 +316,7 @@ def cmd_verify(args, cfg: RunConfig) -> Output:
              for r in reports]
     split = ", ".join(f"{n} {v}" for v, n in counts.items())
     lines.append(f"{len(reports)} checks, {mismatches} unexpected mismatches ({split})")
-    payload = {"reports": [r.as_dict() for r in reports],
+    payload = {"reports": [asdict(r) for r in reports],
                "mismatches": mismatches, "verdict_counts": counts}
     return Output(payload, "\n".join(lines) + "\n", 2 if mismatches else 0)
 

@@ -22,13 +22,14 @@ Each fine-structure factor is one formula in kappa (<L_z> is
 shifts.lz_expectation).  kappa comes from specfun.lj_to_kappa, the one test
 of j = l +/- 1/2; specfun.check_magnetic is the one half-integer test.
 _check_nl is the one (n, l) test, for SchrodingerState and every function
-taking n; _moment_precondition alone decides which moments exist.
+taking n; _moment_precondition alone decides which moments exist, and a
+number that does not exist is None, not inf: inf or NaN means overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
                         PhysicalConstants, check_lambda_qcd, check_theta, finite_real)
@@ -249,20 +250,20 @@ def pi_delta_expectation(n: int, l: int,
 class ExpectationTable:
     """All tabulated first-order expectation values for one (n, l, j, m_j).
 
-    Entries proportional to a moment that does not exist are +/-inf (or 0
-    when their angular coefficient vanishes) and listed in `divergent`.
-    hbar = 1: angular momenta are pure numbers.
+    Entries proportional to a moment that does not exist are None, not inf
+    (or 0 when their angular coefficient vanishes), and listed in
+    `divergent`.  hbar = 1: angular momenta are pure numbers.
     """
 
     p4_printed: float
     p4_physical: float
     theta_L_over_r3: float
     theta_L_over_r4: float
-    theta_L_over_r5: float
+    theta_L_over_r5: float | None
     sigma_theta_over_r4: float
     sigma_r_theta_r_over_r6: float
     sigma_L_over_r3: float
-    thetaL_sigmaL_over_r5: float
+    thetaL_sigmaL_over_r5: float | None
     pi_delta3: float
     thetaL_p2_over_r3: float
     l_z: float
@@ -270,7 +271,7 @@ class ExpectationTable:
 
     @property
     def divergent(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self) if math.isinf(getattr(self, f.name)))
+        return tuple(name for name, value in asdict(self).items() if value is None)
 
 
 def _spin_orbit(kappa: int) -> int:
@@ -285,15 +286,16 @@ def _bracket5(state: SchrodingerState) -> float:
     return first + second
 
 
-def _moment_terms(state: SchrodingerState, k: int, *coefficients: float) -> list[float]:
+def _moment_terms(state: SchrodingerState, k: int, *coefficients: float) -> list[float | None]:
     """coefficient * <r^-k> at the state's (n, l) for each coefficient: 0 where
-    it is 0, +/-inf where r_inverse_moment finds that the moment diverges."""
+    it is 0, None (not inf) where r_inverse_moment finds that the moment
+    does not exist."""
     if not any(coefficients):
         return [0.0] * len(coefficients)
     try:
         moment = r_inverse_moment(state.n, state.l, k, state.constants)
     except DivergenceError:
-        moment = math.inf
+        return [None if c else 0.0 for c in coefficients]
     return [c * moment if c else 0.0 for c in coefficients]
 
 
@@ -381,16 +383,17 @@ def fine_structure_dirac_expansion(n: int, j: float,
 
 @dataclass(frozen=True)
 class HyperfineShift:
-    """theta-proportional first-order shift, split by moment order."""
+    """theta-proportional first-order shift, split by moment order; where
+    <r^-5> does not exist, r5_term and total are None, not inf."""
 
-    total: float
+    total: float | None
     r3_term: float
     r4_term: float
-    r5_term: float
+    r5_term: float | None
 
     @property
     def r5_divergent(self) -> bool:
-        return math.isinf(self.r5_term)
+        return self.r5_term is None
 
     @property
     def finite_part(self) -> float:
@@ -401,7 +404,7 @@ def nc_hyperfine_shift(state: SchrodingerState, theta: float) -> HyperfineShift:
     """The hyperfine-analog shift for l >= 1, assembled as tabulated.
 
     Linear in theta.  For l = 1 the <r^-5> moment does not exist: its term
-    is flagged divergent unless its angular coefficient vanishes (which
+    and the total are None unless its angular coefficient vanishes (which
     happens for j = l - 1/2, where the bracket is exactly zero and the
     total stays finite).
     """
@@ -424,7 +427,7 @@ def nc_hyperfine_shift(state: SchrodingerState, theta: float) -> HyperfineShift:
     r3_term = prefactor * c3 * r3
     r4_term = prefactor * c4 * r4
     r5_term, = _moment_terms(state, 5, prefactor * c5)
-    total = r3_term + r4_term + r5_term
+    total = None if r5_term is None else r3_term + r4_term + r5_term
     return HyperfineShift(total=total, r3_term=r3_term, r4_term=r4_term, r5_term=r5_term)
 
 

@@ -23,7 +23,8 @@ from its defining integral and compared:
 * inverse-radius moments: closed forms against direct quadrature on the
   n-node Gauss-Laguerre rule, which is exact for every finite moment; the
   divergent (n, l, k) combinations must be detected on both paths, the
-  numerical one by the gap between samples at 16 and 32 nodes.
+  numerical one by the gap between samples at 16 and 32 nodes.  A divergent
+  moment's report has closed_form, quadrature and quad_drift None, not inf.
 
 Verdicts: "match" when everything agrees at tolerance, "mismatch" for an
 unexpected failure, and "flagged_paper_inconsistency" for the documented
@@ -32,7 +33,6 @@ cases where the printed closed forms cannot agree with their definitions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -78,20 +78,9 @@ class ValidationReport:
     closed_form: float | None
     quadrature: float | None
     rel_error: float
-    quad_drift: float
+    quad_drift: float | None
     verdict: str
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "closed_form": self.closed_form,
-            "quadrature": self.quadrature,
-            "rel_error": self.rel_error,
-            "quad_drift": self.quad_drift if math.isfinite(self.quad_drift) else None,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
 
 
 def _rel(a: float, b: float) -> float:
@@ -270,7 +259,7 @@ def validate_moments(n: int, l: int,
             detected = _moment_diverges_numerically(n, l, k, constants)
             reports.append(ValidationReport(
                 name=name, closed_form=None, quadrature=None,
-                rel_error=0.0, quad_drift=math.inf,
+                rel_error=0.0, quad_drift=None,
                 verdict=VERDICT_MATCH if detected else VERDICT_MISMATCH,
                 note="divergent moment detected on both paths" if detected
                 else "closed form rejected the moment but quadrature converged"))

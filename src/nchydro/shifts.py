@@ -412,9 +412,9 @@ def level_shift(level, theta: float,
     `level` is a Level or a spectroscopic label.  Both the closed-form and
     the quadrature radial integrals feed coefficient lists; the closed-form
     ones are the headline numbers and the report is flagged whenever the
-    two routes disagree beyond RADIAL_AGREEMENT_TOL (or the quadrature did
-    not converge).  The within-level vector-piece block vanishes by parity
-    and contributes nothing here.  The report's theta_bound is the bound
+    two routes disagree beyond RADIAL_AGREEMENT_TOL or the defining integral
+    diverges (|kappa| = 1).  The within-level vector-piece block vanishes by
+    parity and contributes nothing here.  The report's theta_bound is the bound
     from the largest |coefficient| at the 2P Lamb-shift accuracy
     LAMB_ACCURACY_2P_HZ.
 
@@ -440,6 +440,7 @@ def level_shift(level, theta: float,
     state0 = level.states[0]
     alpha = level.constants.alpha
     eigenvalues, rho1_c, rho2_c, coeff_closed, bound = level.closed_form
+    exact = _exact_series(state0)
     rho1_q = radial_integral_quadrature(state0, "sum")
     rho2_q = radial_integral_quadrature(state0, "diff")
 
@@ -448,8 +449,8 @@ def level_shift(level, theta: float,
 
     notes = []
     rel = abs(rho1_c - rho1_q.value) / max(abs(rho1_q.value), 1e-300)
-    flagged = rel > RADIAL_AGREEMENT_TOL or not rho1_q.converged
-    if not rho1_q.converged:
+    flagged = rel > RADIAL_AGREEMENT_TOL or not exact
+    if not exact:
         notes.append(f"defining radial integral diverges at the origin for |kappa| = 1; "
                      f"quadrature value is the sample at order {rho1_q.order}, "
                      f"not a value of the integral")
@@ -461,8 +462,7 @@ def level_shift(level, theta: float,
                        rho1=rho1_c, rho2=rho2_c,
                        rho1_quadrature=rho1_q.value, rho2_quadrature=rho2_q.value,
                        quadrature_converged=rho1_q.converged and rho2_q.converged,
-                       quadrature_route=("laguerre_series" if _exact_series(state0)
-                                         else "endpoint_sample"),
+                       quadrature_route="laguerre_series" if exact else "endpoint_sample",
                        quadrature_order=rho1_q.order,
                        quadrature_drift=max(rho1_q.drift, rho2_q.drift),
                        coefficients=coeff_closed, coefficients_quadrature=coeff_quad,

@@ -267,7 +267,9 @@ def gauss_laguerre(n: int, beta: float = 0.0) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Outcome of an adaptive integral: value, final order, refinement drift."""
+    """A radial integral's value, its order (series terms, or the final
+    quadrature order) and drift (the series' rounding bound, or the gap to
+    the previous order), and whether that drift is within tolerance."""
 
     value: float
     order: int

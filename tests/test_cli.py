@@ -72,6 +72,22 @@ class TestHalfIntegerParsing:
         assert captured.out == ""
         assert f"error: argument {flag}" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--j", "--mj"])
+    def test_non_finite_exits_1(self, capsys, flag):
+        values = {"--j": "5/2", "--mj": "1/2", flag: "1e999"}
+        with pytest.raises(SystemExit) as exc:
+            main(["nonrel", "--n", "3", "--l", "2", "--j", values["--j"],
+                  "--mj", values["--mj"], "--theta", "1e-19"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}" in captured.err
+
+    @pytest.mark.parametrize("text", ["1e999", "-1e999", "nan", "inf/2"])
+    def test_non_finite_is_a_validation_error(self, text):
+        with pytest.raises(ValidationError, match="is not finite"):
+            parse_half_integer(text)
+
 
 class TestGlobalFlags:
     def test_flags_before_the_subcommand(self, capsys, tmp_path):
@@ -112,6 +128,12 @@ class TestGlobalFlags:
     ["shift", "2P3/2", "--theta", "1e307"],
     ["sweep", "--theta-min", "0", "--theta-max", "1e307", "--steps", "2", "--levels", "3D5/2"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e307"],
+    ["sweep", "--theta-min", "1e-19", "--theta-max", "0", "--steps", "3"],
+    ["levels", "--n-r", "0", "--kappa", "-9"],
+    # entries whose moments exist but overflow are an error, not moments
+    # reported as null
+    ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e300"],
+    ["nonrel", "--n", "2", "--l", "1", "--j", "3/2", "--mj", "1/2", "--theta", "1e300"],
 ])
 def test_non_finite_input_exits_1_without_output(capsys, argv):
     for fmt in ("table", "json"):

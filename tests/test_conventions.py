@@ -11,15 +11,16 @@ and which label an entry point takes.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nchydro.constants import ev2_to_gev_scale, finite_real
-from nchydro.dirac import (dirac_binding_energy, dirac_energy, kappa_to_lj, lj_to_kappa,
-                           make_state, parse_level_label)
-from nchydro.errors import ValidationError
+from nchydro.constants import DEFAULT_CONSTANTS, ThetaTensor, ev2_to_gev_scale, finite_real
+from nchydro.dirac import (deformed_potential, dirac_binding_energy, dirac_energy,
+                           kappa_to_lj, lj_to_kappa, make_state, parse_level_label)
+from nchydro.errors import DomainError, ValidationError
 from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p2,
                             expectation_p4_physical, expectation_table,
                             fine_structure_dirac_expansion, fine_structure_shift,
@@ -27,8 +28,10 @@ from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p2,
                             nc_hyperfine_shift, r_inverse_moment_quadrature, radial_R,
                             radial_R_prime, s_state_shift, schrodinger_energy)
 from nchydro.shifts import (Level, level_shift, lz_expectation, perturbation_kernels,
-                            transition_element_2s2p)
-from nchydro.specfun import spinor_clebsch, spinor_harmonic
+                            radial_integral_closed, radial_integral_quadrature,
+                            selection_allowed, transition_element_2s2p)
+from nchydro.specfun import (laguerre_general, spherical_harmonic, spinor_clebsch,
+                             spinor_harmonic)
 
 STATES = [(l, j, -j + k) for l in range(7) for j in ((l - 0.5, l + 0.5) if l else (0.5,))
           for k in range(int(2 * j) + 1)]
@@ -168,6 +171,41 @@ REJECTED = (
 def test_rejected_at_every_entry_point(call, args):
     with pytest.raises(ValidationError):
         call(*args)
+
+
+# Arguments outside an entry point's own domain, each rejected by that entry
+# point's own check
+OUT_OF_DOMAIN = [
+    pytest.param(DomainError, "vanishing denominator", lambda: radial_integral_closed(
+        make_state(0, -1, 0.5, DEFAULT_CONSTANTS.with_(alpha=math.sqrt(0.75)))),
+        id="radial_integral_closed-1S1/2-nu-1/2"),
+    pytest.param(DomainError, "3-vector", lambda: perturbation_kernels(
+        make_state(0, -2, 0.5), 1.0e-19, [1.0, 0.0]), id="perturbation_kernels-2-vector"),
+    pytest.param(DomainError, "3-vector", lambda: deformed_potential(
+        [1.0, 0.0], ThetaTensor.z_axis(1.0e-19)), id="deformed_potential-2-vector"),
+    pytest.param(DomainError, "l >= 1", lambda: fine_structure_shift(2, 0, 0.5),
+                 id="fine_structure_shift-l0"),
+    pytest.param(DomainError, "r > 0", lambda: radial_R(1, 0, 0.0), id="radial_R-r0"),
+    pytest.param(DomainError, "n >= -1", lambda: laguerre_general(-2, 0.0, 1.0),
+                 id="laguerre_general-n-2"),
+    pytest.param(DomainError, "a > -1", lambda: laguerre_general(1, -1.0, 1.0),
+                 id="laguerre_general-a-1"),
+    pytest.param(DomainError, "l >= 0", lambda: spherical_harmonic(-1, 0, 0.1, 0.2),
+                 id="spherical_harmonic-l-1"),
+    pytest.param(ValidationError, "kind must be", lambda: radial_integral_quadrature(
+        make_state(0, -2, 0.5), "bogus"), id="radial_integral_quadrature-kind"),
+    pytest.param(ValidationError, "method must be", lambda: transition_element_2s2p(
+        1.0e-19, method="bogus"), id="transition_element_2s2p-method"),
+    pytest.param(ValidationError, "kind must be", lambda: selection_allowed(
+        make_state(0, -1, 0.5), make_state(0, -2, 0.5), "bogus"),
+        id="selection_allowed-kind"),
+]
+
+
+@pytest.mark.parametrize("error,message,call", OUT_OF_DOMAIN)
+def test_out_of_domain_rejected(error, message, call):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 # finite_real takes a float on a fast path and everything else through the

@@ -169,6 +169,13 @@ class TestExpectationTable:
     def test_l1_r5_entries_flagged(self):
         table = expectation_table(SchrodingerState(n=2, l=1, j=1.5, m_j=0.5), 1.0e-19)
         assert "theta_L_over_r5" in table.divergent
+        assert table.theta_L_over_r5 is None
+
+    def test_overflow_is_not_divergence(self):
+        # every moment of l = 2 exists; entries that overflow stay inf and
+        # are not reported as moments that do not exist
+        table = expectation_table(SchrodingerState(n=3, l=2, j=2.5, m_j=0.5), 1e300)
+        assert table.divergent == ()
         assert math.isinf(table.theta_L_over_r5)
 
     def test_l0_rejected(self):
@@ -244,8 +251,18 @@ class TestHyperfineShift:
     def test_l1_upper_branch_divergence_flagged(self):
         shift = nc_hyperfine_shift(SchrodingerState(n=2, l=1, j=1.5, m_j=0.5), 1.0e-19)
         assert shift.r5_divergent
-        assert math.isinf(shift.r5_term)
+        assert shift.r5_term is None
         assert math.isfinite(shift.finite_part)
+
+    def test_total_of_a_divergent_shift_does_not_exist(self):
+        shift = nc_hyperfine_shift(SchrodingerState(n=2, l=1, j=1.5, m_j=0.5), 1.0e-19)
+        assert shift.total is None
+        assert shift.finite_part == shift.r3_term + shift.r4_term
+
+    def test_overflow_is_not_divergence(self):
+        shift = nc_hyperfine_shift(SchrodingerState(n=3, l=2, j=2.5, m_j=0.5), 1e308)
+        assert shift.r5_divergent is False
+        assert math.isinf(shift.r5_term)
 
     def test_linear_in_theta(self):
         state = SchrodingerState(n=4, l=3, j=3.5, m_j=0.5)

@@ -1,6 +1,7 @@
 import pytest
 
-from nchydro import specfun
+from nchydro import oracle, specfun
+from nchydro.cli import main
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.errors import DivergenceError, ValidationError
 from nchydro.nonrel import r_inverse_moment, r_inverse_moment_quadrature
@@ -72,6 +73,17 @@ class TestValidateRadial:
         b = validate_radial(0, -2, "sum")
         assert a == b
 
+    def test_routes_that_disagree_are_a_mismatch(self, monkeypatch, capsys):
+        gauss_route = oracle._gauss_route
+        monkeypatch.setattr(oracle, "_gauss_route",
+                            lambda state, sign: gauss_route(state, sign) * (1.0 + 1e-6))
+        report = validate_radial(0, -2, "sum")
+        assert report.verdict == "mismatch"
+        assert "Laguerre series and Gauss rule disagree" in report.note
+        assert report.quad_drift == pytest.approx(1e-6, rel=1e-3)
+        assert main(["verify"]) == 2
+        assert "unexpected mismatches" in capsys.readouterr().out
+
 
 class TestValidateAngular:
     def test_theta_l_2p12(self):
@@ -119,6 +131,11 @@ class TestValidateMoments:
         assert r5.verdict == "match"
         assert "divergent" in r5.note
         assert r5.closed_form is None
+
+    def test_divergent_moment_has_no_drift(self):
+        r5 = validate_moments(4, 1)[2]
+        assert (r5.closed_form, r5.quadrature, r5.quad_drift) == (None, None, None)
+        assert r5.rel_error == 0.0
 
     def test_l0_all_divergent(self):
         reports = validate_moments(2, 0)
