@@ -86,7 +86,7 @@ def parse_theta(text: str) -> float:
 
 
 def parse_half_integer(text: str) -> float:
-    """A number like '5/2' or '0.5'; argparse reports the ValidationError."""
+    """A number like '5/2' or '0.5'; raises ValidationError otherwise."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -98,6 +98,16 @@ def parse_half_integer(text: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{text!r} is not finite")
     return value
+
+
+def _argument(parse):
+    """parse as an argparse type; argparse prints an ArgumentTypeError's text."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_nonrel = sub.add_parser("nonrel", parents=[common], help="nonrelativistic corrections")
     p_nonrel.add_argument("--n", type=int, required=True)
     p_nonrel.add_argument("--l", type=int, required=True)
-    p_nonrel.add_argument("--j", type=parse_half_integer, required=True)
-    p_nonrel.add_argument("--mj", type=parse_half_integer, required=True)
+    p_nonrel.add_argument("--j", type=_argument(parse_half_integer), required=True)
+    p_nonrel.add_argument("--mj", type=_argument(parse_half_integer), required=True)
     p_nonrel.add_argument("--theta", required=True)
     p_nonrel.add_argument("--lambda-qcd", type=float, default=None,
                           help="cutoff in eV for the l = 0 channel")

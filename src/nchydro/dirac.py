@@ -36,14 +36,15 @@ Conventions worth stating once:
   x L_k^beta = (2k + beta + 1) L_k^beta - (k + 1) L_{k+1}^beta - (k + beta) L_{k-1}^beta
   for the x L_{n_r-1}^{2 nu + 1} term, so orthogonality leaves
   sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!, n_r + 1 terms in
-  pure Python.  Given an ndarray of points it returns the integrand there,
-  for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where the
-  series is not the integral).  The Gauss rules of specfun check the
+  pure Python.  At a point x it returns the integrand's two products
+  there, for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where
+  the series is not the integral).  The Gauss rules of specfun check the
   series independently in oracle.  A |kappa| >= 2 state computes its
   series radial integrals (shift -3, sum and diff) once, on first use,
   and keeps them in state.radial_series; later calls read them.
 * numpy is imported inside the functions that build or take arrays, so
-  the scalar paths (energies, states, norms, the series) never load it.
+  the scalar paths (energies, states, norms, the series, the shapes at a
+  point) never load it.
 * kappa_to_lj, lj_to_kappa (the one test of j = l +/- 1/2) and the one
   half-integer test check_magnetic live in specfun.
 """
@@ -184,17 +185,11 @@ def radial_polynomials(state: RelativisticState, x):
 
     P_f = f1 x L_{n_r-1}^{2nu+1}(x) + f2 L_{n_r}^{2nu-1}(x), and likewise P_g
     with (g1, g2), the coefficients in state.shape.  For n_r = 0 the first
-    term is absent and f1 = g1 = 0.
+    term is absent and f1 = g1 = 0.  x is a float or an ndarray.
     """
-    import numpy as np
-
     f1, f2, g1, g2 = state.shape
     low = laguerre_general(state.n_r, 2.0 * state.nu - 1.0, x)
-    if state.n_r >= 1:
-        high = np.asarray(x, dtype=float) * laguerre_general(state.n_r - 1,
-                                                             2.0 * state.nu + 1.0, x)
-    else:
-        high = 0.0
+    high = x * laguerre_general(state.n_r - 1, 2.0 * state.nu + 1.0, x)
     return f1 * high + f2 * low, g1 * high + g2 * low
 
 
@@ -229,8 +224,8 @@ def _laguerre_series(state: RelativisticState,
             [g1 * u + g2 * v for u, v in zip(high, low)], h)
 
 
-def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int, sign: float,
-             x=None):
+def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int,
+             sign: float | None, x: float | None = None):
     """Radial overlap int x^beta e^-x (P_f P_f' + sign P_g P_g') dx of two states
     sharing nu, for the weight exponent beta = 2 nu + shift.
 
@@ -240,16 +235,15 @@ def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int, sign: f
     sum_k (p_k^2 + sign q_k^2) Gamma(k + beta + 1) / k!.  The result's
     order is the number of terms and its drift the a-priori relative
     rounding bound eps (terms + 1) sum |t_k| / |sum t_k|.
-    With an ndarray x it returns the integrand without its e^-x,
-    x^beta (P_f P_f' + sign P_g P_g'), at those points: the form a sampler
-    such as adaptive_sampled_endpoint weights itself.
+    At a point x (a float) it returns the integrand's two products without
+    its e^-x, (x^beta P_f P_f', x^beta P_g P_g'), and sign is unused: one
+    evaluation serves the sum and diff samples of adaptive_sampled_endpoint.
     """
     if x is not None:
-        import numpy as np
-
         pf, pg = radial_polynomials(bra, x)
         pf2, pg2 = (pf, pg) if ket is bra else radial_polynomials(ket, x)
-        return np.exp((2.0 * bra.nu + shift) * np.log(x)) * (pf * pf2 + sign * pg * pg2)
+        power = x ** (2.0 * bra.nu + shift)
+        return power * pf * pf2, power * pg * pg2
     assert ket is bra, "the series covers a state's own overlap only"
     p, q, h = _laguerre_series(bra, shift)
     terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]

@@ -12,11 +12,11 @@ from its defining integral and compared:
   norm_self_consistency, every state), with the integrand from
   radial_polynomials; the rule is exact for these polynomials, so the gap
   between the routes is rounding.  For |kappa| = 1 and the 2S-2P cross
-  element the endpoint-substituted plain rule is sampled at orders 80 and
-  160 and the drift is the gap between the two samples; those integrals
-  diverge at the origin, which is detected rather than hidden, and
-  reported as a flagged inconsistency because the closed forms quote
-  finite values there.
+  element the endpoint-substituted plain rule (tested against
+  gauss_laguerre) is sampled at orders 80 and 160 and the drift is the gap
+  between the two samples; those integrals diverge at the origin, which
+  is detected rather than hidden, and reported as a flagged inconsistency
+  because the closed forms quote finite values there.
 * angular blocks: the 16 x 16 sphere rule (specfun.sphere_rule, exact for
   these blocks) against the closed-form blocks, including the parity
   zeros.

@@ -30,8 +30,8 @@ Every radial quantity is computed twice:
   "endpoint_sample"), the 160-node sample is reported with
   converged=False, and the report is flagged rather than silently
   trusted.  That sample depends on the order and is not a value of the
-  integral.  One private helper takes these samples for the level
-  integrals and for the 2S-2P cross element, on every call.
+  integral.  One private helper takes the sum and diff samples together,
+  in pure Python, for the level integrals and the 2S-2P cross element.
 
 A Level keeps the theta-independent closed-form side of level_shift
 (Level.closed_form: eigenvalues, both closed integrals, the closed-form
@@ -275,13 +275,22 @@ def radial_integral_closed(state: RelativisticState, kind: str = "sum") -> float
     raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
 
 
-def _radial_overlap(bra: RelativisticState, ket: RelativisticState,
-                    sign: float) -> IntegrationResult:
-    """The order-160 endpoint sample of int (f f' + sign g g')/r dr in eV^3
-    for two |kappa| = 1 states sharing x = 2 lam r, where the integral
-    diverges at the origin."""
-    res = adaptive_sampled_endpoint(lambda x: _overlap(bra, ket, -3, sign, x))
-    return res.scaled(bra.norm * ket.norm)
+def _endpoint_samples(bra: RelativisticState,
+                      ket: RelativisticState) -> tuple[IntegrationResult, IntegrationResult]:
+    """(sum, diff): the order-160 endpoint samples of int (f f' +/- g g')/r dr
+    in eV^3 for two |kappa| = 1 states sharing x = 2 lam r, where the
+    integral diverges at the origin.  The sum's pass stores each node's diff
+    integrand in a dict for the diff's pass; nothing outlives the call."""
+    diff = {}
+
+    def sum_at(x):
+        ff, gg = _overlap(bra, ket, -3, None, x)
+        diff[x] = ff - gg
+        return ff + gg
+
+    scale = bra.norm * ket.norm
+    total = adaptive_sampled_endpoint(sum_at).scaled(scale)
+    return total, adaptive_sampled_endpoint(diff.__getitem__).scaled(scale)
 
 
 def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> IntegrationResult:
@@ -298,9 +307,8 @@ def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> I
     """
     if kind not in ("sum", "diff"):
         raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
-    if _exact_series(state):
-        return state.radial_series[kind == "diff"]
-    return _radial_overlap(state, state, 1.0 if kind == "sum" else -1.0)
+    pair = state.radial_series if _exact_series(state) else _endpoint_samples(state, state)
+    return pair[kind == "diff"]
 
 
 def cross_radial_integral_closed(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -320,8 +328,8 @@ def cross_radial_integral_quadrature(
     The x^(2nu-3) endpoint is the |kappa| = 1 one, so the integral diverges
     and, as in radial_integral_quadrature, the order-160 sample is returned.
     """
-    return _radial_overlap(make_state(1, -1, 0.5, constants), make_state(1, 1, 0.5, constants),
-                           -1.0)
+    return _endpoint_samples(make_state(1, -1, 0.5, constants),
+                             make_state(1, 1, 0.5, constants))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +449,9 @@ def level_shift(level, theta: float,
     alpha = level.constants.alpha
     eigenvalues, rho1_c, rho2_c, coeff_closed, bound = level.closed_form
     exact = _exact_series(state0)
-    rho1_q = radial_integral_quadrature(state0, "sum")
-    rho2_q = radial_integral_quadrature(state0, "diff")
+    rho1_q, rho2_q = ((radial_integral_quadrature(state0, "sum"),
+                       radial_integral_quadrature(state0, "diff")) if exact
+                      else _endpoint_samples(state0, state0))
 
     coeff_quad = tuple(-(alpha / 2.0) * rho1_q.value * lam for lam in eigenvalues)
     shifts = tuple(c * theta for c in coeff_closed)

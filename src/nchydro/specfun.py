@@ -13,7 +13,8 @@ lj_to_kappa the one test of j = l +/- 1/2 and check_magnetic the one
 half-integer test.  dirac re-exports kappa_to_lj and lj_to_kappa.
 
 numpy is imported inside the functions that build or take arrays, so
-importing this module (and the package) does not load it.
+importing this module (and the package) does not load it; the endpoint
+sample and laguerre_general at a float are plain floats.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .constants import finite_real
@@ -55,28 +57,18 @@ def laguerre_general(n: int, a: float, x):
     The recurrence (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1} is stable
     for the moderate degrees and x ranges bound states produce.  n = -1 is
     accepted and returns 0 (empty-sum convention used by radial solutions).
-    Accepts scalar or ndarray x.
+    x is a float (plain floats, no numpy) or an ndarray (elementwise).
     """
-    import numpy as np
-
-    if n == -1:
-        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
     if n < -1:
         raise DomainError(f"laguerre_general requires n >= -1, got {n}")
     if a <= -1.0:
         raise DomainError(f"laguerre_general requires a > -1, got {a}")
-    xa = np.asarray(x, dtype=float)
-    ones = np.ones_like(xa)
-    if n == 0:
-        result = ones
-    elif n == 1:
-        result = 1.0 + a - xa
-    else:
-        prev, cur = ones, 1.0 + a - xa
-        for k in range(1, n):
-            prev, cur = cur, ((2.0 * k + 1.0 + a - xa) * cur - (k + a) * prev) / (k + 1.0)
-        result = cur
-    return result if np.ndim(x) else float(result)
+    if n < 1:
+        return 0.0 * x + (n + 1)  # L_{-1} = 0 and L_0 = 1, shaped like x
+    prev, cur = 0.0 * x + 1.0, 1.0 + a - x
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 + a - x) * cur - (k + a) * prev) / (k + 1.0)
+    return cur
 
 
 def _norm_legendre(l: int, m: int, cos_theta, sin_theta):
@@ -300,26 +292,60 @@ def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
     return IntegrationResult(value=prev, order=order, drift=drift, converged=False)
 
 
+@lru_cache(maxsize=None)
+def _endpoint_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The n-node plain Gauss-Laguerre rule after x = t^2, in floats: x = t^2
+    and w = 2 t w_t e^(t - t^2), w_t = 1 / (t L_n'(t)^2), for the ascending
+    roots t of L_n up to the first w that underflows to 0.  Each root is
+    found by Halley steps on the three-term recurrence (L'' from Laguerre's
+    equation), started from Tricomi's t ~ j^2 / v (1 + (j^2 - 2) / (3 v^2)),
+    v = 4n + 2, with McMahon's i-th zero j of the Bessel J_0."""
+    # L_{k+1} = (a_k - b_k t) L_k - c_k L_{k-1}
+    steps = [((2.0 * k + 1.0) / (k + 1.0), 1.0 / (k + 1.0), k / (k + 1.0))
+             for k in range(1, n)]
+    v = 4.0 * n + 2.0
+    rule = []
+    for i in range(1, n + 1):
+        b = (i - 0.25) * math.pi
+        j = b + 1.0 / (8.0 * b) - 124.0 / (3.0 * (8.0 * b) ** 3)
+        t = j * j / v * (1.0 + (j * j - 2.0) / (3.0 * v * v))
+        for _ in range(8):
+            prev, cur = 1.0, 1.0 - t  # L_0, L_1
+            for a_k, b_k, c_k in steps:
+                prev, cur = cur, (a_k - b_k * t) * cur - c_k * prev
+            d1 = n * (cur - prev) / t  # L_n' = n (L_n - L_{n-1}) / t
+            d2 = ((t - 1.0) * d1 - n * cur) / t
+            step = cur / d1 / (1.0 - cur * d2 / (2.0 * d1 * d1))
+            t -= step
+            if abs(step) <= 1e-10 * t:
+                break
+        d1 -= d2 * step  # L_n' at the final t
+        w = 2.0 * math.exp(t - t * t) / (d1 * d1)  # 2 t w_t e^(t - t^2)
+        if w == 0.0:
+            break
+        rule.append((t * t, w))
+    return tuple(zip(*rule))
+
+
 def adaptive_sampled_endpoint(func, start: int = 80) -> IntegrationResult:
     """Samples of int func(x) e^-x dx over (0, inf) at orders start and 2 start.
 
     Each sample is the plain Gauss-Laguerre rule after the substitution
-    x = t^2, which clusters nodes near an algebraic endpoint singularity.
-    Meant for integrals the caller already knows to diverge at the origin,
-    where more nodes only move the sample, so there is no refinement loop.
-    Reports the 2 start sample with order = 2 start, the relative gap
-    between the two samples as drift and converged = drift <= 1e-10; for a
-    divergent integrand converged is False and the value is a sample, not
-    a value of the integral.
+    x = t^2, which clusters nodes near an algebraic endpoint singularity;
+    func maps a float x to a float.  Meant for integrals the caller already
+    knows to diverge at the origin, where more nodes only move the sample,
+    so there is no refinement loop.  Reports the 2 start sample with
+    order = 2 start, the relative gap between the two samples as drift and
+    converged = drift <= 1e-10; for a divergent integrand converged is
+    False and the value is a sample, not a value of the integral.  The
+    rule's starting guesses for its roots need start >= 16.
     """
-    import numpy as np
+    if start < 16:
+        raise DomainError(f"adaptive_sampled_endpoint requires start >= 16, got {start}")
 
     def sample(order):
-        rule = gauss_laguerre(order, 0.0)
-        t = rule.nodes
-        with np.errstate(under="ignore"):
-            vals = 2.0 * t * func(t * t) * np.exp(-t * t + t)
-        return float(np.sum(rule.weights * vals))
+        nodes, weights = _endpoint_rule(order)
+        return math.fsum(map(mul, weights, map(func, nodes)))
 
     prev, cur = sample(start), sample(2 * start)
     drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)

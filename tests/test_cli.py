@@ -83,6 +83,17 @@ class TestHalfIntegerParsing:
         assert captured.out == ""
         assert f"error: argument {flag}" in captured.err
 
+    @pytest.mark.parametrize("text, message", [("1e999", "'1e999' is not finite"),
+                                               ("1/0", "zero denominator in '1/0'")])
+    def test_argparse_prints_the_validation_error(self, capsys, text, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["nonrel", "--n", "3", "--l", "2", "--j", text, "--mj", "1/2",
+                  "--theta", "1e-19"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"error: argument --j: {message}\n" in captured.err
+
     @pytest.mark.parametrize("text", ["1e999", "-1e999", "nan", "inf/2"])
     def test_non_finite_is_a_validation_error(self, text):
         with pytest.raises(ValidationError, match="is not finite"):
@@ -473,8 +484,9 @@ def test_readme_library_snippet_runs():
     exec(_readme_block("## Library entry points", "```python"), {})
 
 
-# Requests answered by scalar arithmetic and the exact Laguerre series; the
-# |kappa| = 1 samples (2P1/2) need arrays, so that request loads numpy.
+# Requests answered by scalar arithmetic, the exact Laguerre series and the
+# pure-Python |kappa| = 1 endpoint samples (2P1/2, 1S1/2); only verify, whose
+# angular blocks are sphere-quadrature arrays, loads numpy.
 NUMPY_FREE_REQUESTS = [
     ["levels", "2P3/2"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e-19"],
@@ -484,30 +496,40 @@ NUMPY_FREE_REQUESTS = [
      "--levels", "2P3/2,3D5/2"],
     ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3",
      "--levels", "2P1/2,1S1/2"],
+    ["shift", "2P1/2", "--theta", "1e-19"],
+    ["bound", "1S1/2"],
 ]
+KAPPA_1_LEVELS = ["1S1/2", "2S1/2", "2P1/2", "3S1/2", "3P1/2", "4S1/2", "4P1/2", "5S1/2",
+                  "5P1/2"]
 
 
-def _request_loads_numpy(argv) -> bool:
-    """Run one CLI request in a fresh interpreter; True if numpy got imported."""
-    script = ("import contextlib, io, sys\n"
+def _requests_load_numpy(*argvs) -> bool:
+    """Run CLI requests in one fresh interpreter; True if numpy got imported."""
+    script = ("import contextlib, io, json, sys\n"
               "from nchydro.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = main(sys.argv[1:])\n"
-              "print(code, 'numpy' in sys.modules)\n")
+              "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps(codes), 'numpy' in sys.modules)\n")
     src = str(Path(nchydro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out[0] == "0", argv
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                         check=True, capture_output=True, text=True).stdout.rsplit(None, 1)
+    assert json.loads(out[0]) == [0] * len(argvs), argvs
     return out[1] == "True"
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_REQUESTS, ids=" ".join)
 def test_scalar_request_does_not_import_numpy(argv):
-    assert not _request_loads_numpy(argv)
+    assert not _requests_load_numpy(argv)
 
 
-def test_kappa_1_shift_imports_numpy():
-    # the positive control: the endpoint samples are numpy arrays
-    assert _request_loads_numpy(["shift", "2P1/2", "--theta", "1e-19"])
+def test_kappa_1_shift_and_bound_do_not_import_numpy():
+    # every |kappa| = 1 level, whose shift and bound take the endpoint samples
+    assert not _requests_load_numpy(*[argv for label in KAPPA_1_LEVELS for argv in (
+        ["shift", label, "--theta", "1e-19"], ["bound", label])])
+
+
+def test_verify_imports_numpy():
+    # the positive control: the angular blocks are sphere-quadrature arrays
+    assert _requests_load_numpy(["verify"])

@@ -15,7 +15,7 @@ from nchydro.shifts import (Level, cross_radial_integral_closed,
                             radial_integral_closed, radial_integral_quadrature,
                             selection_allowed, sigma_cross_block, theta_bound,
                             transition_element_2s2p)
-from nchydro.specfun import gauss_laguerre
+from nchydro.specfun import _endpoint_rule, gauss_laguerre
 
 C = DEFAULT_CONSTANTS
 ALPHA = C.alpha
@@ -261,6 +261,15 @@ class TestLevelShift:
             assert len(calls) == 2 * warm  # one sample per kind, sum and diff
         with pytest.raises(DomainError):
             level.states[0].radial_series
+
+    def test_kappa_1_sum_and_diff_share_one_evaluation_per_node(self, monkeypatch):
+        level = Level.from_label("3S1/2")
+        points, overlap = [], shifts._overlap
+        monkeypatch.setattr(shifts, "_overlap", lambda *args: (
+            points.append(args[-1]) or overlap(*args)))
+        level_shift(level, 1.0e-19)
+        nodes = _endpoint_rule(80)[0] + _endpoint_rule(160)[0]
+        assert sorted(points) == sorted(nodes)
 
     @pytest.mark.parametrize("label, bounds", [("2P1/2", 1), ("3D5/2", 1), ("2S1/2", 0)])
     def test_first_call_derives_the_closed_form_once(self, monkeypatch, label, bounds):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nchydro.dirac import make_state, radial_polynomials
 from nchydro.errors import DomainError
-from nchydro.specfun import (adaptive_weighted, gauss_laguerre,
-                             laguerre_general, sphere_integrate, sphere_rule,
+from nchydro.shifts import cross_radial_integral_quadrature, radial_integral_quadrature
+from nchydro.specfun import (_endpoint_rule, adaptive_sampled_endpoint, adaptive_weighted,
+                             gauss_laguerre, laguerre_general, sphere_integrate, sphere_rule,
                              spherical_harmonic, spinor_harmonic, spinor_orbital_m)
 
 
@@ -219,3 +221,91 @@ class TestGaussLaguerre:
         res = adaptive_weighted(lambda x: x ** 3 + 2.0, start=8, tol=1e-12)
         assert res.converged
         assert res.value == pytest.approx(8.0, rel=1e-13)
+
+
+class TestEndpointRule:
+    """The pure-Python rule of adaptive_sampled_endpoint against the
+    Golub-Welsch rule (gauss_laguerre) it replaced."""
+
+    @pytest.mark.parametrize("n", [16, 40, 80, 160, 320])
+    def test_matches_golub_welsch(self, n):
+        rule = gauss_laguerre(n, 0.0)
+        t = rule.nodes
+        with np.errstate(under="ignore"):
+            weights = 2.0 * t * rule.weights * np.exp(t - t * t)
+        kept = int(np.count_nonzero(weights))
+        assert kept == {80: 29, 160: 42}.get(n, kept)  # as README states
+        assert np.all(weights[:kept] > 0.0) and not np.any(weights[kept:])
+        x, w = _endpoint_rule(n)
+        assert len(x) == len(w) == kept
+        assert np.max(np.abs(np.array(x) / (t[:kept] * t[:kept]) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.array(w) / weights[:kept] - 1.0)) <= 1e-10
+
+    def test_rejects_fewer_than_16_nodes(self):
+        with pytest.raises(DomainError, match="start >= 16"):
+            adaptive_sampled_endpoint(lambda x: x, start=8)
+
+    def test_is_plain_floats(self):
+        x, w = _endpoint_rule(80)
+        assert all(type(v) is float for v in x + w)
+
+    def test_samples_a_smooth_integrand(self):
+        # int x^3 e^-x dx = 6; after x = t^2 the integrand is smooth in t
+        res = adaptive_sampled_endpoint(lambda x: x ** 3)
+        assert res.value == pytest.approx(6.0, rel=1e-13)
+        assert res.order == 160 and res.drift < 1e-7
+
+
+KAPPA_1 = [(n - 1, -1) for n in range(1, 6)] + [(n - 1, 1) for n in range(2, 6)]
+
+
+def _golub_welsch_sample(bra, ket, sign, order):
+    """The endpoint sample as numpy took it: radial_polynomials on the
+    squared nodes of the order-node Golub-Welsch rule."""
+    rule = gauss_laguerre(order, 0.0)
+    t = rule.nodes
+    x = t * t
+    pf, pg = radial_polynomials(bra, x)
+    pf2, pg2 = radial_polynomials(ket, x)
+    with np.errstate(under="ignore"):
+        vals = (2.0 * t * np.exp((2.0 * bra.nu - 3.0) * np.log(x))
+                * (pf * pf2 + sign * pg * pg2) * np.exp(t - t * t))
+    return float(np.sum(rule.weights * vals)) * bra.norm * ket.norm
+
+
+def _assert_same_samples(result, bra, ket, sign):
+    lo, hi = (_golub_welsch_sample(bra, ket, sign, n) for n in (80, 160))
+    assert result.value == pytest.approx(hi, rel=1e-11)
+    assert result.drift == pytest.approx(abs(hi - lo) / max(abs(hi), abs(lo)), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_r, kappa", KAPPA_1)
+@pytest.mark.parametrize("kind", ["sum", "diff"])
+def test_kappa_1_samples_match_golub_welsch(n_r, kappa, kind):
+    state = make_state(n_r, kappa, 0.5)
+    _assert_same_samples(radial_integral_quadrature(state, kind), state, state,
+                         1.0 if kind == "sum" else -1.0)
+
+
+def test_cross_sample_matches_golub_welsch():
+    _assert_same_samples(cross_radial_integral_quadrature(), make_state(1, -1, 0.5),
+                         make_state(1, 1, 0.5), -1.0)
+
+
+@pytest.mark.parametrize("n, a", [(-1, 2.5), (0, 1.0), (1, 0.3), (4, 1.9999), (7, 3.0)])
+def test_laguerre_float_equals_array_element(n, a):
+    x = np.array([0.01, 0.7, 3.3, 41.0])
+    vals = laguerre_general(n, a, x)
+    assert vals.shape == x.shape
+    for xi, vi in zip(x.tolist(), vals.tolist()):
+        scalar = laguerre_general(n, a, xi)
+        assert type(scalar) is float and scalar == vi
+
+
+@pytest.mark.parametrize("n_r, kappa", [(0, -1), (1, 1), (0, -2), (3, -1), (2, 2)])
+def test_radial_polynomials_float_equals_array_element(n_r, kappa):
+    state = make_state(n_r, kappa, 0.5)
+    x = np.array([0.02, 1.5, 9.0, 80.0])
+    pf, pg = radial_polynomials(state, x)
+    for i, xi in enumerate(x.tolist()):
+        assert radial_polynomials(state, xi) == (pf[i], pg[i])
