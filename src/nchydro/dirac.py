@@ -42,9 +42,10 @@ Conventions worth stating once:
   series independently in oracle.  A |kappa| >= 2 state computes its
   series radial integrals (shift -3, sum and diff) once, on first use,
   and keeps them in state.radial_series; later calls read them.
-* numpy is imported inside the functions that build or take arrays, so
-  the scalar paths (energies, states, norms, the series, the shapes at a
-  point) never load it.
+* Everything is pure Python on floats: radial_fg and deformed_potential
+  take a point, and radial_polynomials (through laguerre_general) also
+  maps an ndarray x elementwise when a caller passes one; no module of the
+  package imports numpy.
 * kappa_to_lj, lj_to_kappa (the one test of j = l +/- 1/2) and the one
   half-integer test check_magnetic live in specfun.
 """
@@ -56,6 +57,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
 from .errors import DomainError, SingularityError, ValidationError
@@ -260,25 +262,18 @@ def _exact_series(state: RelativisticState) -> bool:
     return 2.0 * state.nu - 3.0 > -1.0 + 1e-9
 
 
-def radial_fg(state: RelativisticState, r):
-    """Normalized radial pair (f, g) at radius r > 0 (eV^-1; scalar or array).
+def radial_fg(state: RelativisticState, r: float) -> tuple[float, float]:
+    """Normalized radial pair (f, g) at radius r > 0 (eV^-1, a float).
 
     Both components decay as e^(-x/2) with x = 2 sqrt(m^2 - E^2) r and share
     the x^(nu-1) envelope.  int (f^2 + g^2) r^2 dr = 1.
     """
-    import numpy as np
-
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
+    if r <= 0.0:
         raise DomainError("radial_fg requires r > 0")
-    x = 2.0 * state.lam * r_arr
+    x = 2.0 * state.lam * r
     pf, pg = radial_polynomials(state, x)
-    envelope = np.exp(-0.5 * x + (state.nu - 1.0) * np.log(x))
-    f = state.norm * envelope * pf
-    g = state.norm * envelope * pg
-    if np.ndim(r):
-        return f, g
-    return float(f), float(g)
+    envelope = math.exp(-0.5 * x + (state.nu - 1.0) * math.log(x))
+    return state.norm * envelope * pf, state.norm * envelope * pg
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +283,26 @@ def radial_fg(state: RelativisticState, r):
 
 def deformed_potential(x_vec, theta: ThetaTensor,
                        constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """First-order deformed Coulomb potential at the point x_vec.
+    """First-order deformed Coulomb potential at the point x_vec, a 3-vector
+    of floats.
 
     Returns (a0, a_vec): the scalar part -e/r - e^3 (theta^{0j} x_j)/r^4 and
-    the vector part e^3 (x cross theta)/(4 r^4), with e = sqrt(alpha).
-    Setting all theta components to zero recovers (-e/r, 0).
+    the vector part e^3 (x cross theta)/(4 r^4), a tuple of three floats,
+    with e = sqrt(alpha).  Setting all theta components to zero recovers
+    (-e/r, 0).
     """
-    import numpy as np
-
-    xv = np.asarray(x_vec, dtype=float)
-    if xv.shape != (3,):
-        raise DomainError(f"x_vec must be a 3-vector, got shape {xv.shape}")
-    r = float(np.linalg.norm(xv))
+    xv = tuple(map(float, x_vec))
+    if len(xv) != 3:
+        raise DomainError(f"x_vec must be a 3-vector, got {len(xv)} components")
+    r = math.hypot(*xv)
     if r == 0.0:
         raise SingularityError("deformed_potential is singular at r = 0")
     e = math.sqrt(constants.alpha)
     e3 = e ** 3
-    a0 = -e / r - e3 * float(np.dot(theta.time_row, xv)) / r ** 4
-    a_vec = e3 / (4.0 * r ** 4) * np.cross(xv, np.asarray(theta.space_vector, dtype=float))
+    a0 = -e / r - e3 * math.fsum(map(mul, theta.time_row, xv)) / r ** 4
+    (x, y, z), (tx, ty, tz) = xv, theta.space_vector
+    a_vec = tuple(e3 / (4.0 * r ** 4) * c for c in (y * tz - z * ty, z * tx - x * tz,
+                                                     x * ty - y * tx))
     return a0, a_vec
 
 

@@ -107,22 +107,19 @@ def _radial_norm(n: int, l: int, a0: float) -> float:
                      * math.factorial(n - l - 1) / (2.0 * n * math.factorial(n + l)))
 
 
-def radial_R(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Normalized Schrodinger radial function R_nl(r), r in eV^-1."""
-    import numpy as np
-
+def radial_R(n: int, l: int, r: float,
+             constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+    """Normalized Schrodinger radial function R_nl(r), r in eV^-1 (a float)."""
     _check_nl(n, l)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
+    if r <= 0.0:
         raise DomainError("radial_R requires r > 0")
     a0 = constants.bohr_radius
-    x = 2.0 * r_arr / (n * a0)
-    val = (_radial_norm(n, l, a0) * x ** l * np.exp(-x / 2.0)
-           * laguerre_general(n - l - 1, 2 * l + 1, x))
-    return val if np.ndim(r) else float(val)
+    x = 2.0 * r / (n * a0)
+    return (_radial_norm(n, l, a0) * x ** l * math.exp(-x / 2.0)
+            * laguerre_general(n - l - 1, 2 * l + 1, x))
 
 
-def _dr_poly(n: int, l: int, x):
+def _dr_poly(n: int, l: int, x: float) -> tuple[float, float]:
     """(L, Q) with R_nl = N x^l e^{-x/2} L(x) and dR_nl/dr = (N/s) e^{-x/2} Q(x)
     in x = r/s, s = n a0 / 2; uses d/dx L_q^a = -L_{q-1}^{a+1}."""
     lag = laguerre_general(n - l - 1, 2 * l + 1, x)
@@ -130,16 +127,14 @@ def _dr_poly(n: int, l: int, x):
     return lag, (l * x ** max(l - 1, 0) - 0.5 * x ** l) * lag + x ** l * dlag
 
 
-def radial_R_prime(n: int, l: int, r, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """dR_nl/dr, r in eV^-1."""
-    import numpy as np
-
+def radial_R_prime(n: int, l: int, r: float,
+                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+    """dR_nl/dr, r in eV^-1 (a float)."""
     _check_nl(n, l)
     a0 = constants.bohr_radius
     scale = 2.0 / (n * a0)
-    x = scale * np.asarray(r, dtype=float)
-    val = _radial_norm(n, l, a0) * np.exp(-x / 2.0) * _dr_poly(n, l, x)[1] * scale
-    return val if np.ndim(r) else float(val)
+    x = scale * r
+    return _radial_norm(n, l, a0) * math.exp(-x / 2.0) * _dr_poly(n, l, x)[1] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +180,19 @@ def r_inverse_moment_quadrature(n: int, l: int, k: int,
     the n-node rule is exact.  With check=True the divergent cases raise
     DivergenceError up front (their x-space exponent 2l + 2 - k falls to -1
     or below); with check=False the raw finite sample is returned, which
-    lets callers probe the non-convergence directly.
+    lets callers probe the non-convergence directly.  The sum is math.fsum.
     """
-    import numpy as np
-
     _check_nl(n, l)
     if check:
         _moment_precondition(l, k)
     a0 = constants.bohr_radius
     power = 2 * l + 2 - k
-    rule = gauss_laguerre(n if order is None else order)
-    x = rule.nodes
-    lag = laguerre_general(n - l - 1, 2 * l + 1, x)
-    with np.errstate(divide="ignore"):
-        xs = np.where(x > 0, x, 1.0) ** power
-    val = float(np.sum(rule.weights * xs * lag * lag))
+
+    def integrand(x):
+        lag = laguerre_general(n - l - 1, 2 * l + 1, x)
+        return x ** power * lag * lag
+
+    val = gauss_laguerre(n if order is None else order).integrate(integrand)
     norm = _radial_norm(n, l, a0) ** 2
     return val * norm * (n * a0 / 2.0) ** (3 - k)
 
@@ -209,18 +202,17 @@ def expectation_p2(n: int, l: int, constants: PhysicalConstants = DEFAULT_CONSTA
 
     Assembled in x = 2r/(n a0), where the exponential is the Gauss-Laguerre
     weight and the rest is a polynomial of degree 2n, so the (n+1)-node
-    rule is exact.
+    rule is exact.  The sum is math.fsum.
     """
-    import numpy as np
-
     _check_nl(n, l)
     a0 = constants.bohr_radius
-    rule = gauss_laguerre(n + 1)
-    x = rule.nodes
-    lag, poly_dr = _dr_poly(n, l, x)
-    term_grad = float(np.sum(rule.weights * poly_dr * poly_dr * x * x))
-    term_cent = l * (l + 1.0) * float(np.sum(rule.weights * x ** (2 * l) * lag * lag))
-    return _radial_norm(n, l, a0) ** 2 * (n * a0 / 2.0) * (term_grad + term_cent)
+
+    def integrand(x):
+        lag, poly_dr = _dr_poly(n, l, x)
+        return poly_dr * poly_dr * x * x + l * (l + 1.0) * x ** (2 * l) * lag * lag
+
+    return (_radial_norm(n, l, a0) ** 2 * (n * a0 / 2.0)
+            * gauss_laguerre(n + 1).integrate(integrand))
 
 
 def expectation_p4_physical(n: int, l: int,

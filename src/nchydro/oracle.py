@@ -12,8 +12,8 @@ from its defining integral and compared:
   norm_self_consistency, every state), with the integrand from
   radial_polynomials; the rule is exact for these polynomials, so the gap
   between the routes is rounding.  For |kappa| = 1 and the 2S-2P cross
-  element the endpoint-substituted plain rule (tested against
-  gauss_laguerre) is sampled at orders 80 and 160 and the drift is the gap
+  element the endpoint-substituted plain rule (tested against numpy's
+  Golub-Welsch rule) is sampled at orders 80 and 160 and the drift is the gap
   between the two samples; those integrals diverge at the origin, which
   is detected rather than hidden, and reported as a flagged inconsistency
   because the closed forms quote finite values there.
@@ -26,6 +26,10 @@ from its defining integral and compared:
   numerical one by the gap between samples at 16 and 32 nodes.  A divergent
   moment's report has closed_form, quadrature and quad_drift None, not inf.
 
+Every route here is pure Python and never loads numpy: the Gauss rules
+and the sphere rule are float tuples, each quadrature sum is the math.fsum
+of per-node floats, and a block is a tuple of complex rows.
+
 Verdicts: "match" when everything agrees at tolerance, "mismatch" for an
 unexpected failure, and "flagged_paper_inconsistency" for the documented
 cases where the printed closed forms cannot agree with their definitions.
@@ -34,7 +38,6 @@ cases where the printed closed forms cannot agree with their definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac import _exact_series, make_state, radial_polynomials
@@ -44,9 +47,6 @@ from .shifts import (Level, cross_radial_integral_closed, cross_radial_integral_
                      lz_block, lz_block_numeric, radial_integral_closed,
                      radial_integral_quadrature, sigma_cross_block)
 from .specfun import gauss_laguerre
-
-if TYPE_CHECKING:  # numpy is imported where arrays are built
-    import numpy as np
 
 __all__ = [
     "ValidationReport",
@@ -95,12 +95,12 @@ def _rel(a: float, b: float) -> float:
 def _gauss_integral(state, beta: float, sign: float) -> float:
     """int x^beta e^-x (P_f^2 + sign P_g^2) dx on the n_r + 2 node Gauss
     rule for its own weight x^beta e^-x, exact for the degree-2 n_r
-    polynomials of radial_polynomials."""
-    import numpy as np
+    polynomials of radial_polynomials, summed by math.fsum."""
+    def integrand(x):
+        pf, pg = radial_polynomials(state, x)
+        return pf * pf + sign * pg * pg
 
-    rule = gauss_laguerre(state.n_r + 2, beta)
-    pf, pg = radial_polynomials(state, rule.nodes)
-    return float(np.sum(rule.weights * (pf * pf + sign * pg * pg)))
+    return gauss_laguerre(state.n_r + 2, beta).integrate(integrand)
 
 
 def _gauss_route(state, sign: float) -> float:
@@ -178,15 +178,16 @@ def radial_ratio_small_alpha(n_r: int = 0, kappa: int = -2,
 # ---------------------------------------------------------------------------
 
 
-def _block_report(name: str, numeric: np.ndarray, reference: np.ndarray) -> ValidationReport:
-    import numpy as np
-
-    gap = float(np.max(np.abs(numeric - reference)))
-    hermit = float(np.max(np.abs(numeric - numeric.conj().T)))
+def _block_report(name: str, numeric, reference) -> ValidationReport:
+    """Compare two blocks given as tuples of complex rows."""
+    gap = max(abs(a - b) for row_n, row_r in zip(numeric, reference)
+              for a, b in zip(row_n, row_r))
+    hermit = max(abs(numeric[i][k] - numeric[k][i].conjugate())
+                 for i in range(len(numeric)) for k in range(len(numeric)))
     ok = gap <= ANGULAR_TOL and hermit <= 1e-12
     note = "" if ok else f"max entry deviation {gap:.2e}, hermiticity {hermit:.2e}"
-    return ValidationReport(name=name, closed_form=float(np.max(np.abs(reference))),
-                            quadrature=float(np.max(np.abs(numeric))),
+    return ValidationReport(name=name, closed_form=max(abs(v) for row in reference for v in row),
+                            quadrature=max(abs(v) for row in numeric for v in row),
                             rel_error=gap, quad_drift=hermit,
                             verdict=VERDICT_MATCH if ok else VERDICT_MISMATCH, note=note)
 
@@ -202,8 +203,6 @@ def validate_angular(label_a: str, label_b: str | None = None,
     A sigma_cross pair with no closed-form reference raises ValidationError,
     as does any other operator.
     """
-    import numpy as np
-
     level_a = Level.from_label(label_a, constants)
     if operator == "theta_L":
         numeric = lz_block_numeric(level_a.j, level_a.l).matrix
@@ -213,12 +212,12 @@ def validate_angular(label_a: str, label_b: str | None = None,
         level_b = Level.from_label(label_b, constants) if label_b else level_a
         numeric = sigma_cross_block(level_a, level_b).matrix
         if level_a.l == level_b.l:
-            reference = np.zeros_like(numeric)
+            reference = tuple((0j,) * len(row) for row in numeric)
         elif {level_a.l, level_b.l} == {0, 1} and abs(level_a.j - 0.5) < 1e-9:
             # the S <-> P channel: 2/3 diag(1, -1) over increasing M,
             # sign set by which side is the S state
-            sign = 1.0 if level_a.l == 0 else -1.0
-            reference = sign * (2.0 / 3.0) * np.diag([1.0, -1.0]).astype(complex)
+            entry = (1.0 if level_a.l == 0 else -1.0) * (2.0 / 3.0)
+            reference = ((complex(entry), 0j), (0j, complex(-entry)))
         else:
             raise ValidationError(f"no closed-form sigma_cross block for {label_a} -> "
                                   f"{label_b}")

@@ -3,8 +3,12 @@
 The perturbation splits into a scalar piece -(e^2 / 2 r^3) theta.L and a
 vector piece (e^4 / 4) theta.(alpha x r / r^4).  With theta along z the
 scalar piece is diagonal in M and factorizes into a radial integral times
-an angular block; the vector piece only connects opposite-parity partners
-(the 2S-2P channel).
+an angular block.  The vector piece's angular operator is parity-odd: its
+block between harmonics of equal l vanishes (sigma_cross_block of a level
+with itself), and it connects opposite-parity partners (the 2S-2P
+channel).  That includes the upper-lower block between a level's own
+l and l' = 2j - l, the harmonics of its large and small components; that
+block is not zero, and nchydro does not compute it.
 
 Every radial quantity is computed twice:
 
@@ -46,20 +50,17 @@ disagreement instead of having it averaged away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_theta, ev2_to_gev_scale, finite_real, hz_to_ev)
 from .dirac import RelativisticState, _exact_series, _overlap, make_state, parse_level_label
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import (IntegrationResult, adaptive_sampled_endpoint, check_magnetic,
-                      kappa_to_lj, lj_to_kappa, sphere_integrate, sphere_rule,
-                      spinor_harmonic, spinor_orbital_m)
-
-if TYPE_CHECKING:  # numpy is imported where arrays are built
-    import numpy as np
+from .specfun import (IntegrationResult, _spinor_grid, adaptive_sampled_endpoint,
+                      check_magnetic, kappa_to_lj, lj_to_kappa, sphere_integrate,
+                      sphere_rule, spinor_orbital_m)
 
 __all__ = [
     "AngularBlock",
@@ -151,24 +152,26 @@ def m_values(j: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AngularBlock:
-    """Hermitian angular matrix over the M basis of a level, in units of theta."""
+    """Hermitian angular matrix over the M basis of a level, in units of
+    theta: matrix is a tuple of rows of complex."""
 
     label: str
     basis: tuple[float, ...]
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, ...], ...]
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        import numpy as np
-
-        return np.sort(np.linalg.eigvalsh(self.matrix))
+    def eigenvalues(self) -> tuple[float, ...]:
+        """The sorted real diagonal; every block built here is diagonal, and
+        a block that is not (to 1e-12) raises DomainError."""
+        if not self.is_diagonal:
+            raise DomainError(f"{self.label} is not diagonal; its eigenvalues are not "
+                              f"its diagonal")
+        return tuple(sorted(row[i].real for i, row in enumerate(self.matrix)))
 
     @property
     def is_diagonal(self) -> bool:
-        import numpy as np
-
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return bool(np.max(np.abs(off)) < 1e-12)
+        return all(abs(v) < 1e-12 for i, row in enumerate(self.matrix)
+                   for k, v in enumerate(row) if k != i)
 
 
 def _lz(kappa: int, M: float) -> float:
@@ -186,26 +189,28 @@ def lz_expectation(j: float, l: int, M: float) -> float:
 
 def lz_block(j: float, l: int) -> AngularBlock:
     """Closed-form theta.L block: diagonal in M with entries <L_z>."""
-    import numpy as np
-
     basis = m_values(j)
     diag = [lz_expectation(j, l, m) for m in basis]
     return AngularBlock(label=f"Lz(j={j}, l={l})", basis=basis,
-                        matrix=np.diag(np.asarray(diag, dtype=complex)))
+                        matrix=tuple(tuple(complex(v) if i == k else 0j
+                                           for k in range(len(diag)))
+                                     for i, v in enumerate(diag)))
 
 
 def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act, rule):
     """M basis and matrix <bra, M_a| O |ket, M_b> of two (j, l) waves sharing
     j, by sphere quadrature; act(spinor, M) applies O to the ket spinor of
-    magnetic number M on the rule's grid."""
-    import numpy as np
-
-    th, ph, _ = sphere_rule() if rule is None else rule
+    magnetic number M, two theta-major lists on the rule's grid.  rule has
+    sphere_rule's form (theta, theta_weights, phi, phi_weights); None takes
+    sphere_rule()."""
+    rule = sphere_rule() if rule is None else rule
+    theta, _, phi, _ = rule
     basis = m_values(bra[0])
-    bras = [spinor_harmonic(*bra, m, th, ph) for m in basis]
-    kets = [act(spinor_harmonic(*ket, m, th, ph), m) for m in basis]
-    return basis, np.array([[sphere_integrate(np.conj(b[0]) * k[0] + np.conj(b[1]) * k[1], rule)
-                             for k in kets] for b in bras])
+    bras = [_spinor_grid(*bra, m, theta, phi) for m in basis]
+    kets = [act(_spinor_grid(*ket, m, theta, phi), m) for m in basis]
+    return basis, tuple(tuple(sphere_integrate([u.conjugate() * x + v.conjugate() * y
+                                                for u, v, x, y in zip(*b, *k)], rule)
+                              for k in kets) for b in bras)
 
 
 def lz_block_numeric(j: float, l: int, rule=None) -> AngularBlock:
@@ -215,7 +220,7 @@ def lz_block_numeric(j: float, l: int, rule=None) -> AngularBlock:
     number; only the sphere integrals are numerical.
     """
     basis, mat = _sphere_block((j, l), (j, l), lambda spinor, M: [
-        m * part for m, part in zip(spinor_orbital_m(M), spinor)], rule)
+        [m * v for v in part] for m, part in zip(spinor_orbital_m(M), spinor)], rule)
     return AngularBlock(label=f"Lz numeric(j={j}, l={l})", basis=basis, matrix=mat)
 
 
@@ -228,15 +233,15 @@ def sigma_cross_block(bra, ket, rule=None) -> AngularBlock:
     transitions, matching the convention in which the small bi-spinor
     component carries an explicit i.
     """
-    import numpy as np
-
     if abs(bra.j - ket.j) > 1e-9:
         raise ValidationError(f"states must share j, got {bra.j} and {ket.j}")
-    th, ph, _ = sphere_rule() if rule is None else rule
+    theta, _, phi, _ = sphere_rule() if rule is None else rule
     # i sigma.(z-hat x r-hat) = [[0, e^{-i phi} sin th], [-e^{i phi} sin th, 0]]
-    top, bottom = np.exp(-1j * ph) * np.sin(th), -np.exp(1j * ph) * np.sin(th)
-    basis, mat = _sphere_block((bra.j, bra.l), (ket.j, ket.l),
-                               lambda spinor, M: (top * spinor[1], bottom * spinor[0]), rule)
+    top = [complex(math.sin(t) * math.cos(p), -math.sin(t) * math.sin(p))
+           for t in theta for p in phi]
+    basis, mat = _sphere_block((bra.j, bra.l), (ket.j, ket.l), lambda spinor, M: (
+        [a * v for a, v in zip(top, spinor[1])],
+        [-a.conjugate() * v for a, v in zip(top, spinor[0])]), rule)
     return AngularBlock(label=f"sigma-cross(l={bra.l}->{ket.l}, j={bra.j})",
                         basis=basis, matrix=mat)
 
@@ -421,8 +426,10 @@ def level_shift(level, theta: float,
     the quadrature radial integrals feed coefficient lists; the closed-form
     ones are the headline numbers and the report is flagged whenever the
     two routes disagree beyond RADIAL_AGREEMENT_TOL or the defining integral
-    diverges (|kappa| = 1).  The within-level vector-piece block vanishes by
-    parity and contributes nothing here.  The report's theta_bound is the bound
+    diverges (|kappa| = 1).  The shifts are those of the scalar piece alone:
+    the vector piece's block between harmonics of equal l vanishes by
+    parity, but its upper-lower block between l and l' = 2j - l is not
+    zero, and nchydro does not compute it.  The report's theta_bound is the bound
     from the largest |coefficient| at the 2P Lamb-shift accuracy
     LAMB_ACCURACY_2P_HZ.
 
@@ -517,23 +524,23 @@ def selection_allowed(state_a: RelativisticState, state_b: RelativisticState,
 def perturbation_kernels(state: RelativisticState, theta: float, position):
     """Point evaluation of the two perturbation kernels.
 
-    Returns (scalar_term, vector_term): the scalar kernel
-    -(e^2 / 2 r^3) theta <L_z> for the state's effective L_z eigenvalue, and
-    the vector kernel (e^4/4)(r x theta)/r^4 that multiplies the alpha
-    matrices.  The vector is perpendicular to both r and the theta axis.
+    position is a 3-vector of floats.  Returns (scalar_term, vector_term):
+    the scalar kernel -(e^2 / 2 r^3) theta <L_z> for the state's effective
+    L_z eigenvalue, and the vector kernel (e^4/4)(r x theta)/r^4 that
+    multiplies the alpha matrices, a tuple of three floats.  The vector is
+    perpendicular to both r and the theta axis.
     """
-    import numpy as np
-
-    pos = np.asarray(position, dtype=float)
-    if pos.shape != (3,):
-        raise DomainError(f"position must be a 3-vector, got shape {pos.shape}")
-    r = float(np.linalg.norm(pos))
+    pos = tuple(map(float, position))
+    if len(pos) != 3:
+        raise DomainError(f"position must be a 3-vector, got {len(pos)} components")
+    x, y, _ = pos
+    r = math.hypot(*pos)
     if r == 0.0:
         raise SingularityError("perturbation kernels are singular at r = 0")
     check_theta(theta)
     alpha = state.constants.alpha
     m_eff = _lz(state.kappa, state.M)
     term1 = -(alpha / (2.0 * r ** 3)) * theta * m_eff
-    theta_vec = np.array([0.0, 0.0, theta])
-    term2 = (alpha * alpha / 4.0) * np.cross(pos, theta_vec) / r ** 4
+    # r x (0, 0, theta)
+    term2 = tuple((alpha * alpha / 4.0) * c / r ** 4 for c in (y * theta, -x * theta, 0.0))
     return term1, term2

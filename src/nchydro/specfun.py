@@ -12,9 +12,12 @@ check_integer is the one integer test (bools and floats are not integers),
 lj_to_kappa the one test of j = l +/- 1/2 and check_magnetic the one
 half-integer test.  dirac re-exports kappa_to_lj and lj_to_kappa.
 
-numpy is imported inside the functions that build or take arrays, so
-importing this module (and the package) does not load it; the endpoint
-sample and laguerre_general at a float are plain floats.
+No module of the package imports numpy: the rules, harmonics and sums
+here are pure Python on floats and tuples.  Both Gauss rules (Laguerre and
+the Legendre factor of the sphere rule) take their nodes from one
+eigenvalue-only implicit QL on the Jacobi matrix and their weights from
+the scaled Christoffel sum.  laguerre_general also maps an ndarray x
+elementwise when a caller passes one.
 """
 
 from __future__ import annotations
@@ -24,13 +27,9 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .constants import finite_real
 from .errors import DomainError, ValidationError
-
-if TYPE_CHECKING:  # numpy is imported where arrays are built
-    import numpy as np
 
 __all__ = [
     "QuadratureRule",
@@ -78,9 +77,7 @@ def _norm_legendre(l: int, m: int, cos_theta, sin_theta):
     Condon-Shortley phase, so Y_lm = P~_l^m(cos theta) e^{i m phi}.
     Stable seeded recurrence (sectoral seed, upward in l).
     """
-    import numpy as np
-
-    p_mm = np.full_like(cos_theta, 1.0 / math.sqrt(4.0 * math.pi))
+    p_mm = 1.0 / math.sqrt(4.0 * math.pi)
     for k in range(1, m + 1):
         p_mm = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sin_theta * p_mm
     if l == m:
@@ -95,26 +92,28 @@ def _norm_legendre(l: int, m: int, cos_theta, sin_theta):
     return p_next
 
 
-def spherical_harmonic(l: int, m: int, theta, phi):
+def _harmonic_grid(l: int, m: int, theta, phi) -> list[complex]:
+    """Y_lm at every point of the tensor grid theta x phi, theta-major: the
+    Legendre factor once per theta and e^{i m phi} once per phi.  The
+    (-1)^m of Y_l,-m = (-1)^m conj(Y_lm) goes on the real Legendre factor."""
+    am = abs(m)
+    sign = -1.0 if m < 0 and am % 2 else 1.0
+    legendre = [sign * _norm_legendre(l, am, math.cos(t), math.sin(t)) for t in theta]
+    waves = [complex(math.cos(m * p), math.sin(m * p)) for p in phi]
+    return [p * w for p in legendre for w in waves]
+
+
+def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     """Orthonormal complex spherical harmonic Y_lm(theta, phi).
 
     Condon-Shortley phase; integral of |Y_lm|^2 over the sphere is 1.
-    theta and phi may be scalars or broadcastable arrays.
+    theta and phi are floats.
     """
-    import numpy as np
-
     if l < 0:
         raise DomainError(f"spherical_harmonic requires l >= 0, got l={l}")
     if abs(m) > l:
         raise DomainError(f"spherical_harmonic requires |m| <= l, got l={l}, m={m}")
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    am = abs(m)
-    p = _norm_legendre(l, am, np.cos(th), np.sin(th))
-    y = p * np.exp(1j * am * ph)
-    if m < 0:
-        y = (-1) ** am * np.conj(y)
-    return y if (np.ndim(theta) or np.ndim(phi)) else complex(y)
+    return _harmonic_grid(l, m, (theta,), (phi,))[0]
 
 
 def check_integer(name: str, value, minimum: int | None = None):
@@ -165,26 +164,28 @@ def spinor_clebsch(j: float, l: int, M: float) -> tuple[float, float]:
     return c_up, c_dn
 
 
-def spinor_harmonic(j: float, l: int, M: float, theta, phi):
+def _spinor_grid(j: float, l: int, M: float, theta, phi) -> tuple[list, list]:
+    """spinor_harmonic at every point of the tensor grid theta x phi: two
+    theta-major lists of complex, one per component."""
+    parts = []
+    for c, m in zip(spinor_clebsch(j, l, M), spinor_orbital_m(M)):
+        if abs(m) <= l and c != 0.0:
+            parts.append([c * y for y in _harmonic_grid(l, int(round(m)), theta, phi)])
+        else:
+            parts.append([0j] * (len(theta) * len(phi)))
+    return parts[0], parts[1]
+
+
+def spinor_harmonic(j: float, l: int, M: float, theta: float,
+                    phi: float) -> tuple[complex, complex]:
     """Two-component spinor spherical harmonic for total momentum (j, M).
 
     Upper component carries Y_{l, M-1/2}, lower Y_{l, M+1/2}, weighted by
     the two-branch coupling coefficients.  Normalized over the sphere.
-    Returns an array of shape (2,) + broadcast shape of theta/phi.
+    theta and phi are floats; returns (upper, lower).
     """
-    import numpy as np
-
-    c_up, c_dn = spinor_clebsch(j, l, M)
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    shape = np.broadcast(th, ph).shape
-    out = np.zeros((2,) + shape, dtype=complex)
-    m_up, m_dn = M - 0.5, M + 0.5
-    if abs(m_up) <= l and c_up != 0.0:
-        out[0] = c_up * spherical_harmonic(l, int(round(m_up)), th, ph)
-    if abs(m_dn) <= l and c_dn != 0.0:
-        out[1] = c_dn * spherical_harmonic(l, int(round(m_dn)), th, ph)
-    return out
+    up, down = _spinor_grid(j, l, M, (theta,), (phi,))
+    return up[0], down[0]
 
 
 def spinor_orbital_m(M: float) -> tuple[float, float]:
@@ -197,50 +198,95 @@ def spinor_orbital_m(M: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _tridiagonal_eigenvalues(diag, off) -> list[float]:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal diag and off-diagonal off (one entry shorter): implicit QL with
+    Wilkinson shifts, eigenvalues only (Bowdler, Martin, Reinsch and
+    Wilkinson, Numer. Math. 11, 1968)."""
+    d, e = list(diag), list(off) + [0.0]
+    n = len(d)
+    for l in range(n):
+        for _ in range(64):
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:  # negligible: the matrix splits at m
+                    break
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: deflate and sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+        else:
+            raise DomainError(f"implicit QL did not converge for eigenvalue {l} of {n}")
+    return sorted(d)
+
+
+def _golub_welsch(diag, off, mu0: float,
+                  log_weight) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss rule of the Jacobi matrix (diag, off) of a weight function of
+    total mass mu0 (Golub and Welsch, Math. Comp. 23, 1969): the nodes are
+    its eigenvalues and each weight is the Christoffel number
+    1 / sum_k p~_k(x)^2 of the orthonormal polynomials, summed in the scaled
+    form q_k = p~_k(x) e^{log_weight(x) / 2} so nothing overflows, and
+    w = e^{log_weight(x)} / sum_k q_k^2.  A far-tail node whose q underflows
+    to 0 gets weight 0, its true weight being ~0."""
+    nodes = _tridiagonal_eigenvalues(diag, off)
+    steps = list(zip(diag, [0.0] + list(off), off))  # (a_k, b_k, b_{k+1})
+    weights = []
+    for x in nodes:
+        log_w = log_weight(x)
+        q_prev, q = 0.0, math.exp(0.5 * log_w) / math.sqrt(mu0)
+        s = q * q
+        for a_k, b_k, b_next in steps:
+            q_prev, q = q, ((x - a_k) * q - b_k * q_prev) / b_next
+            s += q * q
+        weights.append(math.exp(log_w) / s if s > 0.0 else 0.0)
+    return tuple(nodes), tuple(weights)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for integration against x^beta e^-x on (0, inf)."""
+    """Nodes and weights (float tuples) for integration against x^beta e^-x
+    on (0, inf)."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: tuple[float, ...]
+    weights: tuple[float, ...]
     beta: float = 0.0
 
     def integrate(self, func) -> float:
-        import numpy as np
-
-        return float(np.sum(self.weights * func(self.nodes)))
+        """math.fsum of w func(x) over the nodes; func maps a float to a float."""
+        return math.fsum(map(mul, self.weights, map(func, self.nodes)))
 
 
 @lru_cache(maxsize=512)
-def _laguerre_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    # Golub-Welsch nodes from the symmetric Jacobi matrix; weights from the
-    # Christoffel sum 1/sum_k p~_k(x)^2 evaluated in exponentially scaled
-    # form q_k = p~_k(x) x^{beta/2} e^{-x/2} so nothing overflows.
-    i = np.arange(n, dtype=float)
-    diag = 2.0 * i + 1.0 + beta
-    k = np.arange(1, n, dtype=float)
-    off = np.sqrt(k * (k + beta))
-    jmat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    x = np.linalg.eigvalsh(jmat)
-    mu0 = math.gamma(1.0 + beta)
-    with np.errstate(under="ignore"):
-        log_w = -x + beta * np.log(x)
-        q = np.exp(0.5 * log_w) / math.sqrt(mu0)
-        s = q * q
-        q_prev = np.zeros_like(x)
-        for kk in range(1, n):
-            b_k = math.sqrt(kk * (kk + beta))
-            b_km = math.sqrt((kk - 1.0) * (kk - 1.0 + beta)) if kk >= 2 else 0.0
-            q_prev, q = q, ((x - (2.0 * (kk - 1.0) + 1.0 + beta)) * q - b_km * q_prev) / b_k
-            s += q * q
-        w = np.zeros_like(x)
-        alive = s > 0.0  # far-tail nodes underflow; their true weights are ~0
-        w[alive] = np.exp(log_w[alive]) / s[alive]
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _laguerre_rule(n: int, beta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # Jacobi matrix of x^beta e^-x: diagonal 2k + 1 + beta, off-diagonal
+    # sqrt(k (k + beta)), mass Gamma(1 + beta); the weights are scaled by
+    # x^(beta/2) e^(-x/2)
+    return _golub_welsch([2.0 * k + 1.0 + beta for k in range(n)],
+                         [math.sqrt(k * (k + beta)) for k in range(1, n)],
+                         math.gamma(1.0 + beta), lambda x: -x + beta * math.log(x))
 
 
 def gauss_laguerre(n: int, beta: float = 0.0) -> QuadratureRule:
@@ -251,7 +297,7 @@ def gauss_laguerre(n: int, beta: float = 0.0) -> QuadratureRule:
     """
     if n < 1:
         raise DomainError(f"gauss_laguerre requires n >= 1, got {n}")
-    if beta <= -1.0:
+    if not beta > -1.0:  # NaN included
         raise DomainError(f"weight x^beta e^-x is not integrable for beta={beta}")
     nodes, weights = _laguerre_rule(int(n), float(beta))
     return QuadratureRule(nodes=nodes, weights=weights, beta=beta)
@@ -277,8 +323,9 @@ class IntegrationResult:
 def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
                       start: int = 80, max_order: int = 1280) -> IntegrationResult:
     """Integral of func(x) x^beta e^-x dx over (0, inf) by doubling the
-    Gauss-Laguerre order until the relative change falls below tol.  No
-    package code calls it; it stays while the benchmark's tracer names it."""
+    Gauss-Laguerre order until the relative change falls below tol; func maps
+    a float to a float.  No package code calls it; it stays while the
+    benchmark's tracer names it."""
     order = start
     prev = gauss_laguerre(order, beta).integrate(func)
     drift = math.inf
@@ -359,43 +406,31 @@ def adaptive_sampled_endpoint(func, start: int = 80) -> IntegrationResult:
 
 @lru_cache(maxsize=1)
 def sphere_rule():
-    """16 x 16 tensor rule over the unit sphere.
+    """16 x 16 tensor rule over the unit sphere, as its two factors
+    (theta, theta_weights, phi, phi_weights), float tuples of 16.
 
-    Gauss-Legendre in cos(theta), with nodes and weights by Golub-Welsch:
-    the Jacobi matrix has zero diagonal and off-diagonal k / sqrt(4k^2 - 1),
-    its eigenvalues are the nodes and 2 v_0^2 (v_0 the first component of
-    each unit eigenvector) the weights.  Trapezoid in phi.
+    Gauss-Legendre in cos(theta) by _golub_welsch: the Jacobi matrix has
+    zero diagonal and off-diagonal k / sqrt(4k^2 - 1), mass 2.  Trapezoid
+    in phi.  The weight of grid point (i, j) is theta_weights[i] *
+    phi_weights[j]; the 256 weights sum to 4 pi.
 
     Exact for every angular block checked here: a block between levels
     l_a and l_b integrates a polynomial in cos(theta) of degree at most
     l_a + l_b + 1 times e^{ik phi} with |k| <= l_a + l_b + 1.  16 Legendre
     nodes are exact to degree 31 and 16 trapezoid points for |k| <= 15, so
     the rule is exact for l_a + l_b <= 14.
-
-    Returns (theta_grid, phi_grid, weight_grid), each of shape (16, 16),
-    with sum(weights) = 4 pi.
     """
-    import numpy as np
-
     n = 16
-    k = np.arange(1, n, dtype=float)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 * vecs[0] ** 2
-    theta = np.arccos(x)
-    phi = 2.0 * math.pi * np.arange(n) / n
-    th_grid, ph_grid = np.meshgrid(theta, phi, indexing="ij")
-    w_grid = np.repeat(w[:, None], n, axis=1) * (2.0 * math.pi / n)
-    for arr in (th_grid, ph_grid, w_grid):
-        arr.setflags(write=False)
-    return th_grid, ph_grid, w_grid
+    x, w = _golub_welsch([0.0] * n, [k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, n)],
+                         2.0, lambda x: 0.0)
+    return (tuple(math.acos(v) for v in x), w,
+            tuple(2.0 * math.pi * k / n for k in range(n)), (2.0 * math.pi / n,) * n)
 
 
 def sphere_integrate(values, rule=None) -> complex:
-    """Integrate grid samples produced on sphere_rule grids."""
-    import numpy as np
-
-    if rule is None:
-        rule = sphere_rule()
-    _, _, w = rule
-    return complex(np.sum(w * values))
+    """Integrate samples on a sphere rule's grid (theta-major: values[i *
+    len(phi) + j] at (theta[i], phi[j])) as the fsum of the weighted
+    samples, real and imaginary parts apart."""
+    _, theta_weights, _, phi_weights = sphere_rule() if rule is None else rule
+    terms = list(map(mul, [a * b for a in theta_weights for b in phi_weights], values))
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))

@@ -484,9 +484,9 @@ def test_readme_library_snippet_runs():
     exec(_readme_block("## Library entry points", "```python"), {})
 
 
-# Requests answered by scalar arithmetic, the exact Laguerre series and the
-# pure-Python |kappa| = 1 endpoint samples (2P1/2, 1S1/2); only verify, whose
-# angular blocks are sphere-quadrature arrays, loads numpy.
+# Every request: scalar arithmetic, the exact Laguerre series, the pure-Python
+# |kappa| = 1 endpoint samples (2P1/2, 1S1/2), and verify's pure-Python Gauss
+# rules and sphere blocks.
 NUMPY_FREE_REQUESTS = [
     ["levels", "2P3/2"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e-19"],
@@ -498,23 +498,32 @@ NUMPY_FREE_REQUESTS = [
      "--levels", "2P1/2,1S1/2"],
     ["shift", "2P1/2", "--theta", "1e-19"],
     ["bound", "1S1/2"],
+    ["verify"],
 ]
 KAPPA_1_LEVELS = ["1S1/2", "2S1/2", "2P1/2", "3S1/2", "3P1/2", "4S1/2", "4P1/2", "5S1/2",
                   "5P1/2"]
 
 
-def _requests_load_numpy(*argvs) -> bool:
-    """Run CLI requests in one fresh interpreter; True if numpy got imported."""
-    script = ("import contextlib, io, json, sys\n"
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports nchydro from this tree."""
+    src = str(Path(nchydro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def _requests_load_numpy(*argvs, prelude: str = "") -> bool:
+    """Run CLI requests in one fresh interpreter, after prelude; True if
+    numpy got imported."""
+    script = (prelude + "import contextlib, io, json, sys\n"
               "from nchydro.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
               "print(json.dumps(codes), 'numpy' in sys.modules)\n")
-    src = str(Path(nchydro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
-                         check=True, capture_output=True, text=True).stdout.rsplit(None, 1)
+    result = _run_python(script, json.dumps(argvs))
+    assert result.returncode == 0, result.stderr
+    out = result.stdout.rsplit(None, 1)
     assert json.loads(out[0]) == [0] * len(argvs), argvs
     return out[1] == "True"
 
@@ -530,6 +539,18 @@ def test_kappa_1_shift_and_bound_do_not_import_numpy():
         ["shift", label, "--theta", "1e-19"], ["bound", label])])
 
 
-def test_verify_imports_numpy():
-    # the positive control: the angular blocks are sphere-quadrature arrays
-    assert _requests_load_numpy(["verify"])
+def test_numpy_imported_first_is_detected():
+    # the positive control: a script that imports numpy itself is seen to
+    assert _requests_load_numpy(["levels", "2P3/2"], prelude="import numpy\n")
+
+
+def test_verify_runs_with_numpy_blocked():
+    # sys.modules["numpy"] = None makes any import of numpy raise ImportError
+    result = _run_python("import sys\nsys.modules['numpy'] = None\n"
+                         "from nchydro.cli import main\n"
+                         "sys.exit(main(['verify', '--format', 'json']))\n")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert len(payload["reports"]) == 112
+    assert payload["verdict_counts"] == {"match": 75, "flagged_paper_inconsistency": 37,
+                                         "mismatch": 0}

@@ -91,7 +91,7 @@ class TestRadialFunctions:
         # n_r = 0: polynomial parts are constants, so f/g is constant in r
         s = make_state(0, -1, 0.5)
         r = np.array([0.3, 1.0, 5.0]) / s.lam
-        f, g = radial_fg(s, r)
+        f, g = np.array([radial_fg(s, ri) for ri in r.tolist()]).T
         ratios = g / f
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
@@ -106,7 +106,7 @@ class TestRadialFunctions:
         with pytest.raises(DomainError):
             radial_fg(s, 0.0)
         with pytest.raises(DomainError):
-            radial_fg(s, np.array([1.0, -2.0]))
+            [radial_fg(s, ri) for ri in (1.0, -2.0)]
 
     @pytest.mark.parametrize("n_r,kappa", [(0, -1), (1, -1), (1, 1), (0, -2), (2, 2), (0, -3)])
     def test_norm_is_one(self, n_r, kappa):
@@ -122,7 +122,7 @@ class TestRadialFunctions:
         s = make_state(n_r, kappa, 0.5)
         r = np.linspace(0.3 / s.lam, 12.0 / s.lam, 4000)
         h = r[1] - r[0]
-        f, g = radial_fg(s, r)
+        f, g = np.array([radial_fg(s, ri) for ri in r.tolist()]).T
         G, F = r * f, r * g
         dG = np.gradient(G, h, edge_order=2)
         dF = np.gradient(F, h, edge_order=2)
@@ -139,8 +139,8 @@ class TestNormalizationConstant:
     def norm_functional(s, c):
         # c^2 int (f~^2 + g~^2) r^2 dr on a rule far above the exact order
         rule = gauss_laguerre(48, 2.0 * s.nu)
-        pf, pg = radial_polynomials(s, rule.nodes)
-        integral = float(np.sum(rule.weights * (pf * pf + pg * pg)))
+        pf, pg = radial_polynomials(s, np.array(rule.nodes))
+        integral = float(np.sum(np.array(rule.weights) * (pf * pf + pg * pg)))
         return c ** 2 * integral / (2.0 * s.lam) ** 3
 
     def test_quadratic_scaling(self):

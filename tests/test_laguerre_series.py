@@ -29,8 +29,8 @@ def _integrals(kappa):
 
 def _gauss(state, shift, sign):
     rule = gauss_laguerre(state.n_r + 2, 2.0 * state.nu + shift)
-    pf, pg = radial_polynomials(state, rule.nodes)
-    return float(np.sum(rule.weights * (pf * pf + sign * pg * pg)))
+    pf, pg = radial_polynomials(state, np.array(rule.nodes))
+    return float(np.sum(np.array(rule.weights) * (pf * pf + sign * pg * pg)))
 
 
 @pytest.mark.parametrize("n_r,kappa", _levels(15))

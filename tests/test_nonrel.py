@@ -47,9 +47,9 @@ class TestRadialR:
         for n, l in [(1, 0), (2, 1), (3, 1), (6, 5)]:
             s = n * A0 / 2.0
             rule = gauss_laguerre(160)
-            x = rule.nodes
-            vals = radial_R(n, l, s * x)
-            norm = np.sum(rule.weights * np.exp(x) * vals ** 2 * (s * x) ** 2) * s
+            x = np.array(rule.nodes)
+            vals = np.array([radial_R(n, l, r) for r in (s * x).tolist()])
+            norm = np.sum(np.array(rule.weights) * np.exp(x) * vals ** 2 * (s * x) ** 2) * s
             assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_radial_distribution_peak_at_4a0(self):
@@ -79,9 +79,9 @@ class TestRadialR:
             p2 = expectation_p2(n, l)
             s = n * A0 / 2.0
             rule = gauss_laguerre(160)
-            x = rule.nodes
-            vals = radial_R(n, l, s * x)
-            v_exp = -ALPHA * np.sum(rule.weights * np.exp(x) * vals ** 2 * (s * x)) * s
+            x = np.array(rule.nodes)
+            vals = np.array([radial_R(n, l, r) for r in (s * x).tolist()])
+            v_exp = -ALPHA * np.sum(np.array(rule.weights) * np.exp(x) * vals ** 2 * (s * x)) * s
             total = p2 / (2.0 * M_E) + v_exp
             assert total == pytest.approx(schrodinger_energy(n), rel=1e-9)
 

@@ -13,6 +13,34 @@ from nchydro.specfun import (_endpoint_rule, adaptive_sampled_endpoint, adaptive
                              spherical_harmonic, spinor_harmonic, spinor_orbital_m)
 
 
+def numpy_laguerre_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The independent reference for the Gauss rules: Golub-Welsch nodes by
+    numpy's dense symmetric eigensolver, weights from the Christoffel sum
+    1/sum_k p~_k(x)^2 in exponentially scaled form q_k = p~_k(x)
+    x^{beta/2} e^{-x/2} so nothing overflows."""
+    i = np.arange(n, dtype=float)
+    diag = 2.0 * i + 1.0 + beta
+    k = np.arange(1, n, dtype=float)
+    off = np.sqrt(k * (k + beta))
+    jmat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jmat)
+    mu0 = math.gamma(1.0 + beta)
+    with np.errstate(under="ignore"):
+        log_w = -x + beta * np.log(x)
+        q = np.exp(0.5 * log_w) / math.sqrt(mu0)
+        s = q * q
+        q_prev = np.zeros_like(x)
+        for kk in range(1, n):
+            b_k = math.sqrt(kk * (kk + beta))
+            b_km = math.sqrt((kk - 1.0) * (kk - 1.0 + beta)) if kk >= 2 else 0.0
+            q_prev, q = q, ((x - (2.0 * (kk - 1.0) + 1.0 + beta)) * q - b_km * q_prev) / b_k
+            s += q * q
+        w = np.zeros_like(x)
+        alive = s > 0.0  # far-tail nodes underflow; their true weights are ~0
+        w[alive] = np.exp(log_w[alive]) / s[alive]
+    return x, w
+
+
 class TestGamma:
     """Gamma(1 + beta) as carried by the generalized rule: its weights sum
     to the zeroth moment of x^beta e^-x."""
@@ -113,17 +141,27 @@ class TestSphericalHarmonic:
             spherical_harmonic(1, 2, 0.1, 0.1)
 
     def test_sphere_weights_sum_to_4pi(self):
-        _, _, w = sphere_rule()
+        _, w_theta, _, w_phi = sphere_rule()
+        w = np.outer(w_theta, w_phi)
         assert w.shape == (16, 16)
         assert float(np.sum(w)) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
+    def test_legendre_factor_matches_numpy(self):
+        # absolute: the edge weights (0.027) differ by 1.9e-14 relative, as
+        # far as numpy's eigh route stood from the exact ones (1.7e-14)
+        theta, w_theta, _, _ = sphere_rule()
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert np.max(np.abs(np.cos(theta) - x)) <= 1e-14
+        assert np.max(np.abs(np.array(w_theta) - w)) <= 1e-14
+
     def test_orthonormality_by_quadrature(self):
         rule = sphere_rule()
-        th, ph, _ = rule
-        y11 = spherical_harmonic(1, 1, th, ph)
-        y10 = spherical_harmonic(1, 0, th, ph)
-        cross = sphere_integrate(np.conj(y11) * y10, rule)
-        norm = sphere_integrate(np.abs(y11) ** 2, rule)
+        th, _, ph, _ = rule
+        grid = [(t, p) for t in th for p in ph]
+        y11 = np.array([spherical_harmonic(1, 1, t, p) for t, p in grid])
+        y10 = np.array([spherical_harmonic(1, 0, t, p) for t, p in grid])
+        cross = sphere_integrate((np.conj(y11) * y10).tolist(), rule)
+        norm = sphere_integrate((np.abs(y11) ** 2).tolist(), rule)
         assert abs(cross) < 1e-13
         assert norm.real == pytest.approx(1.0, abs=1e-13)
 
@@ -146,9 +184,9 @@ class TestSpinorHarmonic:
 
     def test_normalization_j32(self):
         rule = sphere_rule()
-        th, ph, _ = rule
-        om = spinor_harmonic(1.5, 1, 0.5, th, ph)
-        norm = sphere_integrate(np.abs(om[0]) ** 2 + np.abs(om[1]) ** 2, rule)
+        th, _, ph, _ = rule
+        om = np.array([spinor_harmonic(1.5, 1, 0.5, t, p) for t in th for p in ph]).T
+        norm = sphere_integrate((np.abs(om[0]) ** 2 + np.abs(om[1]) ** 2).tolist(), rule)
         assert norm.real == pytest.approx(1.0, abs=1e-12)
 
     def test_inconsistent_jl_pair(self):
@@ -163,13 +201,30 @@ class TestSpinorHarmonic:
         ph = 0.7
         h = 1e-5
         m_up, m_dn = spinor_orbital_m(M)
-        plus = spinor_harmonic(j, l, M, th, ph + h)
-        minus = spinor_harmonic(j, l, M, th, ph - h)
-        center = spinor_harmonic(j, l, M, th, ph)
+        plus = np.array(spinor_harmonic(j, l, M, th, ph + h))
+        minus = np.array(spinor_harmonic(j, l, M, th, ph - h))
+        center = np.array(spinor_harmonic(j, l, M, th, ph))
         deriv = -1j * (plus - minus) / (2.0 * h)
         for comp, m_val in ((0, m_up), (1, m_dn)):
             if abs(center[comp]) > 1e-12:
                 assert deriv[comp] / center[comp] == pytest.approx(m_val, abs=1e-8)
+
+
+# every beta verify builds a rule for: 2 nu - 3 and 2 nu for |kappa| = 2, 3,
+# and 0 for the moments; then the edge -0.5 and a large 4.99
+VERIFY_BETAS = [2.0 * make_state(0, kappa, 0.5).nu + shift
+                for kappa in (-2, -3) for shift in (-3.0, 0.0)] + [0.0]
+
+
+@pytest.mark.parametrize("beta", VERIFY_BETAS + [-0.5, 4.99])
+def test_gauss_laguerre_matches_numpy(beta):
+    for n in range(1, 49):
+        rule = gauss_laguerre(n, beta)
+        assert all(type(v) is float for v in rule.nodes + rule.weights)
+        x, w = numpy_laguerre_rule(n, beta)
+        assert np.max(np.abs(np.array(rule.nodes) / x - 1.0)) <= 1e-12, n
+        kept = w > 1e-250
+        assert np.max(np.abs(np.array(rule.weights)[kept] / w[kept] - 1.0)) <= 1e-12, n
 
 
 class TestGaussLaguerre:
@@ -194,7 +249,7 @@ class TestGaussLaguerre:
         for n in (1, 2, 8, 40, 80):
             rule = gauss_laguerre(n)
             assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-12)
-            assert np.all(rule.weights > 0)
+            assert np.all(np.array(rule.weights) > 0)
             assert np.all(np.diff(rule.nodes) > 0)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 40])
@@ -216,6 +271,8 @@ class TestGaussLaguerre:
             gauss_laguerre(0)
         with pytest.raises(DomainError):
             gauss_laguerre(8, beta=-1.0)
+        with pytest.raises(DomainError, match="not integrable"):
+            gauss_laguerre(8, beta=math.nan)
 
     def test_adaptive_converges_on_polynomial(self):
         res = adaptive_weighted(lambda x: x ** 3 + 2.0, start=8, tol=1e-12)
@@ -224,15 +281,14 @@ class TestGaussLaguerre:
 
 
 class TestEndpointRule:
-    """The pure-Python rule of adaptive_sampled_endpoint against the
-    Golub-Welsch rule (gauss_laguerre) it replaced."""
+    """The pure-Python rule of adaptive_sampled_endpoint against numpy's
+    Golub-Welsch rule (numpy_laguerre_rule)."""
 
     @pytest.mark.parametrize("n", [16, 40, 80, 160, 320])
     def test_matches_golub_welsch(self, n):
-        rule = gauss_laguerre(n, 0.0)
-        t = rule.nodes
+        t, rule_weights = numpy_laguerre_rule(n, 0.0)
         with np.errstate(under="ignore"):
-            weights = 2.0 * t * rule.weights * np.exp(t - t * t)
+            weights = 2.0 * t * rule_weights * np.exp(t - t * t)
         kept = int(np.count_nonzero(weights))
         assert kept == {80: 29, 160: 42}.get(n, kept)  # as README states
         assert np.all(weights[:kept] > 0.0) and not np.any(weights[kept:])
@@ -261,16 +317,15 @@ KAPPA_1 = [(n - 1, -1) for n in range(1, 6)] + [(n - 1, 1) for n in range(2, 6)]
 
 def _golub_welsch_sample(bra, ket, sign, order):
     """The endpoint sample as numpy took it: radial_polynomials on the
-    squared nodes of the order-node Golub-Welsch rule."""
-    rule = gauss_laguerre(order, 0.0)
-    t = rule.nodes
+    squared nodes of numpy's order-node Golub-Welsch rule."""
+    t, rule_weights = numpy_laguerre_rule(order, 0.0)
     x = t * t
     pf, pg = radial_polynomials(bra, x)
     pf2, pg2 = radial_polynomials(ket, x)
     with np.errstate(under="ignore"):
         vals = (2.0 * t * np.exp((2.0 * bra.nu - 3.0) * np.log(x))
                 * (pf * pf2 + sign * pg * pg2) * np.exp(t - t * t))
-    return float(np.sum(rule.weights * vals)) * bra.norm * ket.norm
+    return float(np.sum(rule_weights * vals)) * bra.norm * ket.norm
 
 
 def _assert_same_samples(result, bra, ket, sign):
