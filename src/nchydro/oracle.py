@@ -17,9 +17,10 @@ from its defining integral and compared:
   between the two samples; those integrals diverge at the origin, which
   is detected rather than hidden, and reported as a flagged inconsistency
   because the closed forms quote finite values there.
-* angular blocks: the 16 x 16 sphere rule (specfun.sphere_rule, exact for
-  these blocks) against the closed-form blocks, including the parity
-  zeros.
+* angular blocks: sums over the 16-node Gauss-Legendre rule in cos(theta)
+  (specfun.sphere_rule), with the phi integral taken exactly, against the
+  closed-form blocks, including the parity zeros; the rule is exact for
+  these blocks.
 * inverse-radius moments: closed forms against direct quadrature on the
   n-node Gauss-Laguerre rule, which is exact for every finite moment; the
   divergent (n, l, k) combinations must be detected on both paths, the
@@ -28,7 +29,7 @@ from its defining integral and compared:
 
 Every route here is pure Python and never loads numpy: the Gauss rules
 and the sphere rule are float tuples, each quadrature sum is the math.fsum
-of per-node floats, and a block is a tuple of complex rows.
+of per-node floats, and a block is real sums wrapped in complex rows.
 
 Verdicts: "match" when everything agrees at tolerance, "mismatch" for an
 unexpected failure, and "flagged_paper_inconsistency" for the documented

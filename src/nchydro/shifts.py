@@ -10,6 +10,10 @@ channel).  That includes the upper-lower block between a level's own
 l and l' = 2j - l, the harmonics of its large and small components; that
 block is not zero, and nchydro does not compute it.
 
+The numeric angular blocks take the phi integral exactly and sum each
+entry as one real math.fsum over the 16 Gauss-Legendre nodes in
+cos(theta), so entries between different M are exactly 0.
+
 Every radial quantity is computed twice:
 
 * "closed_form" evaluates the tabulated closed expressions verbatim.  For
@@ -53,14 +57,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_theta, ev2_to_gev_scale, finite_real, hz_to_ev)
 from .dirac import RelativisticState, _exact_series, _overlap, make_state, parse_level_label
 from .errors import DomainError, SingularityError, ValidationError
-from .specfun import (IntegrationResult, _spinor_grid, adaptive_sampled_endpoint,
-                      check_magnetic, kappa_to_lj, lj_to_kappa, sphere_integrate,
-                      sphere_rule, spinor_orbital_m)
+from .specfun import (IntegrationResult, _spinor_profiles, adaptive_sampled_endpoint,
+                      check_magnetic, kappa_to_lj, lj_to_kappa, sphere_rule)
 
 __all__ = [
     "AngularBlock",
@@ -187,45 +191,50 @@ def lz_expectation(j: float, l: int, M: float) -> float:
     return _lz(kappa, M)
 
 
+def _block(label: str, basis: tuple[float, ...], rows) -> AngularBlock:
+    """An AngularBlock whose matrix is the real rows made complex."""
+    return AngularBlock(label=label, basis=basis,
+                        matrix=tuple(tuple(map(complex, row)) for row in rows))
+
+
 def lz_block(j: float, l: int) -> AngularBlock:
     """Closed-form theta.L block: diagonal in M with entries <L_z>."""
+    kappa = lj_to_kappa(l, j)
     basis = m_values(j)
-    diag = [lz_expectation(j, l, m) for m in basis]
-    return AngularBlock(label=f"Lz(j={j}, l={l})", basis=basis,
-                        matrix=tuple(tuple(complex(v) if i == k else 0j
-                                           for k in range(len(diag)))
-                                     for i, v in enumerate(diag)))
+    return _block(f"Lz(j={j}, l={l})", basis,
+                  [[_lz(kappa, a) if a == b else 0.0 for b in basis] for a in basis])
 
 
-def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act, rule):
-    """M basis and matrix <bra, M_a| O |ket, M_b> of two (j, l) waves sharing
-    j, by sphere quadrature; act(spinor, M) applies O to the ket spinor of
-    magnetic number M, two theta-major lists on the rule's grid.  rule has
-    sphere_rule's form (theta, theta_weights, phi, phi_weights); None takes
-    sphere_rule()."""
-    rule = sphere_rule() if rule is None else rule
-    theta, _, phi, _ = rule
+def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act):
+    """M basis and real rows <bra, M_a| O |ket, M_b> of two (j, l) waves
+    sharing j on sphere_rule; a spinor is _spinor_profiles' two (m, c,
+    profile) and act(spinor, sin_theta) applies O in that form.  A component
+    pair's phi integral is 2 pi where the m match, else 0: an entry is 2 pi
+    times the fsum of c c' w p p' over the matching pairs."""
+    cos_theta, weights = sphere_rule()
+    sin_theta = [math.sqrt((1.0 - x) * (1.0 + x)) for x in cos_theta]
     basis = m_values(bra[0])
-    bras = [_spinor_grid(*bra, m, theta, phi) for m in basis]
-    kets = [act(_spinor_grid(*ket, m, theta, phi), m) for m in basis]
-    return basis, tuple(tuple(sphere_integrate([u.conjugate() * x + v.conjugate() * y
-                                                for u, v, x, y in zip(*b, *k)], rule)
-                              for k in kets) for b in bras)
+    bras = [_spinor_profiles(*bra, M, cos_theta, sin_theta) for M in basis]
+    kets = [act(_spinor_profiles(*ket, M, cos_theta, sin_theta), sin_theta) for M in basis]
+    return basis, [[2.0 * math.pi * math.fsum(
+        c * d * w * p * q for (m_a, c, ps), (m_b, d, qs) in zip(u, k) if m_a == m_b
+        for w, p, q in zip(weights, ps, qs)) for k in kets] for u in bras]
 
 
-def lz_block_numeric(j: float, l: int, rule=None) -> AngularBlock:
-    """theta.L block from 2-D sphere quadrature over spinor harmonics.
+def lz_block_numeric(j: float, l: int) -> AngularBlock:
+    """theta.L block from sphere quadrature over spinor harmonics.
 
     L_z acts on each spinor component through its definite orbital magnetic
-    number; only the sphere integrals are numerical.
+    number; only the theta integrals are numerical.
     """
-    basis, mat = _sphere_block((j, l), (j, l), lambda spinor, M: [
-        [m * v for v in part] for m, part in zip(spinor_orbital_m(M), spinor)], rule)
-    return AngularBlock(label=f"Lz numeric(j={j}, l={l})", basis=basis, matrix=mat)
+    lj_to_kappa(l, j)
+    basis, rows = _sphere_block((j, l), (j, l), lambda spinor, sin_theta: tuple(
+        (m, m * c, profile) for m, c, profile in spinor))
+    return _block(f"Lz numeric(j={j}, l={l})", basis, rows)
 
 
-def sigma_cross_block(bra, ket, rule=None) -> AngularBlock:
-    """Angular block of sigma.(z-hat x r-hat) between two levels sharing j.
+def sigma_cross_block(bra: Level, ket: Level) -> AngularBlock:
+    """Angular block of sigma.(z-hat x r-hat) between two Levels sharing j.
 
     Computed by sphere quadrature.  The operator connects opposite-parity
     partners; within a level (equal l) the block vanishes identically.  The
@@ -233,17 +242,20 @@ def sigma_cross_block(bra, ket, rule=None) -> AngularBlock:
     transitions, matching the convention in which the small bi-spinor
     component carries an explicit i.
     """
+    if not (isinstance(bra, Level) and isinstance(ket, Level)):
+        raise ValidationError(f"sigma_cross_block takes two Levels, got "
+                              f"{type(bra).__name__} and {type(ket).__name__}")
     if abs(bra.j - ket.j) > 1e-9:
         raise ValidationError(f"states must share j, got {bra.j} and {ket.j}")
-    theta, _, phi, _ = sphere_rule() if rule is None else rule
-    # i sigma.(z-hat x r-hat) = [[0, e^{-i phi} sin th], [-e^{i phi} sin th, 0]]
-    top = [complex(math.sin(t) * math.cos(p), -math.sin(t) * math.sin(p))
-           for t in theta for p in phi]
-    basis, mat = _sphere_block((bra.j, bra.l), (ket.j, ket.l), lambda spinor, M: (
-        [a * v for a, v in zip(top, spinor[1])],
-        [-a.conjugate() * v for a, v in zip(top, spinor[0])]), rule)
-    return AngularBlock(label=f"sigma-cross(l={bra.l}->{ket.l}, j={bra.j})",
-                        basis=basis, matrix=mat)
+
+    def act(spinor, sin_theta):
+        # i sigma.(z-hat x r-hat) = [[0, e^{-i phi} sin th], [-e^{i phi} sin th, 0]]
+        (m_up, c_up, up), (m_dn, c_dn, dn) = spinor
+        return ((m_dn - 1, c_dn, list(map(mul, sin_theta, dn))),
+                (m_up + 1, -c_up, list(map(mul, sin_theta, up))))
+
+    basis, rows = _sphere_block((bra.j, bra.l), (ket.j, ket.l), act)
+    return _block(f"sigma-cross(l={bra.l}->{ket.l}, j={bra.j})", basis, rows)
 
 
 # ---------------------------------------------------------------------------

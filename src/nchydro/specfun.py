@@ -4,8 +4,9 @@ Everything here is a pure function of its arguments: generalized Laguerre
 polynomials, complex spherical harmonics with the Condon-Shortley phase,
 two-component spinor spherical harmonics, Gauss-Laguerre rules (plain and
 generalized weight x^beta e^-x), a two-order endpoint sample for integrals
-that diverge at the origin, and a fixed 16 x 16 sphere rule for the
-angular blocks.  Units never enter; callers scale their own variables.
+that diverge at the origin, and the 16-node Gauss-Legendre rule in
+cos(theta) for the angular blocks.  Units never enter; callers scale their
+own variables.
 
 Three quantum-number conventions are decided here and nowhere else:
 check_integer is the one integer test (bools and floats are not integers),
@@ -14,10 +15,10 @@ half-integer test.  dirac re-exports kappa_to_lj and lj_to_kappa.
 
 No module of the package imports numpy: the rules, harmonics and sums
 here are pure Python on floats and tuples.  Both Gauss rules (Laguerre and
-the Legendre factor of the sphere rule) take their nodes from one
-eigenvalue-only implicit QL on the Jacobi matrix and their weights from
-the scaled Christoffel sum.  laguerre_general also maps an ndarray x
-elementwise when a caller passes one.
+the Legendre sphere rule) take their nodes from one eigenvalue-only
+implicit QL on the Jacobi matrix and their weights from the scaled
+Christoffel sum.  laguerre_general also maps an ndarray x elementwise
+when a caller passes one.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from .constants import finite_real
@@ -46,7 +47,6 @@ __all__ = [
     "adaptive_weighted",
     "adaptive_sampled_endpoint",
     "sphere_rule",
-    "sphere_integrate",
 ]
 
 
@@ -70,50 +70,47 @@ def laguerre_general(n: int, a: float, x):
     return cur
 
 
-def _norm_legendre(l: int, m: int, cos_theta, sin_theta):
-    """Fully normalized associated Legendre P~_l^m for m >= 0.
-
-    Normalization includes sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) and the
-    Condon-Shortley phase, so Y_lm = P~_l^m(cos theta) e^{i m phi}.
-    Stable seeded recurrence (sectoral seed, upward in l).
+def _norm_legendre(l: int, m: int, cos_theta: float, sin_theta: float) -> float:
+    """The real theta factor of Y_lm = P e^{i m phi}: the fully normalized
+    associated Legendre P~_l^|m| (sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) and the
+    Condon-Shortley phase included), times (-1)^m for m < 0 from Y_l,-m =
+    (-1)^m conj(Y_lm).  Stable seeded recurrence (sectoral seed, upward in l).
     """
-    p_mm = 1.0 / math.sqrt(4.0 * math.pi)
-    for k in range(1, m + 1):
-        p_mm = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sin_theta * p_mm
-    if l == m:
-        return p_mm
-    p_next = math.sqrt(2.0 * m + 3.0) * cos_theta * p_mm
-    if l == m + 1:
-        return p_next
-    for ll in range(m + 2, l + 1):
-        a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-        b = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        p_mm, p_next = p_next, a * (cos_theta * p_next - b * p_mm)
-    return p_next
-
-
-def _harmonic_grid(l: int, m: int, theta, phi) -> list[complex]:
-    """Y_lm at every point of the tensor grid theta x phi, theta-major: the
-    Legendre factor once per theta and e^{i m phi} once per phi.  The
-    (-1)^m of Y_l,-m = (-1)^m conj(Y_lm) goes on the real Legendre factor."""
     am = abs(m)
     sign = -1.0 if m < 0 and am % 2 else 1.0
-    legendre = [sign * _norm_legendre(l, am, math.cos(t), math.sin(t)) for t in theta]
-    waves = [complex(math.cos(m * p), math.sin(m * p)) for p in phi]
-    return [p * w for p in legendre for w in waves]
+    p_mm = 1.0 / math.sqrt(4.0 * math.pi)
+    for k in range(1, am + 1):
+        p_mm = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * sin_theta * p_mm
+    if l == am:
+        return sign * p_mm
+    p_next = math.sqrt(2.0 * am + 3.0) * cos_theta * p_mm
+    for ll in range(am + 2, l + 1):
+        a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - am * am))
+        b = math.sqrt(((ll - 1.0) ** 2 - am * am) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+        p_mm, p_next = p_next, a * (cos_theta * p_next - b * p_mm)
+    return sign * p_next
+
+
+def _check_angles(theta, phi):
+    if not (finite_real(theta) and finite_real(phi)):
+        raise ValidationError(f"theta and phi must be finite reals, got {theta!r} and {phi!r}")
 
 
 def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     """Orthonormal complex spherical harmonic Y_lm(theta, phi).
 
     Condon-Shortley phase; integral of |Y_lm|^2 over the sphere is 1.
-    theta and phi are floats.
+    l and m are integers, theta and phi finite reals.
     """
+    check_integer("l", l)
+    check_integer("m", m)
+    _check_angles(theta, phi)
     if l < 0:
         raise DomainError(f"spherical_harmonic requires l >= 0, got l={l}")
     if abs(m) > l:
         raise DomainError(f"spherical_harmonic requires |m| <= l, got l={l}, m={m}")
-    return _harmonic_grid(l, m, (theta,), (phi,))[0]
+    return (_norm_legendre(l, m, math.cos(theta), math.sin(theta))
+            * complex(math.cos(m * phi), math.sin(m * phi)))
 
 
 def check_integer(name: str, value, minimum: int | None = None):
@@ -164,16 +161,19 @@ def spinor_clebsch(j: float, l: int, M: float) -> tuple[float, float]:
     return c_up, c_dn
 
 
-def _spinor_grid(j: float, l: int, M: float, theta, phi) -> tuple[list, list]:
-    """spinor_harmonic at every point of the tensor grid theta x phi: two
-    theta-major lists of complex, one per component."""
+def _spinor_profiles(j: float, l: int, M: float, cos_theta, sin_theta) -> tuple:
+    """spinor_harmonic's (upper, lower) components at the points
+    (cos_theta[i], sin_theta[i]): each is (m, c, profile), its value at
+    point i being c profile[i] e^{i m phi}, profile[i] the real theta factor
+    of Y_lm there.  A component with |m| > l or c = 0 vanishes: its c is
+    0.0 and its profile zeros."""
     parts = []
     for c, m in zip(spinor_clebsch(j, l, M), spinor_orbital_m(M)):
-        if abs(m) <= l and c != 0.0:
-            parts.append([c * y for y in _harmonic_grid(l, int(round(m)), theta, phi)])
-        else:
-            parts.append([0j] * (len(theta) * len(phi)))
-    return parts[0], parts[1]
+        kept = abs(m) <= l and c != 0.0
+        m = int(round(m))
+        parts.append((m, c, list(map(partial(_norm_legendre, l, m), cos_theta, sin_theta)))
+                     if kept else (m, 0.0, [0.0] * len(cos_theta)))
+    return tuple(parts)
 
 
 def spinor_harmonic(j: float, l: int, M: float, theta: float,
@@ -182,10 +182,11 @@ def spinor_harmonic(j: float, l: int, M: float, theta: float,
 
     Upper component carries Y_{l, M-1/2}, lower Y_{l, M+1/2}, weighted by
     the two-branch coupling coefficients.  Normalized over the sphere.
-    theta and phi are floats; returns (upper, lower).
+    theta and phi are finite reals; returns (upper, lower).
     """
-    up, down = _spinor_grid(j, l, M, (theta,), (phi,))
-    return up[0], down[0]
+    _check_angles(theta, phi)
+    return tuple(c * (p[0] * complex(math.cos(m * phi), math.sin(m * phi))) if c else 0j
+                 for m, c, p in _spinor_profiles(j, l, M, (math.cos(theta),), (math.sin(theta),)))
 
 
 def spinor_orbital_m(M: float) -> tuple[float, float]:
@@ -400,37 +401,22 @@ def adaptive_sampled_endpoint(func, start: int = 80) -> IntegrationResult:
 
 
 # ---------------------------------------------------------------------------
-# Sphere quadrature: Gauss-Legendre in cos(theta) x trapezoid in phi
+# Sphere quadrature: Gauss-Legendre in cos(theta), phi taken exactly
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
-def sphere_rule():
-    """16 x 16 tensor rule over the unit sphere, as its two factors
-    (theta, theta_weights, phi, phi_weights), float tuples of 16.
+def sphere_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The 16-node Gauss-Legendre rule (cos_theta, weights) on (-1, 1),
+    float tuples, by _golub_welsch: zero diagonal, off-diagonal
+    k / sqrt(4k^2 - 1), mass 2, so the weights sum to 2.
 
-    Gauss-Legendre in cos(theta) by _golub_welsch: the Jacobi matrix has
-    zero diagonal and off-diagonal k / sqrt(4k^2 - 1), mass 2.  Trapezoid
-    in phi.  The weight of grid point (i, j) is theta_weights[i] *
-    phi_weights[j]; the 256 weights sum to 4 pi.
-
-    Exact for every angular block checked here: a block between levels
-    l_a and l_b integrates a polynomial in cos(theta) of degree at most
-    l_a + l_b + 1 times e^{ik phi} with |k| <= l_a + l_b + 1.  16 Legendre
-    nodes are exact to degree 31 and 16 trapezoid points for |k| <= 15, so
-    the rule is exact for l_a + l_b <= 14.
+    Exact for the angular blocks: their integrands are one e^{ik phi},
+    integer k, whose phi integral (2 pi for k = 0, else 0) is taken
+    exactly, times a polynomial in cos(theta) of degree at most
+    l_a + l_b + 1 between levels l_a and l_b; 16 nodes are exact to degree
+    31, so to l_a + l_b <= 30.
     """
     n = 16
-    x, w = _golub_welsch([0.0] * n, [k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, n)],
+    return _golub_welsch([0.0] * n, [k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, n)],
                          2.0, lambda x: 0.0)
-    return (tuple(math.acos(v) for v in x), w,
-            tuple(2.0 * math.pi * k / n for k in range(n)), (2.0 * math.pi / n,) * n)
-
-
-def sphere_integrate(values, rule=None) -> complex:
-    """Integrate samples on a sphere rule's grid (theta-major: values[i *
-    len(phi) + j] at (theta[i], phi[j])) as the fsum of the weighted
-    samples, real and imaginary parts apart."""
-    _, theta_weights, _, phi_weights = sphere_rule() if rule is None else rule
-    terms = list(map(mul, [a * b for a in theta_weights for b in phi_weights], values))
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))

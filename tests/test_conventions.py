@@ -27,9 +27,10 @@ from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p2,
                             pi_delta_expectation, r_inverse_moment,
                             nc_hyperfine_shift, r_inverse_moment_quadrature, radial_R,
                             radial_R_prime, s_state_shift, schrodinger_energy)
-from nchydro.shifts import (Level, level_shift, lz_expectation, perturbation_kernels,
-                            radial_integral_closed, radial_integral_quadrature,
-                            selection_allowed, transition_element_2s2p)
+from nchydro.shifts import (Level, level_shift, lz_block, lz_block_numeric, lz_expectation,
+                            perturbation_kernels, radial_integral_closed,
+                            radial_integral_quadrature, selection_allowed, sigma_cross_block,
+                            transition_element_2s2p)
 from nchydro.specfun import (laguerre_general, spherical_harmonic, spinor_clebsch,
                              spinor_harmonic)
 
@@ -143,6 +144,16 @@ LABEL_ENTRY_POINTS = {
     "Level.from_label": Level.from_label,
     "parse_level_label": parse_level_label,
 }
+# angles that are not finite reals
+BAD_ANGLES = [math.nan, math.inf, -math.inf]
+ANGLE_ENTRY_POINTS = {
+    "spherical_harmonic-theta": lambda a: spherical_harmonic(1, 0, a, 0.2),
+    "spherical_harmonic-phi": lambda a: spherical_harmonic(1, 0, 0.3, a),
+    "spinor_harmonic-theta": lambda a: spinor_harmonic(1.5, 1, 0.5, a, 0.2),
+    "spinor_harmonic-phi": lambda a: spinor_harmonic(1.5, 1, 0.5, 0.3, a),
+}
+# (l, m) of a spherical harmonic that are not integers
+BAD_LM = [(1.0, 0), (True, 0), (2, 1.0)]
 REJECTED = (
     [pytest.param(call, (l, j), id=f"{name}-l{l}-j{j}")
      for name, call in PAIR_ENTRY_POINTS.items() for l, j in BAD_PAIRS]
@@ -164,6 +175,13 @@ REJECTED = (
        for name, call in THETA_ENTRY_POINTS.items() for theta in BAD_THETA]
     + [pytest.param(call, (label,), id=f"{name}-label{label!r}")
        for name, call in LABEL_ENTRY_POINTS.items() for label in BAD_LABELS]
+    + [pytest.param(call, (a,), id=f"{name}{a!r}")
+       for name, call in ANGLE_ENTRY_POINTS.items() for a in BAD_ANGLES]
+    + [pytest.param(spherical_harmonic, (l, m, 0.3, 0.2), id=f"spherical_harmonic-l{l!r}-m{m!r}")
+       for l, m in BAD_LM]
+    + [pytest.param(call, (math.nan, 1), id=f"{call.__name__}-jnan")
+       for call in (lz_block, lz_block_numeric)]
+    + [pytest.param(sigma_cross_block, ("2S1/2", "2P1/2"), id="sigma_cross_block-labels")]
 )
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from nchydro.shifts import (Level, cross_radial_integral_closed,
                             radial_integral_closed, radial_integral_quadrature,
                             selection_allowed, sigma_cross_block, theta_bound,
                             transition_element_2s2p)
-from nchydro.specfun import _endpoint_rule, gauss_laguerre
+from nchydro.specfun import _endpoint_rule, gauss_laguerre, spinor_harmonic, spinor_orbital_m
 
 C = DEFAULT_CONSTANTS
 ALPHA = C.alpha
@@ -30,6 +31,50 @@ COEFF_2P12_PRINTED_EV3 = 6.57668e6
 # depend on nothing else
 PARTIAL_WAVES = sorted({(l + s / 2, l) for n in range(1, 6) for l in range(n)
                         for s in (-1, 1) if 2 * l + s > 0})
+# (bra, ket) pairs of PARTIAL_WAVES sharing j: the sigma-cross blocks
+SAME_J_PAIRS = [(a, b) for a in PARTIAL_WAVES for b in PARTIAL_WAVES if a[0] == b[0]]
+
+# The brute-force reference for the angular blocks: numpy's 64-node
+# Gauss-Legendre rule in cos(theta) times the 128-point trapezoid in phi,
+# flattened theta-major, with product weights summing to 4 pi
+_X, _W = np.polynomial.legendre.leggauss(64)
+GRID_THETA = np.repeat(np.arccos(_X), 128)
+GRID_PHI = np.tile(2.0 * math.pi * np.arange(128) / 128, 64)
+GRID_WEIGHTS = np.repeat(_W, 128) * (2.0 * math.pi / 128)
+
+
+@lru_cache(maxsize=None)
+def _sampled_spinors(j: float, l: int) -> np.ndarray:
+    """spinor_harmonic's point values on the grid, shape (2j + 1, 2, points)
+    over increasing M."""
+    return np.array([[spinor_harmonic(j, l, M, t, p)
+                      for t, p in zip(GRID_THETA.tolist(), GRID_PHI.tolist())]
+                     for M in shifts.m_values(j)]).transpose(0, 2, 1)
+
+
+def _brute_block(bra: tuple, ket: tuple, act) -> np.ndarray:
+    """<bra, M_a| O |ket, M_b> as the weighted grid sum (numpy's pairwise
+    summation over the points); act(upper, lower, M) applies O to the ket's
+    sampled components of magnetic number M."""
+    acted = np.array([act(*k, M) for k, M in zip(_sampled_spinors(*ket), shifts.m_values(ket[0]))])
+    terms = np.conj(_sampled_spinors(*bra))[:, None] * acted[None] * GRID_WEIGHTS
+    return terms.sum(axis=-1).sum(axis=-1)
+
+
+def _level(wave: tuple) -> Level:
+    j, l = wave
+    return Level.from_quantum_numbers(1, lj_to_kappa(l, j))
+
+
+def _brute_lz(upper, lower, M):
+    m_up, m_dn = spinor_orbital_m(M)
+    return m_up * upper, m_dn * lower
+
+
+def _brute_sigma_cross(upper, lower, M):
+    # i sigma.(z-hat x r-hat) = [[0, e^{-i phi} sin th], [-e^{i phi} sin th, 0]]
+    top = np.sin(GRID_THETA) * np.exp(-1j * GRID_PHI)
+    return top * lower, -np.conj(top) * upper
 
 
 def _count_series_expansions(monkeypatch) -> list:
@@ -75,10 +120,22 @@ class TestAngularBlocks:
 
     @pytest.mark.parametrize("j,l", PARTIAL_WAVES)
     def test_numeric_matches_closed(self, j, l):
-        # the default 16 x 16 sphere rule is exact for these blocks
+        # the 16-node sphere rule is exact for these blocks
         numeric = lz_block_numeric(j, l)
         closed = lz_block(j, l)
         assert np.max(np.abs(np.array(numeric.matrix) - np.array(closed.matrix))) <= 1e-13
+
+    @pytest.mark.parametrize("j,l", PARTIAL_WAVES)
+    def test_default_rule_matches_fine_grid(self, j, l):
+        # the 16-node sphere rule against the brute-force 64 x 128 grid sum
+        numeric = np.array(lz_block_numeric(j, l).matrix)
+        assert np.max(np.abs(numeric - _brute_block((j, l), (j, l), _brute_lz))) <= 1e-13
+
+    @pytest.mark.parametrize("j,l", PARTIAL_WAVES)
+    def test_numeric_off_diagonal_exactly_zero(self, j, l):
+        # the phi integral of e^{i (M_b - M_a) phi} is taken exactly
+        block = lz_block_numeric(j, l).matrix
+        assert all(v == 0j for a, row in enumerate(block) for b, v in enumerate(row) if a != b)
 
     def test_invalid_pair(self):
         with pytest.raises(ValidationError):
@@ -101,17 +158,17 @@ class TestSigmaCrossBlocks:
         expected = (2.0 / 3.0) * np.diag([1.0, -1.0])
         assert np.max(np.abs(block.matrix - expected)) < 1e-12
 
-    @pytest.mark.parametrize("bra,ket", [(a, b) for a in PARTIAL_WAVES for b in PARTIAL_WAVES
-                                         if a[0] == b[0]])
+    @pytest.mark.parametrize("bra,ket", SAME_J_PAIRS)
     def test_default_rule_matches_fine_grid(self, bra, ket):
-        x, w = np.polynomial.legendre.leggauss(64)
-        phi = 2.0 * math.pi * np.arange(128) / 128
-        fine = (tuple(np.arccos(x).tolist()), tuple(w.tolist()), tuple(phi.tolist()),
-                (2.0 * math.pi / 128,) * 128)
-        level_a, level_b = (Level.from_quantum_numbers(1, lj_to_kappa(l, j)) for j, l in (bra, ket))
-        default = np.array(sigma_cross_block(level_a, level_b).matrix)
-        reference = np.array(sigma_cross_block(level_a, level_b, rule=fine).matrix)
-        assert np.max(np.abs(default - reference)) <= 1e-13
+        # the 16-node sphere rule against the brute-force 64 x 128 grid sum
+        block = np.array(sigma_cross_block(_level(bra), _level(ket)).matrix)
+        assert np.max(np.abs(block - _brute_block(bra, ket, _brute_sigma_cross))) <= 1e-13
+
+    @pytest.mark.parametrize("bra,ket", SAME_J_PAIRS)
+    def test_off_diagonal_exactly_zero(self, bra, ket):
+        # the phi integral of e^{i (M_b - M_a) phi} is taken exactly
+        block = sigma_cross_block(_level(bra), _level(ket)).matrix
+        assert all(v == 0j for a, row in enumerate(block) for b, v in enumerate(row) if a != b)
 
     def test_requires_shared_j(self):
         with pytest.raises(ValidationError):

@@ -9,8 +9,8 @@ from nchydro.dirac import make_state, radial_polynomials
 from nchydro.errors import DomainError
 from nchydro.shifts import cross_radial_integral_quadrature, radial_integral_quadrature
 from nchydro.specfun import (_endpoint_rule, adaptive_sampled_endpoint, adaptive_weighted,
-                             gauss_laguerre, laguerre_general, sphere_integrate, sphere_rule,
-                             spherical_harmonic, spinor_harmonic, spinor_orbital_m)
+                             gauss_laguerre, laguerre_general, sphere_rule, spherical_harmonic,
+                             spinor_harmonic, spinor_orbital_m)
 
 
 def numpy_laguerre_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -39,6 +39,16 @@ def numpy_laguerre_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
         alive = s > 0.0  # far-tail nodes underflow; their true weights are ~0
         w[alive] = np.exp(log_w[alive]) / s[alive]
     return x, w
+
+
+def sphere_grid(n_theta: int, n_phi: int) -> tuple[list, list, np.ndarray]:
+    """numpy's n_theta-node Gauss-Legendre rule in cos(theta) times the
+    n_phi-point trapezoid in phi, flattened theta-major: theta and phi as
+    float lists and the product weights, which sum to 4 pi."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    return (np.repeat(np.arccos(x), n_phi).tolist(), np.tile(phi, n_theta).tolist(),
+            np.repeat(w, n_phi) * (2.0 * math.pi / n_phi))
 
 
 class TestGamma:
@@ -141,29 +151,25 @@ class TestSphericalHarmonic:
             spherical_harmonic(1, 2, 0.1, 0.1)
 
     def test_sphere_weights_sum_to_4pi(self):
-        _, w_theta, _, w_phi = sphere_rule()
-        w = np.outer(w_theta, w_phi)
-        assert w.shape == (16, 16)
-        assert float(np.sum(w)) == pytest.approx(4.0 * math.pi, rel=1e-14)
+        # the phi integral contributes 2 pi, the cos(theta) weights sum to 2
+        cos_theta, weights = sphere_rule()
+        assert len(cos_theta) == len(weights) == 16
+        assert 2.0 * math.pi * math.fsum(weights) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
     def test_legendre_factor_matches_numpy(self):
         # absolute: the edge weights (0.027) differ by 1.9e-14 relative, as
         # far as numpy's eigh route stood from the exact ones (1.7e-14)
-        theta, w_theta, _, _ = sphere_rule()
+        cos_theta, weights = sphere_rule()
         x, w = np.polynomial.legendre.leggauss(16)
-        assert np.max(np.abs(np.cos(theta) - x)) <= 1e-14
-        assert np.max(np.abs(np.array(w_theta) - w)) <= 1e-14
+        assert np.max(np.abs(np.array(cos_theta) - x)) <= 1e-14
+        assert np.max(np.abs(np.array(weights) - w)) <= 1e-14
 
     def test_orthonormality_by_quadrature(self):
-        rule = sphere_rule()
-        th, _, ph, _ = rule
-        grid = [(t, p) for t in th for p in ph]
-        y11 = np.array([spherical_harmonic(1, 1, t, p) for t, p in grid])
-        y10 = np.array([spherical_harmonic(1, 0, t, p) for t, p in grid])
-        cross = sphere_integrate((np.conj(y11) * y10).tolist(), rule)
-        norm = sphere_integrate((np.abs(y11) ** 2).tolist(), rule)
-        assert abs(cross) < 1e-13
-        assert norm.real == pytest.approx(1.0, abs=1e-13)
+        theta, phi, w = sphere_grid(16, 16)
+        y11 = np.array([spherical_harmonic(1, 1, t, p) for t, p in zip(theta, phi)])
+        y10 = np.array([spherical_harmonic(1, 0, t, p) for t, p in zip(theta, phi)])
+        assert abs(np.sum(w * np.conj(y11) * y10)) < 1e-13
+        assert np.sum(w * np.abs(y11) ** 2) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestSpinorHarmonic:
@@ -183,11 +189,10 @@ class TestSpinorHarmonic:
             math.sqrt(2.0 / 3.0) * spherical_harmonic(1, 1, th, ph), rel=1e-13)
 
     def test_normalization_j32(self):
-        rule = sphere_rule()
-        th, _, ph, _ = rule
-        om = np.array([spinor_harmonic(1.5, 1, 0.5, t, p) for t in th for p in ph]).T
-        norm = sphere_integrate((np.abs(om[0]) ** 2 + np.abs(om[1]) ** 2).tolist(), rule)
-        assert norm.real == pytest.approx(1.0, abs=1e-12)
+        theta, phi, w = sphere_grid(16, 16)
+        om = np.array([spinor_harmonic(1.5, 1, 0.5, t, p) for t, p in zip(theta, phi)]).T
+        assert np.sum(w * (np.abs(om[0]) ** 2 + np.abs(om[1]) ** 2)) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_inconsistent_jl_pair(self):
         from nchydro.errors import ValidationError
