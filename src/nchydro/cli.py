@@ -19,11 +19,12 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
-                        PhysicalConstants, check_lambda_qcd, check_theta, finite_real)
+                        PhysicalConstants, check_lambda_qcd, check_positive, check_theta,
+                        read_constants_file)
 from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
 from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
@@ -37,36 +38,6 @@ SWEEP_HEADER = ["theta_eV2", "level", "eigenvalue", "shift_eV"]
 _THETA_GEV_RE = re.compile(r"^\(?\s*([0-9.eE+-]+)\s*GeV\s*\)?\s*\^?\s*-2$")
 
 
-@dataclass
-class RunConfig:
-    """Run-wide configuration, overridable from a JSON constants file."""
-
-    m_e: float = DEFAULT_CONSTANTS.m_e
-    alpha: float = DEFAULT_CONSTANTS.alpha
-    lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValidationError("constants file must hold a JSON object")
-        unknown = set(data) - {"m_e", "alpha", "lambda_qcd"}
-        if unknown:
-            raise ValidationError(f"unknown constants keys: {sorted(unknown)}")
-        cfg = cls()
-        for key, value in data.items():
-            if not finite_real(value):
-                raise ValidationError(f"constants key {key!r} must be a finite number, "
-                                      f"got {value!r}")
-            setattr(cfg, key, value)
-        return cfg
-
-    def constants(self) -> PhysicalConstants:
-        return PhysicalConstants(m_e=self.m_e, alpha=self.alpha,
-                                 hbar_eV_s=DEFAULT_CONSTANTS.hbar_eV_s)
-
-
 def parse_theta(text: str) -> float:
     """theta in eV^-2, either a float or the shorthand '(X GeV)^-2'."""
     match = _THETA_GEV_RE.match(text.strip())
@@ -75,8 +46,7 @@ def parse_theta(text: str) -> float:
     except ValueError:
         raise ValidationError(f"cannot parse theta {text!r}") from None
     if match:
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"GeV scale must be finite and positive in {text!r}")
+        check_positive("the GeV scale", value)
         try:
             value = 1.0 / (value * GEV) ** 2
         except (OverflowError, ZeroDivisionError):
@@ -196,8 +166,7 @@ def _table(payload: dict) -> str:
     return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)
 
 
-def cmd_levels(args, cfg: RunConfig) -> Output:
-    constants = cfg.constants()
+def cmd_levels(args, constants: PhysicalConstants) -> Output:
     if args.label is not None:
         n_r, kappa = parse_level_label(args.label)
     elif args.n_r is not None and args.kappa is not None:
@@ -219,16 +188,13 @@ def cmd_levels(args, cfg: RunConfig) -> Output:
     })
 
 
-def cmd_shift(args, cfg: RunConfig) -> Output:
+def cmd_shift(args, constants: PhysicalConstants) -> Output:
     theta = parse_theta(args.theta)
-    return Output(level_shift(args.label, theta, cfg.constants()).as_dict())
+    return Output(level_shift(args.label, theta, constants).as_dict())
 
 
-def cmd_bound(args, cfg: RunConfig) -> Output:
-    if not (math.isfinite(args.accuracy_khz) and args.accuracy_khz > 0.0):
-        raise ValidationError(f"accuracy-khz must be finite and positive, "
-                              f"got {args.accuracy_khz}")
-    constants = cfg.constants()
+def cmd_bound(args, constants: PhysicalConstants) -> Output:
+    check_positive("accuracy-khz", args.accuracy_khz)
     accuracy_hz = args.accuracy_khz * 1e3
     report = level_shift(args.label, 0.0, constants)
     bounds = []
@@ -251,10 +217,9 @@ def cmd_bound(args, cfg: RunConfig) -> Output:
     return Output(payload, "\n".join(lines) + "\n")
 
 
-def cmd_nonrel(args, cfg: RunConfig) -> Output:
-    constants = cfg.constants()
+def cmd_nonrel(args, constants: PhysicalConstants) -> Output:
     theta = parse_theta(args.theta)
-    lam = args.lambda_qcd if args.lambda_qcd is not None else cfg.lambda_qcd
+    lam = args.lambda_qcd  # --lambda-qcd, or the constants file's cutoff
     check_lambda_qcd(lam)  # checked even where l > 0 leaves it unused
     state = SchrodingerState(n=args.n, l=args.l, j=args.j, m_j=args.mj,
                              constants=constants)
@@ -286,11 +251,10 @@ def cmd_nonrel(args, cfg: RunConfig) -> Output:
     })
 
 
-def cmd_sweep(args, cfg: RunConfig) -> Output:
+def cmd_sweep(args, constants: PhysicalConstants) -> Output:
     """Rows of shift = coefficient * theta from each level's closed-form
     eigenvalues and coefficients (Level.closed_form), which do not depend on
     theta; no quadrature runs."""
-    constants = cfg.constants()
     theta_min = parse_theta(args.theta_min)
     theta_max = parse_theta(args.theta_max)
     if args.steps < 2:
@@ -316,8 +280,8 @@ def cmd_sweep(args, cfg: RunConfig) -> Output:
     return Output({"rows": [dict(zip(SWEEP_HEADER, row)) for row in rows]}, buf.getvalue())
 
 
-def cmd_verify(args, cfg: RunConfig) -> Output:
-    reports = run_all(cfg.constants())
+def cmd_verify(args, constants: PhysicalConstants) -> Output:
+    reports = run_all(constants)
     counts = dict.fromkeys(VERDICTS, 0)
     for r in reports:
         counts[r.verdict] += 1
@@ -334,7 +298,10 @@ def cmd_verify(args, cfg: RunConfig) -> Output:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.constants_file) if args.constants_file else RunConfig()
+        constants, lambda_qcd = (read_constants_file(args.constants_file) if args.constants_file
+                                 else (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV))
+        if args.command == "nonrel" and args.lambda_qcd is None:
+            args.lambda_qcd = lambda_qcd
         handler = {
             "levels": cmd_levels,
             "shift": cmd_shift,
@@ -343,16 +310,13 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
             "verify": cmd_verify,
         }[args.command]
-        result = handler(args, cfg)
-        try:  # a result that overflowed is an error in either format
-            json.dumps(result.payload, allow_nan=False)
+        result = handler(args, constants)
+        try:  # the JSON text; a result that overflowed is an error in either format
+            encoded = json.dumps({"schema": JSON_SCHEMA_VERSION, **result.payload}, indent=2,
+                                 allow_nan=False)
         except ValueError:
             raise ArithmeticError("a result is not finite") from None
-        if args.format == "json":
-            text = json.dumps({"schema": JSON_SCHEMA_VERSION, **result.payload}, indent=2,
-                              allow_nan=False) + "\n"
-        else:
-            text = result.table if result.table is not None else _table(result.payload)
+        text = encoded + "\n" if args.format == "json" else result.table or _table(result.payload)
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
             fh.write(text)

@@ -1,4 +1,5 @@
-"""Physical constants and the noncommutativity parameter.
+"""Physical constants, the noncommutativity parameter, and the one check of each
+kind of real boundary value: positive number, theta, radius, 3-vector, constants file.
 
 Natural units hbar = c = 1 throughout; energies in eV, lengths in eV^-1.
 The squared electron charge equals the fine-structure constant in these
@@ -8,11 +9,12 @@ dimensional constant appears is the Hz <-> eV conversion.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass, replace
 
-from .errors import ValidationError
+from .errors import DomainError, SingularityError, ValidationError
 
 GEV = 1.0e9  # eV per GeV
 
@@ -39,10 +41,42 @@ def check_theta(theta: float):
         raise ValidationError(f"theta must be finite and >= 0, got {theta!r}")
 
 
+def check_positive(name: str, value, error=ValidationError):
+    """Raise error unless value is a finite real > 0."""
+    if not (finite_real(value) and value > 0.0):
+        raise error(f"{name} must be finite and positive, got {value!r}")
+
+
 def check_lambda_qcd(lambda_qcd: float):
     """Reject an S-state cutoff (eV) that is not a finite positive number."""
-    if not (finite_real(lambda_qcd) and lambda_qcd > 0.0):
-        raise ValidationError(f"lambda_qcd must be finite and positive, got {lambda_qcd}")
+    check_positive("lambda_qcd", lambda_qcd)
+
+
+def check_radius(r: float, caller: str):
+    """Reject a radius (eV^-1) that is not a finite real, or not > 0."""
+    if not finite_real(r):
+        raise ValidationError(f"{caller} requires a finite real r, got {r!r}")
+    if r <= 0.0:
+        raise DomainError(f"{caller} requires r > 0")
+
+
+def check_triple(name: str, values) -> tuple[float, float, float]:
+    """values as three floats: each a finite real, and three of them."""
+    components = tuple(values) if hasattr(values, "__iter__") else (values,)
+    if not all(map(finite_real, components)):
+        raise ValidationError(f"{name} must hold finite reals, got {components!r}")
+    if len(components) != 3:
+        raise DomainError(f"{name} must be a 3-vector, got {len(components)} components")
+    return tuple(map(float, components))
+
+
+def check_position(name: str, position, caller: str):
+    """(the point as three floats, its r), for a point off caller's singular origin."""
+    vector = check_triple(name, position)
+    r = math.hypot(*vector)
+    if r == 0.0:
+        raise SingularityError(f"{caller} is singular at r = 0")
+    return vector, r
 
 
 @dataclass(frozen=True)
@@ -55,10 +89,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("m_e", "alpha", "hbar_eV_s"):
-            value = getattr(self, name)
-            if not (finite_real(value) and value > 0.0):
-                raise ValidationError(f"{name} must be a finite positive number, "
-                                      f"got {value!r}")
+            check_positive(name, getattr(self, name))
         if not self.alpha < 1.0:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -74,6 +105,21 @@ class PhysicalConstants:
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
+def read_constants_file(path: str) -> tuple[PhysicalConstants, float]:
+    """(constants, lambda_qcd) from a JSON object setting any of m_e, alpha
+    and lambda_qcd over their defaults, each checked as the library does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValidationError("constants file must hold a JSON object")
+    unknown = set(data) - {"m_e", "alpha", "lambda_qcd"}
+    if unknown:
+        raise ValidationError(f"unknown constants keys: {sorted(unknown)}")
+    lambda_qcd = data.pop("lambda_qcd", DEFAULT_LAMBDA_QCD_EV)
+    check_lambda_qcd(lambda_qcd)
+    return DEFAULT_CONSTANTS.with_(**data), lambda_qcd
+
+
 @dataclass(frozen=True)
 class ThetaTensor:
     """Antisymmetric space-space block (as its dual vector) plus the
@@ -87,9 +133,13 @@ class ThetaTensor:
     space_vector: tuple[float, float, float]
     time_row: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        for name in ("space_vector", "time_row"):
+            object.__setattr__(self, name, check_triple(name, getattr(self, name)))
+
     @classmethod
     def z_axis(cls, theta: float, time_row=(0.0, 0.0, 0.0)) -> "ThetaTensor":
-        return cls(space_vector=(0.0, 0.0, float(theta)), time_row=tuple(time_row))
+        return cls(space_vector=(0.0, 0.0, theta), time_row=time_row)
 
 
 def hz_to_ev(frequency_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -100,6 +150,5 @@ def hz_to_ev(frequency_hz: float, constants: PhysicalConstants = DEFAULT_CONSTAN
 
 def ev2_to_gev_scale(theta_ev2: float) -> float:
     """Render a theta value (eV^-2) as the X of 'theta = (X GeV)^-2'."""
-    if not (finite_real(theta_ev2) and theta_ev2 > 0.0):
-        raise ValidationError(f"theta must be finite and positive, got {theta_ev2!r}")
+    check_positive("theta", theta_ev2)
     return 1.0 / (math.sqrt(theta_ev2) * GEV)

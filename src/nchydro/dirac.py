@@ -23,29 +23,30 @@ Conventions worth stating once:
   coefficients (f1, f2, g1, g2), kept in state.shape.  The state computes
   its normalization constant state.norm from them when it is built: the
   norm integral for the weight x^(2 nu) e^-x as the exact Laguerre series
-  below, with sign fixed positive; the physics downstream only consumes
+  below (the sum of its pair); the physics downstream only consumes
   normalized shapes.
 * _overlap is the one kernel for radial integrals of a pair of states,
   int x^beta e^-x (P_f P_f' +/- P_g P_g') dx with beta = 2 nu + shift: the
   norm and the |kappa| >= 2 radial integrals here (shift 0 and -3), and the
-  sampled radial and cross integrals in shifts (shift -3).  It has two
-  modes.  Without sample points (a state's own overlap, beta > -1) it is
-  exact: the shape is expanded in the Laguerre polynomials of the
-  weight's own beta, L_n^(beta + d) = sum_k C(d - 1 + n - k, n - k) L_k^beta
+  sampled radial and cross integrals in shifts (shift -3).  It takes no
+  sign: both modes give the (sum, diff) pair.  Without sample points (a
+  state's own overlap, beta > -1) it is exact, one expansion for both: the
+  shape is expanded in the Laguerre polynomials of the weight's own beta,
+  L_n^(beta + d) = sum_k C(d - 1 + n - k, n - k) L_k^beta
   for the integer d of each term, and
   x L_k^beta = (2k + beta + 1) L_k^beta - (k + 1) L_{k+1}^beta - (k + beta) L_{k-1}^beta
   for the x L_{n_r-1}^{2 nu + 1} term, so orthogonality leaves
   sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!, n_r + 1 terms in
-  pure Python.  At a point x it returns the integrand's two products
+  pure Python.  At a point x it returns the sum and diff integrands
   there, for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where
   the series is not the integral).  The Gauss rules of specfun check the
   series independently in oracle.  A |kappa| >= 2 state computes its
   series radial integrals (shift -3, sum and diff) once, on first use,
   and keeps them in state.radial_series; later calls read them.
 * Everything is pure Python on floats: radial_fg and deformed_potential
-  take a point, and radial_polynomials (through laguerre_general) also
-  maps an ndarray x elementwise when a caller passes one; no module of the
-  package imports numpy.
+  take a point (constants.check_radius and check_position decide which),
+  and radial_polynomials also maps an ndarray x elementwise when a caller
+  passes one; no module of the package imports numpy.
 * kappa_to_lj, lj_to_kappa (the one test of j = l +/- 1/2) and the one
   half-integer test check_magnetic live in specfun.
 """
@@ -59,8 +60,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
-from .errors import DomainError, SingularityError, ValidationError
+from .constants import (DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor, check_position,
+                        check_radius)
+from .errors import DomainError, ValidationError
 from .specfun import (IntegrationResult, check_integer, check_magnetic, kappa_to_lj,
                       laguerre_general, lj_to_kappa)
 
@@ -101,7 +103,7 @@ class RelativisticState:
 
     def __post_init__(self):
         # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
-        integral = _overlap(self, self, 0, 1.0).value
+        integral = _overlap(self, self, 0)[0].value
         object.__setattr__(self, "norm", math.sqrt((2.0 * self.lam) ** 3 / integral))
 
     @cached_property
@@ -113,8 +115,7 @@ class RelativisticState:
         if not _exact_series(self):
             raise DomainError("the radial integrals diverge at the origin for |kappa| = 1")
         scale = self.norm * self.norm
-        return (_overlap(self, self, -3, 1.0).scaled(scale),
-                _overlap(self, self, -3, -1.0).scaled(scale))
+        return tuple(result.scaled(scale) for result in _overlap(self, self, -3))
 
     @property
     def n_principal(self) -> int:
@@ -227,33 +228,36 @@ def _laguerre_series(state: RelativisticState,
 
 
 def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int,
-             sign: float | None, x: float | None = None):
-    """Radial overlap int x^beta e^-x (P_f P_f' + sign P_g P_g') dx of two states
-    sharing nu, for the weight exponent beta = 2 nu + shift.
+             x: float | None = None) -> tuple:
+    """The (sum, diff) radial overlaps int x^beta e^-x (P_f P_f' +/- P_g P_g') dx
+    of two states sharing nu, for the weight exponent beta = 2 nu + shift.
 
-    Without x it is the exact Laguerre series of a state's own overlap
-    (ket is bra, beta > -1): with the shapes expanded as
-    P = sum_k p_k L_k^beta, orthogonality leaves
-    sum_k (p_k^2 + sign q_k^2) Gamma(k + beta + 1) / k!.  The result's
+    Without x they are the exact Laguerre series of a state's own overlap
+    (ket is bra, beta > -1), two IntegrationResults from one expansion:
+    with the shapes expanded as P = sum_k p_k L_k^beta, orthogonality
+    leaves sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!.  Each result's
     order is the number of terms and its drift the a-priori relative
     rounding bound eps (terms + 1) sum |t_k| / |sum t_k|.
-    At a point x (a float) it returns the integrand's two products without
-    its e^-x, (x^beta P_f P_f', x^beta P_g P_g'), and sign is unused: one
-    evaluation serves the sum and diff samples of adaptive_sampled_endpoint.
+    At a point x (a float) they are the two integrands there without e^-x,
+    x^beta (P_f P_f' +/- P_g P_g'): one evaluation serves the sum and diff
+    samples of adaptive_sampled_endpoint.
     """
     if x is not None:
         pf, pg = radial_polynomials(bra, x)
         pf2, pg2 = (pf, pg) if ket is bra else radial_polynomials(ket, x)
         power = x ** (2.0 * bra.nu + shift)
-        return power * pf * pf2, power * pg * pg2
+        ff, gg = power * pf * pf2, power * pg * pg2
+        return ff + gg, ff - gg
     assert ket is bra, "the series covers a state's own overlap only"
     p, q, h = _laguerre_series(bra, shift)
-    terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]
-    value = sum(terms)
-    drift = (sys.float_info.epsilon * (len(terms) + 1) * sum(abs(t) for t in terms)
-             / max(abs(value), 1e-300))
-    return IntegrationResult(value=value, order=len(terms), drift=drift,
-                             converged=drift <= 1e-10)
+    results = []
+    for sign in (1.0, -1.0):
+        terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]
+        value = sum(terms)
+        drift = (sys.float_info.epsilon * (len(terms) + 1) * sum(abs(t) for t in terms)
+                 / max(abs(value), 1e-300))
+        results.append(IntegrationResult(value, len(terms), drift, drift <= 1e-10))
+    return tuple(results)
 
 
 def _exact_series(state: RelativisticState) -> bool:
@@ -268,8 +272,7 @@ def radial_fg(state: RelativisticState, r: float) -> tuple[float, float]:
     Both components decay as e^(-x/2) with x = 2 sqrt(m^2 - E^2) r and share
     the x^(nu-1) envelope.  int (f^2 + g^2) r^2 dr = 1.
     """
-    if r <= 0.0:
-        raise DomainError("radial_fg requires r > 0")
+    check_radius(r, "radial_fg")
     x = 2.0 * state.lam * r
     pf, pg = radial_polynomials(state, x)
     envelope = math.exp(-0.5 * x + (state.nu - 1.0) * math.log(x))
@@ -291,12 +294,7 @@ def deformed_potential(x_vec, theta: ThetaTensor,
     with e = sqrt(alpha).  Setting all theta components to zero recovers
     (-e/r, 0).
     """
-    xv = tuple(map(float, x_vec))
-    if len(xv) != 3:
-        raise DomainError(f"x_vec must be a 3-vector, got {len(xv)} components")
-    r = math.hypot(*xv)
-    if r == 0.0:
-        raise SingularityError("deformed_potential is singular at r = 0")
+    xv, r = check_position("x_vec", x_vec, "deformed_potential")
     e = math.sqrt(constants.alpha)
     e3 = e ** 3
     a0 = -e / r - e3 * math.fsum(map(mul, theta.time_row, xv)) / r ** 4

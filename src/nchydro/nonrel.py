@@ -32,7 +32,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants, check_lambda_qcd, check_theta, finite_real)
+                        PhysicalConstants, check_lambda_qcd, check_radius, check_theta,
+                        finite_real)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, lz_expectation, theta_bound
 from .specfun import (check_integer, check_magnetic, gauss_laguerre, laguerre_general,
@@ -111,8 +112,7 @@ def radial_R(n: int, l: int, r: float,
              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Normalized Schrodinger radial function R_nl(r), r in eV^-1 (a float)."""
     _check_nl(n, l)
-    if r <= 0.0:
-        raise DomainError("radial_R requires r > 0")
+    check_radius(r, "radial_R")
     a0 = constants.bohr_radius
     x = 2.0 * r / (n * a0)
     return (_radial_norm(n, l, a0) * x ** l * math.exp(-x / 2.0)
@@ -131,6 +131,7 @@ def radial_R_prime(n: int, l: int, r: float,
                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """dR_nl/dr, r in eV^-1 (a float)."""
     _check_nl(n, l)
+    check_radius(r, "radial_R_prime")
     a0 = constants.bohr_radius
     scale = 2.0 / (n * a0)
     x = scale * r

@@ -60,9 +60,9 @@ from functools import cached_property
 from operator import mul
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
-                        check_theta, ev2_to_gev_scale, finite_real, hz_to_ev)
+                        check_position, check_positive, check_theta, ev2_to_gev_scale, hz_to_ev)
 from .dirac import RelativisticState, _exact_series, _overlap, make_state, parse_level_label
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, ValidationError
 from .specfun import (IntegrationResult, _spinor_profiles, adaptive_sampled_endpoint,
                       check_magnetic, kappa_to_lj, lj_to_kappa, sphere_rule)
 
@@ -301,9 +301,8 @@ def _endpoint_samples(bra: RelativisticState,
     diff = {}
 
     def sum_at(x):
-        ff, gg = _overlap(bra, ket, -3, None, x)
-        diff[x] = ff - gg
-        return ff + gg
+        total, diff[x] = _overlap(bra, ket, -3, x)
+        return total
 
     scale = bra.norm * ket.norm
     total = adaptive_sampled_endpoint(sum_at).scaled(scale)
@@ -372,11 +371,8 @@ def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
     Planck quantum per cycle (see hz_to_ev).  Doubling the accuracy doubles
     the bound.
     """
-    if not (finite_real(shift_coefficient_ev3) and shift_coefficient_ev3 > 0.0):
-        raise DomainError(f"shift coefficient must be finite and positive, "
-                          f"got {shift_coefficient_ev3!r}")
-    if not (finite_real(accuracy_hz) and accuracy_hz > 0.0):
-        raise DomainError(f"accuracy must be finite and positive, got {accuracy_hz!r}")
+    check_positive("shift coefficient", shift_coefficient_ev3, DomainError)
+    check_positive("accuracy", accuracy_hz, DomainError)
     e_acc = hz_to_ev(accuracy_hz, constants)
     theta_max = e_acc / shift_coefficient_ev3
     return ThetaBound(theta_max_ev2=theta_max, gev_scale=ev2_to_gev_scale(theta_max),
@@ -468,9 +464,7 @@ def level_shift(level, theta: float,
     alpha = level.constants.alpha
     eigenvalues, rho1_c, rho2_c, coeff_closed, bound = level.closed_form
     exact = _exact_series(state0)
-    rho1_q, rho2_q = ((radial_integral_quadrature(state0, "sum"),
-                       radial_integral_quadrature(state0, "diff")) if exact
-                      else _endpoint_samples(state0, state0))
+    rho1_q, rho2_q = state0.radial_series if exact else _endpoint_samples(state0, state0)
 
     coeff_quad = tuple(-(alpha / 2.0) * rho1_q.value * lam for lam in eigenvalues)
     shifts = tuple(c * theta for c in coeff_closed)
@@ -542,13 +536,7 @@ def perturbation_kernels(state: RelativisticState, theta: float, position):
     multiplies the alpha matrices, a tuple of three floats.  The vector is
     perpendicular to both r and the theta axis.
     """
-    pos = tuple(map(float, position))
-    if len(pos) != 3:
-        raise DomainError(f"position must be a 3-vector, got {len(pos)} components")
-    x, y, _ = pos
-    r = math.hypot(*pos)
-    if r == 0.0:
-        raise SingularityError("perturbation kernels are singular at r = 0")
+    (x, y, _), r = check_position("position", position, "perturbation_kernels")
     check_theta(theta)
     alpha = state.constants.alpha
     m_eff = _lz(state.kappa, state.M)

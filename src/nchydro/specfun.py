@@ -169,8 +169,8 @@ def _spinor_profiles(j: float, l: int, M: float, cos_theta, sin_theta) -> tuple:
     0.0 and its profile zeros."""
     parts = []
     for c, m in zip(spinor_clebsch(j, l, M), spinor_orbital_m(M)):
-        kept = abs(m) <= l and c != 0.0
         m = int(round(m))
+        kept = abs(m) <= l and c != 0.0
         parts.append((m, c, list(map(partial(_norm_legendre, l, m), cos_theta, sin_theta)))
                      if kept else (m, 0.0, [0.0] * len(cos_theta)))
     return tuple(parts)

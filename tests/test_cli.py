@@ -12,7 +12,8 @@ import pytest
 
 import nchydro
 from nchydro import cli
-from nchydro.cli import RunConfig, build_parser, main, parse_half_integer, parse_theta
+from nchydro.cli import build_parser, main, parse_half_integer, parse_theta
+from nchydro.constants import read_constants_file
 from nchydro.errors import ValidationError
 from nchydro.shifts import level_shift
 
@@ -402,11 +403,22 @@ class TestConstantsFile:
         path = tmp_path / "constants.json"
         path.write_text(content)
         with pytest.raises(ValidationError):
-            RunConfig.from_file(str(path))
+            read_constants_file(str(path))
         code, out, err = run_cli(capsys, "levels", "1S1/2", "--constants-file", str(path))
         assert code == 1
         assert out == ""
         assert "nchydro: error:" in err
+
+    @pytest.mark.parametrize("content", ['{"lambda_qcd": -1}', '{"lambda_qcd": 0}'])
+    @pytest.mark.parametrize("command", sorted(ONE_REQUEST_PER_SUBCOMMAND))
+    def test_bad_cutoff_fails_every_subcommand(self, capsys, tmp_path, command, content):
+        # the cutoff is checked where the file is read, not only by nonrel
+        path = tmp_path / "constants.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, *ONE_REQUEST_PER_SUBCOMMAND[command],
+                                 "--constants-file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("nchydro: error:") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "levels", "1S1/2", "--constants-file", "/no/such.json")

@@ -7,19 +7,22 @@ nonrel._check_nl the only (n, l) test.  Every fine-structure factor follows
 from kappa, and every entry point rejects what they reject.  Likewise
 constants.check_theta (a finite real theta >= 0, through
 constants.finite_real) and the level-label parser decide alone which theta
-and which label an entry point takes.
+and which label an entry point takes, and constants.check_radius and
+check_position (through check_triple, which ThetaTensor shares) which radius
+and which point.
 """
 
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from nchydro.constants import DEFAULT_CONSTANTS, ThetaTensor, ev2_to_gev_scale, finite_real
 from nchydro.dirac import (deformed_potential, dirac_binding_energy, dirac_energy,
-                           kappa_to_lj, lj_to_kappa, make_state, parse_level_label)
+                           kappa_to_lj, lj_to_kappa, make_state, parse_level_label, radial_fg)
 from nchydro.errors import DomainError, ValidationError
 from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p2,
                             expectation_p4_physical, expectation_table,
@@ -154,6 +157,21 @@ ANGLE_ENTRY_POINTS = {
 }
 # (l, m) of a spherical harmonic that are not integers
 BAD_LM = [(1.0, 0), (True, 0), (2, 1.0)]
+# a radius or a point component (eV^-1) that is not a finite real
+BAD_COORDINATES = [math.nan, math.inf, -math.inf, True, "1"]
+RADIAL_ENTRY_POINTS = {
+    "radial_fg": lambda r: radial_fg(make_state(1, -2, 0.5), r),
+    "radial_R": lambda r: radial_R(2, 1, r),
+    "radial_R_prime": lambda r: radial_R_prime(2, 1, r),
+}
+POSITION_ENTRY_POINTS = {
+    "deformed_potential": lambda x: deformed_potential([1.0, x, 0.0],
+                                                       ThetaTensor.z_axis(1.0e-19)),
+    "perturbation_kernels": lambda x: perturbation_kernels(make_state(1, -2, 0.5), 1.0e-19,
+                                                           [1.0, x, 0.0]),
+    "ThetaTensor-space_vector": lambda x: ThetaTensor(space_vector=(0.0, x, 1.0e-19)),
+    "ThetaTensor-time_row": lambda x: ThetaTensor((0.0, 0.0, 1.0e-19), time_row=(x, 0.0, 0.0)),
+}
 REJECTED = (
     [pytest.param(call, (l, j), id=f"{name}-l{l}-j{j}")
      for name, call in PAIR_ENTRY_POINTS.items() for l, j in BAD_PAIRS]
@@ -179,6 +197,12 @@ REJECTED = (
        for name, call in ANGLE_ENTRY_POINTS.items() for a in BAD_ANGLES]
     + [pytest.param(spherical_harmonic, (l, m, 0.3, 0.2), id=f"spherical_harmonic-l{l!r}-m{m!r}")
        for l, m in BAD_LM]
+    + [pytest.param(call, (r,), id=f"{name}-r{r!r}")
+       for name, call in RADIAL_ENTRY_POINTS.items() for r in BAD_COORDINATES]
+    + [pytest.param(call, (x,), id=f"{name}-component{x!r}")
+       for name, call in POSITION_ENTRY_POINTS.items() for x in BAD_COORDINATES]
+    + [pytest.param(ThetaTensor.z_axis, (theta,), id=f"ThetaTensor.z_axis-theta{theta!r}")
+       for theta in (math.nan, True, "1e-19")]
     + [pytest.param(call, (math.nan, 1), id=f"{call.__name__}-jnan")
        for call in (lz_block, lz_block_numeric)]
     + [pytest.param(sigma_cross_block, ("2S1/2", "2P1/2"), id="sigma_cross_block-labels")]
@@ -203,7 +227,6 @@ OUT_OF_DOMAIN = [
         [1.0, 0.0], ThetaTensor.z_axis(1.0e-19)), id="deformed_potential-2-vector"),
     pytest.param(DomainError, "l >= 1", lambda: fine_structure_shift(2, 0, 0.5),
                  id="fine_structure_shift-l0"),
-    pytest.param(DomainError, "r > 0", lambda: radial_R(1, 0, 0.0), id="radial_R-r0"),
     pytest.param(DomainError, "n >= -1", lambda: laguerre_general(-2, 0.0, 1.0),
                  id="laguerre_general-n-2"),
     pytest.param(DomainError, "a > -1", lambda: laguerre_general(1, -1.0, 1.0),
@@ -217,7 +240,8 @@ OUT_OF_DOMAIN = [
     pytest.param(ValidationError, "kind must be", lambda: selection_allowed(
         make_state(0, -1, 0.5), make_state(0, -2, 0.5), "bogus"),
         id="selection_allowed-kind"),
-]
+] + [pytest.param(DomainError, "r > 0", partial(call, r), id=f"{name}-r{r:g}")
+     for name, call in RADIAL_ENTRY_POINTS.items() for r in (0.0, -1.0)]
 
 
 @pytest.mark.parametrize("error,message,call", OUT_OF_DOMAIN)

@@ -234,10 +234,10 @@ class TestRadialQuadrature:
         s = make_state(2, 3, 0.5)  # fresh: only its norm has been expanded
         calls = _count_series_expansions(monkeypatch)
         first = radial_integral_quadrature(s, "sum")
-        assert calls == [(s, -3), (s, -3)]  # the sum and the diff series
+        assert calls == [(s, -3)]  # one expansion gives the sum and the diff series
         assert radial_integral_quadrature(s, "diff") is s.radial_series[1]
         assert radial_integral_quadrature(s, "sum") is first
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_diff_to_sum_ratio_small_alpha(self):
         from nchydro.oracle import radial_ratio_small_alpha

@@ -194,6 +194,13 @@ class TestSpinorHarmonic:
         assert np.sum(w * (np.abs(om[0]) ** 2 + np.abs(om[1]) ** 2)) == pytest.approx(
             1.0, abs=1e-12)
 
+    def test_rounded_m_keeps_its_component(self):
+        # M = 1/2 + 1e-13 carries the orbital m = 1 of the lower component;
+        # rounding decides |m| <= l, so that component is kept
+        lower = spinor_harmonic(0.5 + 1e-10, 1, 0.5 + 1e-13, 0.7, 0.3)[1]
+        assert abs(lower - spinor_harmonic(0.5, 1, 0.5, 0.7, 0.3)[1]) <= 1e-12
+        assert abs(lower) > 0.1
+
     def test_inconsistent_jl_pair(self):
         from nchydro.errors import ValidationError
         with pytest.raises(ValidationError):
