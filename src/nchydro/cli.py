@@ -7,13 +7,16 @@ Output formats are table (default; the CSV for sweep) and json
 (schema-versioned).  Exit codes: 0 ok, 1 usage or validation problem or
 inputs out of range (a payload holding inf or NaN is never written), 2
 unexpected validation mismatch from the verify suite.
+
+A handler imports the modules it computes with, so a request loads only
+those: levels needs constants, errors, specfun and dirac; shift, bound and
+sweep add shifts; nonrel adds shifts and nonrel; only verify loads oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -27,10 +30,6 @@ from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCU
                         read_constants_file)
 from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
-from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
-                     nc_hyperfine_shift, s_state_bound, s_state_shift, schrodinger_energy)
-from .oracle import VERDICTS, run_all
-from .shifts import Level, level_shift, theta_bound
 
 JSON_SCHEMA_VERSION = 1
 SWEEP_HEADER = ["theta_eV2", "level", "eigenvalue", "shift_eV"]
@@ -189,11 +188,13 @@ def cmd_levels(args, constants: PhysicalConstants) -> Output:
 
 
 def cmd_shift(args, constants: PhysicalConstants) -> Output:
+    from .shifts import level_shift
     theta = parse_theta(args.theta)
     return Output(level_shift(args.label, theta, constants).as_dict())
 
 
 def cmd_bound(args, constants: PhysicalConstants) -> Output:
+    from .shifts import level_shift, theta_bound
     check_positive("accuracy-khz", args.accuracy_khz)
     accuracy_hz = args.accuracy_khz * 1e3
     report = level_shift(args.label, 0.0, constants)
@@ -218,6 +219,8 @@ def cmd_bound(args, constants: PhysicalConstants) -> Output:
 
 
 def cmd_nonrel(args, constants: PhysicalConstants) -> Output:
+    from .nonrel import (SchrodingerState, expectation_table, fine_structure_shift,
+                         nc_hyperfine_shift, s_state_bound, s_state_shift, schrodinger_energy)
     theta = parse_theta(args.theta)
     lam = args.lambda_qcd  # --lambda-qcd, or the constants file's cutoff
     check_lambda_qcd(lam)  # checked even where l > 0 leaves it unused
@@ -255,6 +258,9 @@ def cmd_sweep(args, constants: PhysicalConstants) -> Output:
     """Rows of shift = coefficient * theta from each level's closed-form
     eigenvalues and coefficients (Level.closed_form), which do not depend on
     theta; no quadrature runs."""
+    import csv
+
+    from .shifts import Level
     theta_min = parse_theta(args.theta_min)
     theta_max = parse_theta(args.theta_max)
     if args.steps < 2:
@@ -281,6 +287,7 @@ def cmd_sweep(args, constants: PhysicalConstants) -> Output:
 
 
 def cmd_verify(args, constants: PhysicalConstants) -> Output:
+    from .oracle import VERDICTS, run_all
     reports = run_all(constants)
     counts = dict.fromkeys(VERDICTS, 0)
     for r in reports:

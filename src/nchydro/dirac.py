@@ -274,8 +274,10 @@ def radial_fg(state: RelativisticState, r: float) -> tuple[float, float]:
     """
     check_radius(r, "radial_fg")
     x = 2.0 * state.lam * r
+    envelope = math.exp(-0.5 * x + (state.nu - 1.0) * math.log(x)) if x < math.inf else 0.0
+    if envelope == 0.0:  # underflowed; the polynomials can be inf at this x
+        return 0.0, 0.0
     pf, pg = radial_polynomials(state, x)
-    envelope = math.exp(-0.5 * x + (state.nu - 1.0) * math.log(x))
     return state.norm * envelope * pf, state.norm * envelope * pg
 
 
@@ -292,15 +294,25 @@ def deformed_potential(x_vec, theta: ThetaTensor,
     Returns (a0, a_vec): the scalar part -e/r - e^3 (theta^{0j} x_j)/r^4 and
     the vector part e^3 (x cross theta)/(4 r^4), a tuple of three floats,
     with e = sqrt(alpha).  Setting all theta components to zero recovers
-    (-e/r, 0).
+    (-e/r, 0).  A term whose true value underflows is 0.0; one that
+    overflows (a point very close to the origin) raises OverflowError.
     """
     xv, r = check_position("x_vec", x_vec, "deformed_potential")
     e = math.sqrt(constants.alpha)
     e3 = e ** 3
-    a0 = -e / r - e3 * math.fsum(map(mul, theta.time_row, xv)) / r ** 4
+
+    def over_r4(c):
+        # one division by r at a time: r^4 alone overflows or underflows
+        # where the term itself underflows
+        return e3 * (c / r) / r / r / r
+
+    a0 = -e / r - over_r4(math.fsum(map(mul, theta.time_row, xv)))
     (x, y, z), (tx, ty, tz) = xv, theta.space_vector
-    a_vec = tuple(e3 / (4.0 * r ** 4) * c for c in (y * tz - z * ty, z * tx - x * tz,
-                                                     x * ty - y * tx))
+    a_vec = tuple(over_r4(c) / 4.0 for c in (y * tz - z * ty, z * tx - x * tz,
+                                             x * ty - y * tx))
+    if not all(map(math.isfinite, (a0, *a_vec))):
+        raise OverflowError(f"deformed_potential: the potential at r = {r!r} eV^-1 "
+                            "is out of float range")
     return a0, a_vec
 
 

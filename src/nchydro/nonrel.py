@@ -115,7 +115,10 @@ def radial_R(n: int, l: int, r: float,
     check_radius(r, "radial_R")
     a0 = constants.bohr_radius
     x = 2.0 * r / (n * a0)
-    return (_radial_norm(n, l, a0) * x ** l * math.exp(-x / 2.0)
+    envelope = math.exp(-x / 2.0)
+    if envelope == 0.0:  # underflowed; x^l and the polynomial can be inf at this x
+        return 0.0
+    return (_radial_norm(n, l, a0) * x ** l * envelope
             * laguerre_general(n - l - 1, 2 * l + 1, x))
 
 
@@ -135,7 +138,10 @@ def radial_R_prime(n: int, l: int, r: float,
     a0 = constants.bohr_radius
     scale = 2.0 / (n * a0)
     x = scale * r
-    return _radial_norm(n, l, a0) * math.exp(-x / 2.0) * _dr_poly(n, l, x)[1] * scale
+    envelope = math.exp(-x / 2.0)
+    if envelope == 0.0:  # underflowed; the polynomial can be inf at this x
+        return 0.0
+    return _radial_norm(n, l, a0) * envelope * _dr_poly(n, l, x)[1] * scale
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import nchydro
-from nchydro import cli
 from nchydro.cli import build_parser, main, parse_half_integer, parse_theta
 from nchydro.constants import read_constants_file
 from nchydro.errors import ValidationError
@@ -437,10 +436,12 @@ class TestVerify:
         assert "match" in verdicts
 
     def test_exit_two_on_unexpected_mismatch(self, capsys, monkeypatch):
+        from nchydro import oracle
         from nchydro.oracle import ValidationReport
         fake = [ValidationReport(name="forced", closed_form=1.0, quadrature=2.0,
                                  rel_error=1.0, quad_drift=0.0, verdict="mismatch")]
-        monkeypatch.setattr(cli, "run_all", lambda constants: fake)
+        # cmd_verify imports run_all from nchydro.oracle on each call
+        monkeypatch.setattr(oracle, "run_all", lambda constants: fake)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 2
         assert out.endswith("1 checks, 1 unexpected mismatches "
@@ -525,35 +526,116 @@ def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def _requests_load_numpy(*argvs, prelude: str = "") -> bool:
-    """Run CLI requests in one fresh interpreter, after prelude; True if
-    numpy got imported."""
+def _loaded_modules(*argvs, prelude: str = "") -> set[str]:
+    """Run CLI requests in one fresh interpreter, after prelude; the names in
+    sys.modules afterwards."""
     script = (prelude + "import contextlib, io, json, sys\n"
               "from nchydro.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "print(json.dumps(codes), 'numpy' in sys.modules)\n")
+              "print(json.dumps([codes, sorted(sys.modules)]))\n")
     result = _run_python(script, json.dumps(argvs))
     assert result.returncode == 0, result.stderr
-    out = result.stdout.rsplit(None, 1)
-    assert json.loads(out[0]) == [0] * len(argvs), argvs
-    return out[1] == "True"
+    codes, modules = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs), argvs
+    return set(modules)
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_REQUESTS, ids=" ".join)
 def test_scalar_request_does_not_import_numpy(argv):
-    assert not _requests_load_numpy(argv)
+    assert "numpy" not in _loaded_modules(argv)
 
 
 def test_kappa_1_shift_and_bound_do_not_import_numpy():
     # every |kappa| = 1 level, whose shift and bound take the endpoint samples
-    assert not _requests_load_numpy(*[argv for label in KAPPA_1_LEVELS for argv in (
+    assert "numpy" not in _loaded_modules(*[argv for label in KAPPA_1_LEVELS for argv in (
         ["shift", label, "--theta", "1e-19"], ["bound", label])])
 
 
 def test_numpy_imported_first_is_detected():
     # the positive control: a script that imports numpy itself is seen to
-    assert _requests_load_numpy(["levels", "2P3/2"], prelude="import numpy\n")
+    assert "numpy" in _loaded_modules(["levels", "2P3/2"], prelude="import numpy\n")
+
+
+# The nchydro modules a request loads: the CLI and what levels computes with,
+# plus the modules of its subcommand.  verify, which loads every module, is
+# the positive control.
+LEVELS_MODULES = {"nchydro", "nchydro.cli", "nchydro.constants", "nchydro.errors",
+                  "nchydro.specfun", "nchydro.dirac"}
+SUBCOMMAND_MODULES = {"levels": set(), "shift": {"shifts"}, "bound": {"shifts"},
+                      "sweep": {"shifts"}, "nonrel": {"shifts", "nonrel"},
+                      "verify": {"shifts", "nonrel", "oracle"}}
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_REQUESTS + [
+    ["nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"]],
+    ids=" ".join)
+def test_request_loads_only_its_modules(argv):
+    loaded = {m for m in _loaded_modules(argv) if m == "nchydro" or m.startswith("nchydro.")}
+    assert loaded == LEVELS_MODULES | {f"nchydro.{m}" for m in SUBCOMMAND_MODULES[argv[0]]}
+
+
+# Every name nchydro/__init__.py imported from its submodules before its
+# re-exports became lazy, by defining module.
+PUBLIC_NAMES = {
+    "constants": ["DEFAULT_CONSTANTS", "DEFAULT_LAMBDA_QCD_EV", "LAMB_ACCURACY_1S_HZ",
+                  "LAMB_ACCURACY_2P_HZ", "PhysicalConstants", "ThetaTensor",
+                  "ev2_to_gev_scale", "hz_to_ev"],
+    "dirac": ["RelativisticState", "deformed_potential", "dirac_binding_energy",
+              "dirac_energy", "kappa_to_lj", "level_label", "lj_to_kappa", "make_state",
+              "parse_level_label", "radial_fg"],
+    "errors": ["DivergenceError", "DomainError", "SingularityError", "ValidationError"],
+    "nonrel": ["ExpectationTable", "HyperfineShift", "SchrodingerState", "expectation_table",
+               "fine_structure_dirac_expansion", "fine_structure_shift", "nc_hyperfine_shift",
+               "pi_delta_expectation", "r_inverse_moment", "r_inverse_moment_quadrature",
+               "radial_R", "s_state_bound", "s_state_cutoff_expectation", "s_state_shift",
+               "s_state_shift_assembled", "schrodinger_energy"],
+    "oracle": ["ValidationReport", "run_all", "validate_angular", "validate_moments",
+               "validate_radial"],
+    "shifts": ["AngularBlock", "Level", "ShiftReport", "ThetaBound",
+               "cross_radial_integral_closed", "cross_radial_integral_quadrature",
+               "level_shift", "lz_block", "lz_block_numeric", "perturbation_kernels",
+               "radial_integral_closed", "radial_integral_quadrature", "selection_allowed",
+               "sigma_cross_block", "theta_bound", "transition_element_2s2p"],
+    "specfun": ["IntegrationResult", "QuadratureRule", "gauss_laguerre", "laguerre_general",
+                "spherical_harmonic", "spinor_harmonic"],
+}
+
+
+def test_public_names_resolve_on_first_use():
+    # a fresh interpreter, so each name goes through the module __getattr__;
+    # a submodule's own name resolves to the submodule
+    script = ("import importlib, json, sys\n"
+              "import nchydro\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('nchydro.'))\n"
+              "listed = dir(nchydro)\n"
+              "wrong = []\n"
+              "for module, names in json.loads(sys.argv[1]).items():\n"
+              "    for name in [module, *names]:\n"
+              "        ns = {}\n"
+              "        exec(f'from nchydro import {name} as value', ns)\n"
+              "        defining = importlib.import_module(f'nchydro.{module}')\n"
+              "        expected = defining if name == module else getattr(defining, name)\n"
+              "        if ns['value'] is not expected or getattr(nchydro, name) is not expected:\n"
+              "            wrong.append(name)\n"
+              "        if name not in listed:\n"
+              "            wrong.append(f'{name} not in dir')\n"
+              "print(json.dumps([loaded, wrong]))\n")
+    result = _run_python(script, json.dumps(PUBLIC_NAMES))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[], []]
+
+
+def test_version_is_a_plain_attribute():
+    assert vars(nchydro)["__version__"] == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nchydro.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from nchydro import no_such_name", {})
+    assert not hasattr(nchydro, "_no_such_name")
 
 
 def test_verify_runs_with_numpy_blocked():

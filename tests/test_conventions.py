@@ -240,6 +240,8 @@ OUT_OF_DOMAIN = [
     pytest.param(ValidationError, "kind must be", lambda: selection_allowed(
         make_state(0, -1, 0.5), make_state(0, -2, 0.5), "bogus"),
         id="selection_allowed-kind"),
+    pytest.param(OverflowError, "out of float range", lambda: deformed_potential(
+        [1.0e-200, 0.0, 0.0], ThetaTensor.z_axis(1.0e-19)), id="deformed_potential-r1e-200"),
 ] + [pytest.param(DomainError, "r > 0", partial(call, r), id=f"{name}-r{r:g}")
      for name, call in RADIAL_ENTRY_POINTS.items() for r in (0.0, -1.0)]
 
@@ -248,6 +250,25 @@ OUT_OF_DOMAIN = [
 def test_out_of_domain_rejected(error, message, call):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+# Finite arguments where a term's true value underflows: the term is its
+# underflowed limit 0.0, not NaN from an inf intermediate or an exception
+UNDERFLOWED = [
+    pytest.param(partial(RADIAL_ENTRY_POINTS["radial_fg"], 1.0e308), (0.0, 0.0),
+                 id="radial_fg-r1e308"),
+    pytest.param(partial(RADIAL_ENTRY_POINTS["radial_R"], 1.0e308), 0.0, id="radial_R-r1e308"),
+    pytest.param(partial(RADIAL_ENTRY_POINTS["radial_R_prime"], 1.0e308), 0.0,
+                 id="radial_R_prime-r1e308"),
+    pytest.param(lambda: deformed_potential([1.0e200, 1.0e200, 0.0], ThetaTensor.z_axis(1.0e-19)),
+                 (-math.sqrt(DEFAULT_CONSTANTS.alpha) / math.hypot(1.0e200, 1.0e200),
+                  (0.0, 0.0, 0.0)), id="deformed_potential-r1.4e200"),
+]
+
+
+@pytest.mark.parametrize("call,expected", UNDERFLOWED)
+def test_underflowed_terms_are_zero(call, expected):
+    assert call() == expected
 
 
 # finite_real takes a float on a fast path and everything else through the
