@@ -194,26 +194,29 @@ def cmd_shift(args, constants: PhysicalConstants) -> Output:
 
 
 def cmd_bound(args, constants: PhysicalConstants) -> Output:
-    from .shifts import level_shift, theta_bound
+    """One bound per distinct |coefficient| of the level, with its flag and
+    notes, from the level's report fields (Level.report_fields); no
+    ShiftReport is built."""
+    from .shifts import Level, theta_bound
     check_positive("accuracy-khz", args.accuracy_khz)
     accuracy_hz = args.accuracy_khz * 1e3
-    report = level_shift(args.label, 0.0, constants)
+    fields = Level.from_label(args.label, constants).report_fields()
     bounds = []
-    for mag in dict.fromkeys(abs(c) for c in report.coefficients if c):
+    for mag in dict.fromkeys(abs(c) for c in fields.coefficients if c):
         b = theta_bound(mag, accuracy_hz, constants)
         bounds.append({
             "coefficient_eV3": mag,
             "theta_max_eV2": b.theta_max_ev2,
             "gev_scale": b.gev_scale,
         })
-    payload = {"label": report.label, "accuracy_khz": args.accuracy_khz, "bounds": bounds,
-               "flagged": report.flagged, "notes": list(report.notes)}
-    lines = [f"level {report.label}, accuracy {args.accuracy_khz} kHz"]
+    payload = {"label": fields.label, "accuracy_khz": args.accuracy_khz, "bounds": bounds,
+               "flagged": fields.flagged, "notes": list(fields.notes)}
+    lines = [f"level {fields.label}, accuracy {args.accuracy_khz} kHz"]
     for b in bounds:
         lines.append(f"  coefficient {b['coefficient_eV3']:.6e} eV^3 -> "
                      f"theta <= {b['theta_max_eV2']:.6e} eV^-2  "
                      f"(= ({b['gev_scale']:.3f} GeV)^-2)")
-    for note in report.notes:
+    for note in fields.notes:
         lines.append(f"  note: {note}")
     return Output(payload, "\n".join(lines) + "\n")
 
@@ -275,8 +278,8 @@ def cmd_sweep(args, constants: PhysicalConstants) -> Output:
     for i in range(args.steps):
         theta = theta_min + (theta_max - theta_min) * i / (args.steps - 1)
         for level in levels:
-            eigenvalues, _, _, coefficients, _ = level.closed_form
-            for eig, coeff in zip(eigenvalues, coefficients):
+            fields = level.closed_form
+            for eig, coeff in zip(fields.eigenvalues, fields.coefficients):
                 rows.append((theta, level.label, eig, coeff * theta))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

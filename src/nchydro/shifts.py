@@ -41,12 +41,15 @@ Every radial quantity is computed twice:
   integral.  One private helper takes the sum and diff samples together,
   in pure Python, for the level integrals and the 2S-2P cross element.
 
-A Level keeps the theta-independent closed-form side of level_shift
-(Level.closed_form: eigenvalues, both closed integrals, the closed-form
-coefficients and the 2P Lamb-shift theta bound), computed on first use.
-level_shift is linear in theta by construction: per call it checks theta,
-reads the quadrature route, forms its coefficients, flag and notes, and
-multiplies the kept coefficients by theta.
+A Level keeps every theta-independent field of its ShiftReport in one
+memo, computed on first use (Level.closed_form, a LevelFields): the
+eigenvalues, both closed integrals, the closed-form coefficients and the 2P
+Lamb-shift theta bound, and for |kappa| >= 2 the series route too, with its
+coefficients, order, drift, flag and notes.  level_shift is linear in theta
+by construction.  A warm |kappa| >= 2 call checks theta and the constants,
+multiplies the kept coefficients by theta and builds the report; a
+|kappa| = 1 call also takes the two endpoint samples again and forms their
+route fields, which are not kept.  cli's bound and sweep read the same memo.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -58,6 +61,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_position, check_positive, check_theta, ev2_to_gev_scale, hz_to_ev)
@@ -71,6 +75,7 @@ __all__ = [
     "ThetaBound",
     "ShiftReport",
     "Level",
+    "LevelFields",
     "lz_expectation",
     "lz_block",
     "lz_block_numeric",
@@ -93,6 +98,30 @@ RADIAL_AGREEMENT_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # Levels and angular blocks
 # ---------------------------------------------------------------------------
+
+
+class LevelFields(NamedTuple):
+    """The theta-independent ShiftReport fields of one level (Level.closed_form).
+
+    The quadrature-route fields, rho1_quadrature on, are None in the memo of
+    a |kappa| = 1 level, whose divergent integrals are sampled on every call
+    (Level.report_fields)."""
+
+    label: str
+    eigenvalues: tuple[float, ...]
+    rho1: float
+    rho2: float
+    coefficients: tuple[float, ...]
+    theta_bound: ThetaBound | None
+    rho1_quadrature: float | None = None
+    rho2_quadrature: float | None = None
+    quadrature_converged: bool | None = None
+    quadrature_route: str | None = None
+    quadrature_order: int | None = None
+    quadrature_drift: float | None = None
+    coefficients_quadrature: tuple[float, ...] | None = None
+    flagged: bool | None = None
+    notes: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -128,15 +157,16 @@ class Level:
         return self.states[0].constants
 
     @cached_property
-    def closed_form(self) -> tuple:
-        """(eigenvalues, rho1, rho2, coefficients, theta_bound): the
-        theta-independent closed-form side of level_shift.  The eigenvalues
-        are <L_z> over m_basis, rho1 and rho2 the closed sum and diff
-        integrals, the coefficients -(alpha/2) rho1 lambda_k in eV^3 per
+    def closed_form(self) -> LevelFields:
+        """Every theta-independent field of this level's ShiftReport.  The
+        eigenvalues are <L_z> over m_basis, rho1 and rho2 the closed sum and
+        diff integrals, the coefficients -(alpha/2) rho1 lambda_k in eV^3 per
         theta, and theta_bound the LAMB_ACCURACY_2P_HZ bound from the
-        largest |coefficient| (None when every coefficient is 0).  Computed
-        on first use and kept in the instance dict, outside the fields, so
-        eq, hash and repr ignore it."""
+        largest |coefficient| (None when every coefficient is 0).  For
+        |kappa| >= 2 it also holds the quadrature route: the state's exact
+        series, their coefficients, order and drift, the flag and the notes.
+        Computed on first use and kept in the instance dict, outside the
+        fields, so eq, hash and repr ignore it."""
         state0, alpha = self.states[0], self.constants.alpha
         eigenvalues = tuple(_lz(self.kappa, m) for m in self.m_basis)
         rho1 = radial_integral_closed(state0, "sum")
@@ -145,7 +175,44 @@ class Level:
         max_coeff = max((abs(c) for c in coefficients), default=0.0)
         bound = (theta_bound(max_coeff, LAMB_ACCURACY_2P_HZ, self.constants)
                  if max_coeff > 0.0 else None)
-        return eigenvalues, rho1, rho2, coefficients, bound
+        fields = LevelFields(self.label, eigenvalues, rho1, rho2, coefficients, bound)
+        return self._with_route(fields, *state0.radial_series) if _exact_series(state0) else fields
+
+    def report_fields(self) -> LevelFields:
+        """closed_form with every field set: for |kappa| = 1 the route fields
+        come from a fresh pair of endpoint samples, taken on every call and
+        not kept."""
+        fields = self.closed_form
+        if fields.quadrature_route is None:
+            state0 = self.states[0]
+            fields = self._with_route(fields, *_endpoint_samples(state0, state0))
+        return fields
+
+    def _with_route(self, fields: LevelFields, rho1_q: IntegrationResult,
+                    rho2_q: IntegrationResult) -> LevelFields:
+        """fields with the quadrature route of rho1_q and rho2_q: its values,
+        coefficients, order and drift, and the flag and notes that compare
+        it with the closed form."""
+        exact = _exact_series(self.states[0])
+        notes = []
+        rel = abs(fields.rho1 - rho1_q.value) / max(abs(rho1_q.value), 1e-300)
+        if not exact:
+            notes.append(f"defining radial integral diverges at the origin for |kappa| = 1; "
+                         f"quadrature value is the sample at order {rho1_q.order}, "
+                         f"not a value of the integral")
+        if rel > RADIAL_AGREEMENT_TOL:
+            notes.append(f"closed-form and quadrature radial integrals disagree "
+                         f"(relative difference {rel:.3e}); both are reported")
+        alpha = self.constants.alpha
+        # the six closed-form fields, then the route's (faster than _replace)
+        return LevelFields(
+            *fields[:6], rho1_quadrature=rho1_q.value, rho2_quadrature=rho2_q.value,
+            quadrature_converged=rho1_q.converged and rho2_q.converged,
+            quadrature_route="laguerre_series" if exact else "endpoint_sample",
+            quadrature_order=rho1_q.order, quadrature_drift=max(rho1_q.drift, rho2_q.drift),
+            coefficients_quadrature=tuple(-(alpha / 2.0) * rho1_q.value * lam
+                                          for lam in fields.eigenvalues),
+            flagged=rel > RADIAL_AGREEMENT_TOL or not exact, notes=tuple(notes))
 
 
 def m_values(j: float) -> tuple[float, ...]:
@@ -441,13 +508,13 @@ def level_shift(level, theta: float,
     from the largest |coefficient| at the 2P Lamb-shift accuracy
     LAMB_ACCURACY_2P_HZ.
 
-    The eigenvalues, closed-form integrals, closed-form coefficients and
-    bound do not depend on theta; the Level keeps them (Level.closed_form)
-    after its first call, and every report on it shares the same
-    coefficients tuple.  Per call only theta is checked, the quadrature
-    integrals are read (the state's series for |kappa| >= 2) or sampled
-    (|kappa| = 1), their coefficients, flag and notes formed, and the shifts
-    taken as coefficient * theta.
+    Every field but theta and shifts_eV is independent of theta; the Level
+    keeps them (Level.closed_form) after its first call, and every report on
+    it shares the kept objects.  A warm |kappa| >= 2 call checks theta and
+    the constants, takes the shifts as coefficient * theta and builds the
+    report.  A |kappa| = 1 call also samples the divergent integrals again
+    and forms their coefficients, flag and notes (Level.report_fields),
+    which are not kept.
 
     A label is built with `constants` (default constants when None).  A
     Level carries its own constants, which set alpha and the bound's Hz
@@ -460,36 +527,12 @@ def level_shift(level, theta: float,
     elif constants is not None and constants != level.constants:
         raise ValidationError(f"constants differ from those level {level.label} "
                               f"was built with")
-    state0 = level.states[0]
-    alpha = level.constants.alpha
-    eigenvalues, rho1_c, rho2_c, coeff_closed, bound = level.closed_form
-    exact = _exact_series(state0)
-    rho1_q, rho2_q = state0.radial_series if exact else _endpoint_samples(state0, state0)
-
-    coeff_quad = tuple(-(alpha / 2.0) * rho1_q.value * lam for lam in eigenvalues)
-    shifts = tuple(c * theta for c in coeff_closed)
-
-    notes = []
-    rel = abs(rho1_c - rho1_q.value) / max(abs(rho1_q.value), 1e-300)
-    flagged = rel > RADIAL_AGREEMENT_TOL or not exact
-    if not exact:
-        notes.append(f"defining radial integral diverges at the origin for |kappa| = 1; "
-                     f"quadrature value is the sample at order {rho1_q.order}, "
-                     f"not a value of the integral")
-    if rel > RADIAL_AGREEMENT_TOL:
-        notes.append(f"closed-form and quadrature radial integrals disagree "
-                     f"(relative difference {rel:.3e}); both are reported")
-
-    return ShiftReport(label=level.label, theta=theta, eigenvalues=eigenvalues,
-                       rho1=rho1_c, rho2=rho2_c,
-                       rho1_quadrature=rho1_q.value, rho2_quadrature=rho2_q.value,
-                       quadrature_converged=rho1_q.converged and rho2_q.converged,
-                       quadrature_route="laguerre_series" if exact else "endpoint_sample",
-                       quadrature_order=rho1_q.order,
-                       quadrature_drift=max(rho1_q.drift, rho2_q.drift),
-                       coefficients=coeff_closed, coefficients_quadrature=coeff_quad,
-                       shifts_eV=shifts, theta_bound=bound, flagged=flagged,
-                       notes=tuple(notes))
+    f = level.report_fields()  # passed in ShiftReport's field order
+    return ShiftReport(f.label, theta, f.eigenvalues, f.rho1, f.rho2, f.rho1_quadrature,
+                       f.rho2_quadrature, f.quadrature_converged, f.quadrature_route,
+                       f.quadrature_order, f.quadrature_drift, f.coefficients,
+                       f.coefficients_quadrature, tuple([c * theta for c in f.coefficients]),
+                       f.theta_bound, f.flagged, f.notes)
 
 
 def transition_element_2s2p(theta: float,
@@ -534,13 +577,20 @@ def perturbation_kernels(state: RelativisticState, theta: float, position):
     the scalar kernel -(e^2 / 2 r^3) theta <L_z> for the state's effective
     L_z eigenvalue, and the vector kernel (e^4/4)(r x theta)/r^4 that
     multiplies the alpha matrices, a tuple of three floats.  The vector is
-    perpendicular to both r and the theta axis.
+    perpendicular to both r and the theta axis.  A term whose true value
+    underflows is 0.0; one that overflows (a point very close to the origin)
+    raises OverflowError.
     """
     (x, y, _), r = check_position("position", position, "perturbation_kernels")
     check_theta(theta)
     alpha = state.constants.alpha
-    m_eff = _lz(state.kappa, state.M)
-    term1 = -(alpha / (2.0 * r ** 3)) * theta * m_eff
+    # one division by r at a time: r^3 and r^4 alone overflow or underflow
+    # where the terms themselves underflow
+    term1 = -(alpha / 2.0) * theta * _lz(state.kappa, state.M) / r / r / r
     # r x (0, 0, theta)
-    term2 = tuple((alpha * alpha / 4.0) * c / r ** 4 for c in (y * theta, -x * theta, 0.0))
+    term2 = tuple((alpha * alpha / 4.0) * (c / r) / r / r / r
+                  for c in (y * theta, -x * theta, 0.0))
+    if not all(map(math.isfinite, (term1, *term2))):
+        raise OverflowError(f"perturbation_kernels: the kernels at r = {r!r} eV^-1 "
+                            "are out of float range")
     return term1, term2

@@ -242,6 +242,8 @@ OUT_OF_DOMAIN = [
         id="selection_allowed-kind"),
     pytest.param(OverflowError, "out of float range", lambda: deformed_potential(
         [1.0e-200, 0.0, 0.0], ThetaTensor.z_axis(1.0e-19)), id="deformed_potential-r1e-200"),
+    pytest.param(OverflowError, "out of float range", lambda: perturbation_kernels(
+        make_state(1, -2, 0.5), 1.0e-19, [1.0e-200, 0.0, 0.0]), id="perturbation_kernels-r1e-200"),
 ] + [pytest.param(DomainError, "r > 0", partial(call, r), id=f"{name}-r{r:g}")
      for name, call in RADIAL_ENTRY_POINTS.items() for r in (0.0, -1.0)]
 
@@ -263,12 +265,29 @@ UNDERFLOWED = [
     pytest.param(lambda: deformed_potential([1.0e200, 1.0e200, 0.0], ThetaTensor.z_axis(1.0e-19)),
                  (-math.sqrt(DEFAULT_CONSTANTS.alpha) / math.hypot(1.0e200, 1.0e200),
                   (0.0, 0.0, 0.0)), id="deformed_potential-r1.4e200"),
+    pytest.param(lambda: perturbation_kernels(make_state(1, -2, 0.5), 1.0e-19,
+                                              [1.0e200, 1.0e200, 0.0]),
+                 (0.0, (0.0, 0.0, 0.0)), id="perturbation_kernels-r1.4e200"),
 ]
 
 
 @pytest.mark.parametrize("call,expected", UNDERFLOWED)
 def test_underflowed_terms_are_zero(call, expected):
     assert call() == expected
+
+
+def test_kernels_near_the_origin_are_their_values():
+    # r^3 underflows at r = 1e-110, but both kernels are finite there: each
+    # is its exact rational value rounded, within two ulps
+    state, theta, r = make_state(1, -2, 0.5), 1.0e-19, 1.0e-110
+    scalar, (vx, vy, vz) = perturbation_kernels(state, theta, [r, 0.0, 0.0])
+    alpha = Fraction(DEFAULT_CONSTANTS.alpha)
+    lz = Fraction(lz_expectation(state.j, state.l, state.M))
+    assert scalar == pytest.approx(float(-alpha / 2 * Fraction(theta) * lz / Fraction(r) ** 3),
+                                   rel=4.5e-16)
+    assert vy == pytest.approx(float(-alpha ** 2 / 4 * Fraction(theta) / Fraction(r) ** 3),
+                               rel=4.5e-16)
+    assert (vx, vz) == (0.0, 0.0)
 
 
 # finite_real takes a float on a fast path and everything else through the

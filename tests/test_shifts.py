@@ -1,3 +1,4 @@
+import json
 import math
 from functools import lru_cache
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nchydro import dirac, shifts
+from nchydro import cli, dirac, shifts
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.dirac import dirac_energy, lj_to_kappa, make_state, radial_polynomials
 from nchydro.errors import DomainError, SingularityError, ValidationError
@@ -31,6 +32,9 @@ COEFF_2P12_PRINTED_EV3 = 6.57668e6
 # depend on nothing else
 PARTIAL_WAVES = sorted({(l + s / 2, l) for n in range(1, 6) for l in range(n)
                         for s in (-1, 1) if 2 * l + s > 0})
+# the labels of those 25 levels
+LEVEL_LABELS = [f"{n}{'SPDFG'[l]}{int(2 * j)}/2" for n in range(1, 6) for j, l in PARTIAL_WAVES
+                if l < n]
 # (bra, ket) pairs of PARTIAL_WAVES sharing j: the sigma-cross blocks
 SAME_J_PAIRS = [(a, b) for a in PARTIAL_WAVES for b in PARTIAL_WAVES if a[0] == b[0]]
 
@@ -369,6 +373,37 @@ class TestLevelShift:
         assert warm == cold
         assert hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
+
+    @pytest.mark.parametrize("label", [lbl for lbl in LEVEL_LABELS if not lbl.endswith("1/2")])
+    def test_warm_kappa_ge_2_reports_share_the_level_fields(self, label):
+        # every theta-independent field is the memo's one object
+        level = Level.from_label(label)
+        level_shift(level, 1.0e-19)
+        r1, r2 = level_shift(level, 1.0e-19), level_shift(level, 3.7e-21)
+        assert r1.notes  # not the empty tuple, which is one object anyway
+        for name in ("coefficients_quadrature", "notes", "eigenvalues"):
+            assert getattr(r1, name) is getattr(r2, name), name
+
+    @pytest.mark.parametrize("label", LEVEL_LABELS)
+    def test_warm_report_equals_a_fresh_levels(self, label):
+        warm = Level.from_label(label)
+        level_shift(warm, 1.0e-19)
+        for theta in (0.0, 1.0e-24, 1.0e-20, 1.0e-16):
+            fresh = level_shift(Level.from_label(label), theta)
+            report = level_shift(warm, theta)
+            assert report == fresh
+            assert report.as_dict() == fresh.as_dict()
+
+    @pytest.mark.parametrize("label", ["2P1/2", "3D5/2", "2S1/2"])
+    def test_bound_builds_no_report(self, monkeypatch, capsys, label):
+        built, init = [], shifts.ShiftReport.__init__
+        monkeypatch.setattr(shifts.ShiftReport, "__init__", lambda self, *args, **kwargs: (
+            built.append(args) or init(self, *args, **kwargs)))
+        level_shift(label, 1.0e-19)
+        assert len(built) == 1  # the positive control: a shift builds one
+        assert cli.main(["bound", label, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == label
+        assert len(built) == 1
 
     def test_level_constants_set_alpha(self):
         # a Level built with other constants must not mix in the defaults
