@@ -195,28 +195,28 @@ def cmd_shift(args, constants: PhysicalConstants) -> Output:
 
 def cmd_bound(args, constants: PhysicalConstants) -> Output:
     """One bound per distinct |coefficient| of the level, with its flag and
-    notes, from the level's report fields (Level.report_fields); no
-    ShiftReport is built."""
+    notes, from the level's report at theta = 0 (Level.report_fields); no
+    level_shift runs."""
     from .shifts import Level, theta_bound
     check_positive("accuracy-khz", args.accuracy_khz)
     accuracy_hz = args.accuracy_khz * 1e3
-    fields = Level.from_label(args.label, constants).report_fields()
+    report = Level.from_label(args.label, constants).report_fields()
     bounds = []
-    for mag in dict.fromkeys(abs(c) for c in fields.coefficients if c):
+    for mag in dict.fromkeys(abs(c) for c in report.coefficients if c):
         b = theta_bound(mag, accuracy_hz, constants)
         bounds.append({
             "coefficient_eV3": mag,
             "theta_max_eV2": b.theta_max_ev2,
             "gev_scale": b.gev_scale,
         })
-    payload = {"label": fields.label, "accuracy_khz": args.accuracy_khz, "bounds": bounds,
-               "flagged": fields.flagged, "notes": list(fields.notes)}
-    lines = [f"level {fields.label}, accuracy {args.accuracy_khz} kHz"]
+    payload = {"label": report.label, "accuracy_khz": args.accuracy_khz, "bounds": bounds,
+               "flagged": report.flagged, "notes": list(report.notes)}
+    lines = [f"level {report.label}, accuracy {args.accuracy_khz} kHz"]
     for b in bounds:
         lines.append(f"  coefficient {b['coefficient_eV3']:.6e} eV^3 -> "
                      f"theta <= {b['theta_max_eV2']:.6e} eV^-2  "
                      f"(= ({b['gev_scale']:.3f} GeV)^-2)")
-    for note in fields.notes:
+    for note in report.notes:
         lines.append(f"  note: {note}")
     return Output(payload, "\n".join(lines) + "\n")
 
@@ -259,8 +259,8 @@ def cmd_nonrel(args, constants: PhysicalConstants) -> Output:
 
 def cmd_sweep(args, constants: PhysicalConstants) -> Output:
     """Rows of shift = coefficient * theta from each level's closed-form
-    eigenvalues and coefficients (Level.closed_form), which do not depend on
-    theta; no quadrature runs."""
+    eigenvalues and coefficients, read from its report at theta = 0
+    (Level.closed_form); no quadrature runs."""
     import csv
 
     from .shifts import Level
@@ -278,8 +278,8 @@ def cmd_sweep(args, constants: PhysicalConstants) -> Output:
     for i in range(args.steps):
         theta = theta_min + (theta_max - theta_min) * i / (args.steps - 1)
         for level in levels:
-            fields = level.closed_form
-            for eig, coeff in zip(fields.eigenvalues, fields.coefficients):
+            report = level.closed_form
+            for eig, coeff in zip(report.eigenvalues, report.coefficients):
                 rows.append((theta, level.label, eig, coeff * theta))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

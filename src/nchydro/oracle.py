@@ -164,16 +164,6 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
                             verdict=verdict, note=note)
 
 
-def radial_ratio_small_alpha(n_r: int = 0, kappa: int = -2,
-                             alpha: float = 5.0e-4) -> float:
-    """diff/sum quadrature ratio at small alpha; tends to 1 as g -> 0."""
-    constants = DEFAULT_CONSTANTS.with_(alpha=alpha)
-    state = make_state(n_r, kappa, 0.5, constants)
-    num = radial_integral_quadrature(state, "diff").value
-    den = radial_integral_quadrature(state, "sum").value
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # Angular validators
 # ---------------------------------------------------------------------------

@@ -41,15 +41,15 @@ Every radial quantity is computed twice:
   integral.  One private helper takes the sum and diff samples together,
   in pure Python, for the level integrals and the 2S-2P cross element.
 
-A Level keeps every theta-independent field of its ShiftReport in one
-memo, computed on first use (Level.closed_form, a LevelFields): the
-eigenvalues, both closed integrals, the closed-form coefficients and the 2P
-Lamb-shift theta bound, and for |kappa| >= 2 the series route too, with its
-coefficients, order, drift, flag and notes.  level_shift is linear in theta
-by construction.  A warm |kappa| >= 2 call checks theta and the constants,
-multiplies the kept coefficients by theta and builds the report; a
-|kappa| = 1 call also takes the two endpoint samples again and forms their
-route fields, which are not kept.  cli's bound and sweep read the same memo.
+A Level keeps its ShiftReport at theta = 0, computed on first use
+(Level.closed_form): the eigenvalues, both closed integrals, the
+closed-form coefficients and the 2P Lamb-shift theta bound, and for
+|kappa| >= 2 the series route too, with its coefficients, order, drift,
+flag and notes.  level_shift is linear in theta by construction: a warm
+|kappa| >= 2 call checks theta and the constants and replaces the kept
+report's theta and shifts_eV = coefficients * theta; a |kappa| = 1 call
+first fills the route fields from the two endpoint samples, taken again
+and not kept.  cli's bound and sweep read the same report.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -58,7 +58,7 @@ disagreement instead of having it averaged away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import NamedTuple
@@ -75,7 +75,6 @@ __all__ = [
     "ThetaBound",
     "ShiftReport",
     "Level",
-    "LevelFields",
     "lz_expectation",
     "lz_block",
     "lz_block_numeric",
@@ -98,30 +97,6 @@ RADIAL_AGREEMENT_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # Levels and angular blocks
 # ---------------------------------------------------------------------------
-
-
-class LevelFields(NamedTuple):
-    """The theta-independent ShiftReport fields of one level (Level.closed_form).
-
-    The quadrature-route fields, rho1_quadrature on, are None in the memo of
-    a |kappa| = 1 level, whose divergent integrals are sampled on every call
-    (Level.report_fields)."""
-
-    label: str
-    eigenvalues: tuple[float, ...]
-    rho1: float
-    rho2: float
-    coefficients: tuple[float, ...]
-    theta_bound: ThetaBound | None
-    rho1_quadrature: float | None = None
-    rho2_quadrature: float | None = None
-    quadrature_converged: bool | None = None
-    quadrature_route: str | None = None
-    quadrature_order: int | None = None
-    quadrature_drift: float | None = None
-    coefficients_quadrature: tuple[float, ...] | None = None
-    flagged: bool | None = None
-    notes: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -157,45 +132,52 @@ class Level:
         return self.states[0].constants
 
     @cached_property
-    def closed_form(self) -> LevelFields:
-        """Every theta-independent field of this level's ShiftReport.  The
-        eigenvalues are <L_z> over m_basis, rho1 and rho2 the closed sum and
-        diff integrals, the coefficients -(alpha/2) rho1 lambda_k in eV^3 per
-        theta, and theta_bound the LAMB_ACCURACY_2P_HZ bound from the
-        largest |coefficient| (None when every coefficient is 0).  For
-        |kappa| >= 2 it also holds the quadrature route: the state's exact
-        series, their coefficients, order and drift, the flag and the notes.
-        Computed on first use and kept in the instance dict, outside the
-        fields, so eq, hash and repr ignore it."""
+    def closed_form(self) -> ShiftReport:
+        """This level's ShiftReport at theta = 0, which keeps every field
+        that does not depend on theta.  The eigenvalues are <L_z> over
+        m_basis, rho1 and rho2 the closed sum and diff integrals, the
+        coefficients -(alpha/2) rho1 lambda_k in eV^3 per theta, and
+        theta_bound the LAMB_ACCURACY_2P_HZ bound from the largest
+        |coefficient| (None when every coefficient is 0).  For |kappa| >= 2
+        the quadrature route is the state's exact series; for |kappa| = 1
+        its fields, rho1_quadrature to quadrature_drift,
+        coefficients_quadrature, flagged and notes, are None here
+        (report_fields).  Computed on first use and kept in the instance
+        dict, outside the fields, so eq, hash and repr ignore it."""
         state0, alpha = self.states[0], self.constants.alpha
         eigenvalues = tuple(_lz(self.kappa, m) for m in self.m_basis)
         rho1 = radial_integral_closed(state0, "sum")
-        rho2 = radial_integral_closed(state0, "diff")
         coefficients = tuple(-(alpha / 2.0) * rho1 * lam for lam in eigenvalues)
         max_coeff = max((abs(c) for c in coefficients), default=0.0)
-        bound = (theta_bound(max_coeff, LAMB_ACCURACY_2P_HZ, self.constants)
-                 if max_coeff > 0.0 else None)
-        fields = LevelFields(self.label, eigenvalues, rho1, rho2, coefficients, bound)
-        return self._with_route(fields, *state0.radial_series) if _exact_series(state0) else fields
+        report = ShiftReport(
+            label=self.label, theta=0.0, eigenvalues=eigenvalues, rho1=rho1,
+            rho2=radial_integral_closed(state0, "diff"), rho1_quadrature=None,
+            rho2_quadrature=None, quadrature_converged=None, quadrature_route=None,
+            quadrature_order=None, quadrature_drift=None, coefficients=coefficients,
+            coefficients_quadrature=None, shifts_eV=tuple([c * 0.0 for c in coefficients]),
+            theta_bound=(theta_bound(max_coeff, LAMB_ACCURACY_2P_HZ, self.constants)
+                         if max_coeff > 0.0 else None),
+            flagged=None, notes=None)
+        return self._with_route(report, *state0.radial_series) if _exact_series(state0) else report
 
-    def report_fields(self) -> LevelFields:
+    def report_fields(self) -> ShiftReport:
         """closed_form with every field set: for |kappa| = 1 the route fields
         come from a fresh pair of endpoint samples, taken on every call and
         not kept."""
-        fields = self.closed_form
-        if fields.quadrature_route is None:
+        report = self.closed_form
+        if report.quadrature_route is None:
             state0 = self.states[0]
-            fields = self._with_route(fields, *_endpoint_samples(state0, state0))
-        return fields
+            report = self._with_route(report, *_endpoint_samples(state0, state0))
+        return report
 
-    def _with_route(self, fields: LevelFields, rho1_q: IntegrationResult,
-                    rho2_q: IntegrationResult) -> LevelFields:
-        """fields with the quadrature route of rho1_q and rho2_q: its values,
+    def _with_route(self, report: ShiftReport, rho1_q: IntegrationResult,
+                    rho2_q: IntegrationResult) -> ShiftReport:
+        """report with the quadrature route of rho1_q and rho2_q: its values,
         coefficients, order and drift, and the flag and notes that compare
         it with the closed form."""
         exact = _exact_series(self.states[0])
         notes = []
-        rel = abs(fields.rho1 - rho1_q.value) / max(abs(rho1_q.value), 1e-300)
+        rel = abs(report.rho1 - rho1_q.value) / max(abs(rho1_q.value), 1e-300)
         if not exact:
             notes.append(f"defining radial integral diverges at the origin for |kappa| = 1; "
                          f"quadrature value is the sample at order {rho1_q.order}, "
@@ -204,14 +186,13 @@ class Level:
             notes.append(f"closed-form and quadrature radial integrals disagree "
                          f"(relative difference {rel:.3e}); both are reported")
         alpha = self.constants.alpha
-        # the six closed-form fields, then the route's (faster than _replace)
-        return LevelFields(
-            *fields[:6], rho1_quadrature=rho1_q.value, rho2_quadrature=rho2_q.value,
+        return report._replace(
+            rho1_quadrature=rho1_q.value, rho2_quadrature=rho2_q.value,
             quadrature_converged=rho1_q.converged and rho2_q.converged,
             quadrature_route="laguerre_series" if exact else "endpoint_sample",
             quadrature_order=rho1_q.order, quadrature_drift=max(rho1_q.drift, rho2_q.drift),
             coefficients_quadrature=tuple(-(alpha / 2.0) * rho1_q.value * lam
-                                          for lam in fields.eigenvalues),
+                                          for lam in report.eigenvalues),
             flagged=rel > RADIAL_AGREEMENT_TOL or not exact, notes=tuple(notes))
 
 
@@ -446,9 +427,12 @@ def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
                       coefficient_ev3=shift_coefficient_ev3, accuracy_hz=accuracy_hz)
 
 
-@dataclass(frozen=True)
-class ShiftReport:
-    """First-order shift data for one level at a given theta."""
+class ShiftReport(NamedTuple):
+    """First-order shift data for one level at a given theta.
+
+    A named tuple, so it compares, hashes, iterates and unpacks as the
+    tuple of its fields.  Level.closed_form is a level's report at
+    theta = 0; level_shift replaces its theta and shifts_eV."""
 
     label: str
     theta: float
@@ -466,7 +450,7 @@ class ShiftReport:
     shifts_eV: tuple[float, ...]             # closed-form coefficients times theta
     theta_bound: ThetaBound | None
     flagged: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
         d = {
@@ -509,12 +493,12 @@ def level_shift(level, theta: float,
     LAMB_ACCURACY_2P_HZ.
 
     Every field but theta and shifts_eV is independent of theta; the Level
-    keeps them (Level.closed_form) after its first call, and every report on
-    it shares the kept objects.  A warm |kappa| >= 2 call checks theta and
-    the constants, takes the shifts as coefficient * theta and builds the
-    report.  A |kappa| = 1 call also samples the divergent integrals again
-    and forms their coefficients, flag and notes (Level.report_fields),
-    which are not kept.
+    keeps them in its report at theta = 0 (Level.closed_form) after its
+    first call, and every report on it shares the kept objects.  A warm
+    |kappa| >= 2 call checks theta and the constants and replaces the kept
+    report's theta and shifts_eV (coefficient * theta).  A |kappa| = 1 call
+    also samples the divergent integrals again and forms their
+    coefficients, flag and notes (Level.report_fields), which are not kept.
 
     A label is built with `constants` (default constants when None).  A
     Level carries its own constants, which set alpha and the bound's Hz
@@ -527,12 +511,8 @@ def level_shift(level, theta: float,
     elif constants is not None and constants != level.constants:
         raise ValidationError(f"constants differ from those level {level.label} "
                               f"was built with")
-    f = level.report_fields()  # passed in ShiftReport's field order
-    return ShiftReport(f.label, theta, f.eigenvalues, f.rho1, f.rho2, f.rho1_quadrature,
-                       f.rho2_quadrature, f.quadrature_converged, f.quadrature_route,
-                       f.quadrature_order, f.quadrature_drift, f.coefficients,
-                       f.coefficients_quadrature, tuple([c * theta for c in f.coefficients]),
-                       f.theta_bound, f.flagged, f.notes)
+    f = level.report_fields()
+    return f._replace(theta=theta, shifts_eV=tuple([c * theta for c in f.coefficients]))
 
 
 def transition_element_2s2p(theta: float,

@@ -9,17 +9,21 @@ constants.check_theta (a finite real theta >= 0, through
 constants.finite_real) and the level-label parser decide alone which theta
 and which label an entry point takes, and constants.check_radius and
 check_position (through check_triple, which ThetaTensor shares) which radius
-and which point.
+and which point.  Every top-level function and class of the package has a
+caller in it, or one listed reason to stay (UNREFERENCED).
 """
 
+import ast
 import math
 import re
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nchydro
 from nchydro.constants import DEFAULT_CONSTANTS, ThetaTensor, ev2_to_gev_scale, finite_real
 from nchydro.dirac import (deformed_potential, dirac_binding_energy, dirac_energy,
                            kappa_to_lj, lj_to_kappa, make_state, parse_level_label, radial_fg)
@@ -306,3 +310,46 @@ def test_finite_real_accepts(value):
 @pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=repr)
 def test_finite_real_rejects(value):
     assert finite_real(value) is False
+
+
+# Every top-level function and class of the package that no package module
+# names, with the one reason it stays.  A new unreferenced name fails, and
+# so does a name here that was deleted or gained a caller: the list only
+# shrinks.
+UNREFERENCED = {
+    "dirac.deformed_potential": "waits on direction 3's 3-D route",
+    "dirac.dirac_energy": "README library list",
+    "dirac.radial_fg": "README library list",
+    "nonrel.expectation_p2": "public API under review in direction 12",
+    "nonrel.fine_structure_dirac_expansion": "public API under review in direction 12",
+    "nonrel.pi_delta_expectation": "public API under review in direction 12",
+    "nonrel.radial_R": "public API under review in direction 12",
+    "nonrel.radial_R_prime": "public API under review in direction 12",
+    "nonrel.s_state_cutoff_expectation": "public API under review in direction 12",
+    "nonrel.s_state_shift_assembled": "public API under review in direction 12",
+    "oracle.norm_self_consistency": "acceptance-test import",
+    "shifts.perturbation_kernels": "waits on direction 3's 3-D route",
+    "shifts.selection_allowed": "waits on direction 10's transition element",
+    "shifts.transition_element_2s2p": "README library list",
+    "specfun.adaptive_weighted": "WRAPPED table of perfbench/tracer.py",
+    "specfun.spherical_harmonic": "public API under review in direction 12",
+    "specfun.spinor_harmonic": "waits on direction 3's 3-D route",
+}
+
+
+def test_every_unreferenced_definition_has_a_reason():
+    # a reference is a name or an attribute in any package module; the
+    # strings of __all__ and of the lazy name table do not count
+    defined, referenced = set(), set()
+    for path in Path(nchydro.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(f"{path.stem}.{node.name}" for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not (path.stem == "__init__" and node.name.startswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = {name for name in defined if name.split(".")[1] not in referenced}
+    assert sorted(unreferenced) == sorted(UNREFERENCED)

@@ -5,8 +5,8 @@ from nchydro.cli import main
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.errors import DivergenceError, ValidationError
 from nchydro.nonrel import r_inverse_moment, r_inverse_moment_quadrature
-from nchydro.oracle import (norm_self_consistency, radial_ratio_small_alpha, run_all,
-                            validate_angular, validate_moments, validate_radial)
+from nchydro.oracle import (norm_self_consistency, run_all, validate_angular,
+                            validate_moments, validate_radial)
 
 C = DEFAULT_CONSTANTS
 MOMENTS_N_LE_6 = [(n, l, k) for n in range(1, 7) for l in range(n) for k in (3, 4, 5)]
@@ -64,9 +64,6 @@ class TestValidateRadial:
         report = validate_radial(0, 0, "cross")
         assert report.verdict in ("match", "flagged_paper_inconsistency")
         assert report.closed_form is not None and report.quadrature is not None
-
-    def test_small_alpha_ratio(self):
-        assert radial_ratio_small_alpha(0, -2, 5.0e-4) == pytest.approx(1.0, abs=1e-6)
 
     def test_deterministic(self):
         a = validate_radial(0, -2, "sum")

@@ -244,8 +244,11 @@ class TestRadialQuadrature:
         assert len(calls) == 1
 
     def test_diff_to_sum_ratio_small_alpha(self):
-        from nchydro.oracle import radial_ratio_small_alpha
-        assert abs(radial_ratio_small_alpha(0, -2, 5.0e-4) - 1.0) < 1e-6
+        # g -> 0 with alpha, so the diff and sum integrals of 2P3/2 meet
+        s = make_state(0, -2, 0.5, C.with_(alpha=5.0e-4))
+        ratio = (radial_integral_quadrature(s, "diff").value
+                 / radial_integral_quadrature(s, "sum").value)
+        assert abs(ratio - 1.0) < 1e-6
 
     def test_cross_integral_against_schrodinger_oracle(self):
         # nonrelativistic value: int R20 R21 / r dr = 1/(8 sqrt(3) a0^3)
@@ -394,16 +397,39 @@ class TestLevelShift:
             assert report == fresh
             assert report.as_dict() == fresh.as_dict()
 
+    def test_report_is_a_named_tuple_of_its_fields(self):
+        report = level_shift("2P3/2", 1.0e-19)
+        assert shifts.ShiftReport._fields == (
+            "label", "theta", "eigenvalues", "rho1", "rho2", "rho1_quadrature",
+            "rho2_quadrature", "quadrature_converged", "quadrature_route", "quadrature_order",
+            "quadrature_drift", "coefficients", "coefficients_quadrature", "shifts_eV",
+            "theta_bound", "flagged", "notes")
+        label, theta, *_, notes = report
+        assert (label, theta, notes) == ("2P3/2", 1.0e-19, report.notes)
+        assert report == tuple(report) and hash(report) == hash(tuple(report))
+
     @pytest.mark.parametrize("label", ["2P1/2", "3D5/2", "2S1/2"])
     def test_bound_builds_no_report(self, monkeypatch, capsys, label):
-        built, init = [], shifts.ShiftReport.__init__
-        monkeypatch.setattr(shifts.ShiftReport, "__init__", lambda self, *args, **kwargs: (
-            built.append(args) or init(self, *args, **kwargs)))
+        # a report at a theta is the level's report with theta replaced
+        thetas, replace = [], shifts.ShiftReport._replace
+
+        def replace_recording_theta(report, **changes):
+            if "theta" in changes:
+                thetas.append(changes["theta"])
+            return replace(report, **changes)
+
+        def no_shift(*args, **kwargs):
+            raise AssertionError("level_shift called")
+
+        monkeypatch.setattr(shifts.ShiftReport, "_replace", replace_recording_theta)
         level_shift(label, 1.0e-19)
-        assert len(built) == 1  # the positive control: a shift builds one
+        assert thetas == [1.0e-19]  # the positive control: a shift records its theta
+        monkeypatch.setattr(shifts, "level_shift", no_shift)
+        with pytest.raises(AssertionError, match="level_shift called"):
+            cli.main(["shift", label, "--theta", "1e-19"])  # and goes through level_shift
         assert cli.main(["bound", label, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["label"] == label
-        assert len(built) == 1
+        assert thetas == [1.0e-19]
 
     def test_level_constants_set_alpha(self):
         # a Level built with other constants must not mix in the defaults
