@@ -22,7 +22,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
@@ -252,7 +251,7 @@ def cmd_nonrel(args, constants: PhysicalConstants) -> Output:
         "nc_shift_r4_eV": hyper.r4_term,
         "nc_shift_r5_eV": hyper.r5_term,
         "nc_shift_r5_divergent": hyper.r5_divergent,
-        "expectations": asdict(table),
+        "expectations": table._asdict(),
         "divergent_entries": list(table.divergent),
     })
 
@@ -300,7 +299,7 @@ def cmd_verify(args, constants: PhysicalConstants) -> Output:
              for r in reports]
     split = ", ".join(f"{n} {v}" for v, n in counts.items())
     lines.append(f"{len(reports)} checks, {mismatches} unexpected mismatches ({split})")
-    payload = {"reports": [asdict(r) for r in reports],
+    payload = {"reports": [r._asdict() for r in reports],
                "mismatches": mismatches, "verdict_counts": counts}
     return Output(payload, "\n".join(lines) + "\n", 2 if mismatches else 0)
 

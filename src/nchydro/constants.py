@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DomainError, SingularityError, ValidationError
 
@@ -79,19 +79,29 @@ def check_position(name: str, position, caller: str):
     return vector, r
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+def _checked(cls):
+    """cls, a named tuple, with every construction (constructor, _make and so
+    _replace, copy, pickle) returning cls._check of the new tuple."""
+    new = cls.__new__
+    cls.__new__ = staticmethod(lambda cls, *args, **kwargs: new(cls, *args, **kwargs)._check())
+    cls._make = classmethod(lambda cls, fields: cls(*fields))
+    return cls
+
+
+@_checked
+class PhysicalConstants(NamedTuple):
     """Electron mass, fine-structure constant, and hbar in eV s."""
 
     m_e: float = 510998.95
     alpha: float = 7.2973525693e-3
     hbar_eV_s: float = 6.582119569e-16
 
-    def __post_init__(self):
-        for name in ("m_e", "alpha", "hbar_eV_s"):
-            check_positive(name, getattr(self, name))
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            check_positive(name, value)
         if not self.alpha < 1.0:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        return self
 
     @property
     def bohr_radius(self) -> float:
@@ -99,7 +109,7 @@ class PhysicalConstants:
         return 1.0 / (self.m_e * self.alpha)
 
     def with_(self, **kwargs) -> "PhysicalConstants":
-        return replace(self, **kwargs)
+        return type(self)(**{**self._asdict(), **kwargs})
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -120,10 +130,10 @@ def read_constants_file(path: str) -> tuple[PhysicalConstants, float]:
     return DEFAULT_CONSTANTS.with_(**data), lambda_qcd
 
 
-@dataclass(frozen=True)
-class ThetaTensor:
+@_checked
+class ThetaTensor(NamedTuple):
     """Antisymmetric space-space block (as its dual vector) plus the
-    time-space row theta^{0j}.
+    time-space row theta^{0j}, each three floats (check_triple).
 
     The spectroscopy in this package keeps theta^{0j} = 0; the potential
     evaluator accepts it anyway so the full deformed potential can be
@@ -133,9 +143,8 @@ class ThetaTensor:
     space_vector: tuple[float, float, float]
     time_row: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        for name in ("space_vector", "time_row"):
-            object.__setattr__(self, name, check_triple(name, getattr(self, name)))
+    def _check(self):
+        return tuple.__new__(type(self), map(check_triple, self._fields, self))
 
     @classmethod
     def z_axis(cls, theta: float, time_row=(0.0, 0.0, 0.0)) -> "ThetaTensor":

@@ -29,10 +29,10 @@ number that does not exist is None, not inf: inf or NaN means overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants, check_lambda_qcd, check_radius, check_theta,
+                        PhysicalConstants, _checked, check_lambda_qcd, check_radius, check_theta,
                         finite_real)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, lz_expectation, theta_bound
@@ -62,8 +62,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SchrodingerState:
+@_checked
+class SchrodingerState(NamedTuple):
     """Hydrogen level (n, l, j = l +/- 1/2, m_j) in the nonrelativistic stack;
     (l, j) and m_j are checked for every l, 0 included."""
 
@@ -73,10 +73,11 @@ class SchrodingerState:
     m_j: float
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
-    def __post_init__(self):
+    def _check(self):
         _check_nl(self.n, self.l)
         lj_to_kappa(self.l, self.j)
         check_magnetic(self.j, self.m_j)
+        return self
 
     @property
     def kappa(self) -> int:
@@ -245,8 +246,7 @@ def pi_delta_expectation(n: int, l: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpectationTable:
+class ExpectationTable(NamedTuple):
     """All tabulated first-order expectation values for one (n, l, j, m_j).
 
     Entries proportional to a moment that does not exist are None, not inf
@@ -270,7 +270,7 @@ class ExpectationTable:
 
     @property
     def divergent(self) -> tuple[str, ...]:
-        return tuple(name for name, value in asdict(self).items() if value is None)
+        return tuple(name for name, value in zip(self._fields, self) if value is None)
 
 
 def _spin_orbit(kappa: int) -> int:
@@ -380,8 +380,7 @@ def fine_structure_dirac_expansion(n: int, j: float,
     return -(alpha ** 4 * m / (2.0 * n ** 4)) * (n / (j + 0.5) - 0.75)
 
 
-@dataclass(frozen=True)
-class HyperfineShift:
+class HyperfineShift(NamedTuple):
     """theta-proportional first-order shift, split by moment order; where
     <r^-5> does not exist, r5_term and total are None, not inf."""
 

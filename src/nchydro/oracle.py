@@ -38,7 +38,7 @@ cases where the printed closed forms cannot agree with their definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac import _exact_series, make_state, radial_polynomials
@@ -71,8 +71,7 @@ VERDICT_FLAGGED = "flagged_paper_inconsistency"
 VERDICTS = (VERDICT_MATCH, VERDICT_FLAGGED, VERDICT_MISMATCH)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """One validated quantity: the two routes, their disagreement, a verdict."""
 
     name: str

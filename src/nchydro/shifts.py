@@ -202,8 +202,7 @@ def m_values(j: float) -> tuple[float, ...]:
     return tuple(-j + k for k in range(count))
 
 
-@dataclass(frozen=True)
-class AngularBlock:
+class AngularBlock(NamedTuple):
     """Hermitian angular matrix over the M basis of a level, in units of
     theta: matrix is a tuple of rows of complex."""
 
@@ -401,8 +400,7 @@ def cross_radial_integral_quadrature(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaBound:
+class ThetaBound(NamedTuple):
     """Upper bound on theta implied by one splitting coefficient."""
 
     theta_max_ev2: float
@@ -421,8 +419,7 @@ def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
     """
     check_positive("shift coefficient", shift_coefficient_ev3, DomainError)
     check_positive("accuracy", accuracy_hz, DomainError)
-    e_acc = hz_to_ev(accuracy_hz, constants)
-    theta_max = e_acc / shift_coefficient_ev3
+    theta_max = hz_to_ev(accuracy_hz, constants) / shift_coefficient_ev3
     return ThetaBound(theta_max_ev2=theta_max, gev_scale=ev2_to_gev_scale(theta_max),
                       coefficient_ev3=shift_coefficient_ev3, accuracy_hz=accuracy_hz)
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import mul
+from typing import NamedTuple
 
 from .constants import finite_real
 from .errors import DomainError, ValidationError
@@ -266,8 +266,7 @@ def _golub_welsch(diag, off, mu0: float,
     return tuple(nodes), tuple(weights)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Nodes and weights (float tuples) for integration against x^beta e^-x
     on (0, inf)."""
 
@@ -304,8 +303,7 @@ def gauss_laguerre(n: int, beta: float = 0.0) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, beta=beta)
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
+class IntegrationResult(NamedTuple):
     """A radial integral's value, its order (series terms, or the final
     quadrature order) and drift (the series' rounding bound, or the gap to
     the previous order), and whether that drift is within tolerance."""
@@ -317,8 +315,7 @@ class IntegrationResult:
 
     def scaled(self, factor: float) -> IntegrationResult:
         """The same result with its value multiplied by factor."""
-        return IntegrationResult(value=self.value * factor, order=self.order,
-                                 drift=self.drift, converged=self.converged)
+        return self._replace(value=self.value * factor)
 
 
 def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,

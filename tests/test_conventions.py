@@ -353,3 +353,38 @@ def test_every_unreferenced_definition_has_a_reason():
                 referenced.add(node.attr)
     unreferenced = {name for name in defined if name.split(".")[1] not in referenced}
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+# The package's only dataclasses, each with the one reason it is not a named
+# tuple.  A new dataclass fails, and so does one of these that stops being a
+# dataclass without the matching change to perfbench/tracer.py.
+DATACLASSES = {
+    "dirac.RelativisticState": "perfbench/tracer._keyify keys a state through "
+                               "dataclasses.is_dataclass",
+    "shifts.Level": "perfbench/tracer._keyify tests tuple before states, and "
+                    "closed_form is a cached_property that needs an instance dict",
+}
+
+
+def _is_dataclass_decorator(node) -> bool:
+    # @dataclass, @dataclass(...), @dataclasses.dataclass(...)
+    target = node.func if isinstance(node, ast.Call) else node
+    return (getattr(target, "id", None) == "dataclass"
+            or getattr(target, "attr", None) == "dataclass")
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    decorated, importers = set(), set()
+    for path in Path(nchydro.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator,
+                                                          node.decorator_list)):
+                decorated.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                importers.add(path.stem)
+            elif isinstance(node, ast.Import) and any(alias.name == "dataclasses"
+                                                      for alias in node.names):
+                importers.add(path.stem)
+    assert sorted(decorated) == sorted(DATACLASSES)
+    assert importers == {name.split(".")[0] for name in DATACLASSES}

@@ -1,0 +1,186 @@
+"""The package's value types: named tuples, and the two frozen dataclasses.
+
+Each named tuple's field names, order and defaults are pinned here; it
+compares, hashes, iterates and unpacks as the
+tuple of its fields.  PhysicalConstants, ThetaTensor and SchrodingerState
+check their fields on every construction path: the constructor, with_,
+_replace, _make, copy, deepcopy and pickle (protocol 2 and up).
+"""
+
+import copy
+import dataclasses
+import math
+import pickle
+import re
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+import nchydro
+from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
+from nchydro.dirac import RelativisticState, make_state
+from nchydro.errors import DomainError, ValidationError
+from nchydro.nonrel import SchrodingerState, expectation_table, nc_hyperfine_shift
+from nchydro.oracle import validate_radial
+from nchydro.shifts import Level, lz_block, radial_integral_quadrature, theta_bound
+from nchydro.specfun import gauss_laguerre
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# one instance of each named tuple but ShiftReport (tests/test_shifts.py),
+# its fields and their defaults
+INSTANCES = {
+    "PhysicalConstants": (lambda: DEFAULT_CONSTANTS, ("m_e", "alpha", "hbar_eV_s"),
+                          {"m_e": 510998.95, "alpha": 7.2973525693e-3,
+                           "hbar_eV_s": 6.582119569e-16}),
+    "ThetaTensor": (lambda: ThetaTensor.z_axis(1.0e-19), ("space_vector", "time_row"),
+                    {"time_row": (0.0, 0.0, 0.0)}),
+    "QuadratureRule": (lambda: gauss_laguerre(3, 0.5), ("nodes", "weights", "beta"),
+                       {"beta": 0.0}),
+    "IntegrationResult": (lambda: radial_integral_quadrature(make_state(1, -2, 0.5)),
+                          ("value", "order", "drift", "converged"), {}),
+    "AngularBlock": (lambda: lz_block(1.5, 1), ("label", "basis", "matrix"), {}),
+    "ThetaBound": (lambda: theta_bound(1.0, 80.0),
+                   ("theta_max_ev2", "gev_scale", "coefficient_ev3", "accuracy_hz"), {}),
+    "SchrodingerState": (lambda: SchrodingerState(n=3, l=2, j=2.5, m_j=0.5),
+                         ("n", "l", "j", "m_j", "constants"),
+                         {"constants": DEFAULT_CONSTANTS}),
+    "ExpectationTable": (lambda: expectation_table(SchrodingerState(3, 2, 2.5, 0.5), 1.0e-19),
+                         ("p4_printed", "p4_physical", "theta_L_over_r3", "theta_L_over_r4",
+                          "theta_L_over_r5", "sigma_theta_over_r4", "sigma_r_theta_r_over_r6",
+                          "sigma_L_over_r3", "thetaL_sigmaL_over_r5", "pi_delta3",
+                          "thetaL_p2_over_r3", "l_z", "s_z"), {}),
+    "HyperfineShift": (lambda: nc_hyperfine_shift(SchrodingerState(2, 1, 1.5, 0.5), 1.0e-19),
+                       ("total", "r3_term", "r4_term", "r5_term"), {}),
+    "ValidationReport": (lambda: validate_radial(0, -2),
+                         ("name", "closed_form", "quadrature", "rel_error", "quad_drift",
+                          "verdict", "note"), {"note": ""}),
+}
+
+
+def test_readme_names_every_named_tuple():
+    # the sentence that lists them, against every exported class with _fields
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"These value types are named tuples: (.*?)\.", text).group(1)
+    named = set(re.findall(r"`(\w+)`", sentence))
+    exported = {name for name in dir(nchydro) if isinstance(getattr(nchydro, name), type)
+                and issubclass(getattr(nchydro, name), tuple)}
+    assert named == exported == {*INSTANCES, "ShiftReport"}
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_named_tuple_keeps_its_fields(name):
+    make, fields, defaults = INSTANCES[name]
+    value = make()
+    assert type(value) is getattr(nchydro, name)
+    assert type(value)._fields == fields
+    assert type(value)._field_defaults == defaults
+    assert repr(value).startswith(f"{name}({fields[0]}=")
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_named_tuple_behaves_as_its_tuple(name):
+    value = INSTANCES[name][0]()
+    first, *rest = value
+    assert (first, *rest) == tuple(value) == tuple(getattr(value, f) for f in value._fields)
+    assert value == tuple(value) and hash(value) == hash(tuple(value))
+    assert value == copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value))
+    assert value._replace() == value and list(value._asdict()) == list(value._fields)
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], first)
+    with pytest.raises(AttributeError):
+        value.__dict__
+    with pytest.raises(TypeError):
+        dataclasses.replace(value)
+    with pytest.raises(TypeError):
+        dataclasses.asdict(value)
+
+
+@pytest.mark.parametrize("value", [make_state(1, -2, 0.5), Level.from_label("2P3/2")],
+                         ids=["RelativisticState", "Level"])
+def test_state_and_level_stay_frozen_dataclasses(value):
+    assert dataclasses.is_dataclass(value) and not isinstance(value, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.label = "1S1/2"
+    assert isinstance(value, (RelativisticState, Level))
+
+
+# (a valid instance, fields that make it invalid, the error the constructor
+# raises)
+INVALID = [
+    (DEFAULT_CONSTANTS, {"alpha": 2.0}, ValidationError),
+    (DEFAULT_CONSTANTS, {"alpha": math.nan}, ValidationError),
+    (DEFAULT_CONSTANTS, {"m_e": -1.0}, ValidationError),
+    (DEFAULT_CONSTANTS, {"hbar_eV_s": True}, ValidationError),
+    (DEFAULT_CONSTANTS, {"alpha": 1.0, "m_e": "1"}, ValidationError),
+    (ThetaTensor.z_axis(1.0), {"time_row": (math.inf, 0.0, 0.0)}, ValidationError),
+    (ThetaTensor.z_axis(1.0), {"space_vector": (0.0, "1", 0.0)}, ValidationError),
+    (ThetaTensor.z_axis(1.0), {"space_vector": (1.0, 2.0)}, DomainError),
+    (SchrodingerState(3, 2, 2.5, 0.5), {"l": 3}, ValidationError),
+    (SchrodingerState(3, 2, 2.5, 0.5), {"n": 3.0}, ValidationError),
+    (SchrodingerState(3, 2, 2.5, 0.5), {"j": 3.5}, ValidationError),
+    (SchrodingerState(3, 2, 2.5, 0.5), {"m_j": 1.0}, ValidationError),
+    (SchrodingerState(1, 0, 0.5, 0.5), {"j": 1.5, "m_j": 1.5}, ValidationError),
+]
+INVALID_IDS = [f"{type(valid).__name__}-{'-'.join(map(str, fields.values()))}"
+               for valid, fields, _ in INVALID]
+
+
+def _round_trip(value, protocol):
+    return pickle.loads(pickle.dumps(value, protocol=protocol))
+
+
+def _paths(valid, fields):
+    """Every way to build valid with fields replaced, by name."""
+    values = {**valid._asdict(), **fields}
+    cls = type(valid)
+    # a tuple of the invalid fields that no check has seen, for the
+    # round trips that rebuild an instance from its fields
+    unchecked = tuple.__new__(cls, values.values())
+    paths = {
+        "constructor": lambda: cls(**values),
+        "positional": lambda: cls(*values.values()),
+        "_replace": lambda: valid._replace(**fields),
+        "_make": lambda: cls._make(values.values()),
+        "copy": lambda: copy.copy(unchecked),
+        "deepcopy": lambda: copy.deepcopy(unchecked),
+    }
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # 0 and 1 skip __new__
+        paths[f"pickle-{protocol}"] = partial(_round_trip, unchecked, protocol)
+    if cls is PhysicalConstants:
+        paths["with_"] = lambda: valid.with_(**fields)
+    return paths
+
+
+@pytest.mark.parametrize("valid,fields,error", INVALID, ids=INVALID_IDS)
+def test_every_construction_path_checks(valid, fields, error):
+    with pytest.raises(error) as constructor:
+        type(valid)(**{**valid._asdict(), **fields})
+    message = str(constructor.value)
+    for path, build in _paths(valid, fields).items():
+        with pytest.raises(error) as raised:
+            build()
+        assert str(raised.value) == message, path
+
+
+@pytest.mark.parametrize("valid", [DEFAULT_CONSTANTS, ThetaTensor.z_axis(1.0),
+                                   SchrodingerState(3, 2, 2.5, 0.5)],
+                         ids=lambda v: type(v).__name__)
+def test_valid_round_trips_are_equal(valid):
+    for path, build in _paths(valid, {}).items():
+        rebuilt = build()
+        assert type(rebuilt) is type(valid) and rebuilt == valid, path
+
+
+def test_theta_tensor_keeps_floats_on_every_path():
+    theta = ThetaTensor([0, 0, 1])
+    assert theta == ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+    assert all(type(c) is float for row in theta for c in row)
+    assert theta._replace(time_row=[1, 2, 3]).time_row == (1.0, 2.0, 3.0)
+    assert type(ThetaTensor._make([(1, 2, 3), (0, 0, 0)]).space_vector[0]) is float
+
+
+def test_with_rejects_an_unknown_field():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'lambda_qcd'"):
+        DEFAULT_CONSTANTS.with_(lambda_qcd=1.0)
