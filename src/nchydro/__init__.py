@@ -24,10 +24,9 @@ _SUBMODULE_NAMES = {
               "parse_level_label", "radial_fg"),
     "errors": ("DivergenceError", "DomainError", "SingularityError", "ValidationError"),
     "nonrel": ("ExpectationTable", "HyperfineShift", "SchrodingerState", "expectation_table",
-               "fine_structure_dirac_expansion", "fine_structure_shift", "nc_hyperfine_shift",
-               "pi_delta_expectation", "r_inverse_moment", "r_inverse_moment_quadrature",
-               "radial_R", "s_state_bound", "s_state_cutoff_expectation", "s_state_shift",
-               "s_state_shift_assembled", "schrodinger_energy"),
+               "fine_structure_shift", "nc_hyperfine_shift", "r_inverse_moment",
+               "r_inverse_moment_quadrature", "s_state_bound", "s_state_shift",
+               "schrodinger_energy"),
     "oracle": ("ValidationReport", "run_all", "validate_angular", "validate_moments",
                "validate_radial"),
     "shifts": ("AngularBlock", "Level", "ShiftReport", "ThetaBound",

@@ -11,11 +11,12 @@ unexpected validation mismatch from the verify suite.
 A handler imports the modules it computes with, so a request loads only
 those: levels needs constants, errors, specfun and dirac; shift, bound and
 sweep add shifts; nonrel adds shifts and nonrel; only verify loads oracle.
+argparse is imported by build_parser, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -70,6 +71,8 @@ def parse_half_integer(text: str) -> float:
 
 def _argument(parse):
     """parse as an argparse type; argparse prints an ArgumentTypeError's text."""
+    import argparse
+
     def convert(text: str):
         try:
             return parse(text)
@@ -78,31 +81,31 @@ def _argument(parse):
     return convert
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract is 1.  A
-    # negative fraction or exponent form such as -3/2 or -1e-19 is a value,
-    # as -1.5 is, not an option.
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?(/\d+)?$")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def _global_flags() -> argparse.ArgumentParser:
-    # No defaults here: the subcommand's copy of a flag that is not given
-    # must not overwrite the value given before the subcommand.
-    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--constants-file", help="JSON file overriding m_e/alpha/lambda_qcd")
-    common.add_argument("--format", choices=("table", "json"))
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on usage errors by default; the contract is 1.  A
+        # negative fraction or exponent form such as -3/2 or -1e-19 is a value,
+        # as -1.5 is, not an option.
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?(/\d+)?$")
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
+    def _global_flags() -> argparse.ArgumentParser:
+        # No defaults here: the subcommand's copy of a flag that is not given
+        # must not overwrite the value given before the subcommand.
+        common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+        common.add_argument("--constants-file", help="JSON file overriding m_e/alpha/lambda_qcd")
+        common.add_argument("--format", choices=("table", "json"))
+        common.add_argument("--out", help="write output to this path instead of stdout")
+        return common
+
     parser = _Parser(prog="nchydro", parents=[_global_flags()],
                      description="Hydrogen levels and their noncommutative-space shifts")
     parser.set_defaults(constants_file=None, format="table", out=None)

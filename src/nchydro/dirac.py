@@ -237,7 +237,9 @@ def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int,
     with the shapes expanded as P = sum_k p_k L_k^beta, orthogonality
     leaves sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!.  Each result's
     order is the number of terms and its drift the a-priori relative
-    rounding bound eps (terms + 1) sum |t_k| / |sum t_k|.
+    rounding bound eps (terms + 1) sum |t_k| / |sum t_k|.  Both sums are
+    math.fsum, correctly rounded, so every Python version gives the same bits
+    (the built-in sum is compensated from 3.12 on only).
     At a point x (a float) they are the two integrands there without e^-x,
     x^beta (P_f P_f' +/- P_g P_g'): one evaluation serves the sum and diff
     samples of adaptive_sampled_endpoint.
@@ -253,8 +255,8 @@ def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int,
     results = []
     for sign in (1.0, -1.0):
         terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]
-        value = sum(terms)
-        drift = (sys.float_info.epsilon * (len(terms) + 1) * sum(abs(t) for t in terms)
+        value = math.fsum(terms)
+        drift = (sys.float_info.epsilon * (len(terms) + 1) * math.fsum(map(abs, terms))
                  / max(abs(value), 1e-300))
         results.append(IntegrationResult(value, len(terms), drift, drift <= 1e-10))
     return tuple(results)

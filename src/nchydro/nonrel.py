@@ -1,10 +1,10 @@
 """Nonrelativistic limit: Schrodinger hydrogen and its correction budget.
 
-Covers the Schrodinger radial stack R_nl, the closed-form inverse-radius
-moments <r^-3>, <r^-4>, <r^-5> with quadrature cross-checks, the table of
-first-order expectation values that the noncommutative Hamiltonian needs,
-the ordinary fine-structure shift, the theta-proportional hyperfine-like
-shift, and the cutoff-regularized S-state channel.
+Covers the closed-form inverse-radius moments <r^-3>, <r^-4>, <r^-5> with
+quadrature cross-checks, the table of first-order expectation values that
+the noncommutative Hamiltonian needs, the ordinary fine-structure shift,
+the theta-proportional hyperfine-like shift, and the cutoff-regularized
+S-state channel.
 
 Sign conventions carried over verbatim from the closed-form tables are kept
 verbatim (and flagged where they disagree with independent routes):
@@ -13,10 +13,10 @@ verbatim (and flagged where they disagree with independent routes):
   operator is positive definite; fine_structure_shift consumes it as
   tabulated by default and flips it with p4_sign_corrected=True, which then
   reproduces the standard Dirac expansion to O(alpha^6);
-* the S-state shift formula and its parent cutoff expectation value are
-  mutually consistent, but assembling the same quantity line by line from
-  the expectation table gives 1/3 of the parent value.  All three numbers
-  are exposed.
+* the S-state shift formula is (e^4 / 8m) times its parent cutoff
+  expectation value, but assembling the same quantity line by line from
+  the expectation table gives 1/3 of it; tests/test_nonrel.py keeps both
+  assemblies as references.
 
 Each fine-structure factor is one formula in kappa (<L_z> is
 shifts.lz_expectation).  kappa comes from specfun.lj_to_kappa, the one test
@@ -32,8 +32,7 @@ import math
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants, _checked, check_lambda_qcd, check_radius, check_theta,
-                        finite_real)
+                        PhysicalConstants, _checked, check_lambda_qcd, check_theta)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, lz_expectation, theta_bound
 from .specfun import (check_integer, check_magnetic, gauss_laguerre, laguerre_general,
@@ -42,22 +41,15 @@ from .specfun import (check_integer, check_magnetic, gauss_laguerre, laguerre_ge
 __all__ = [
     "SchrodingerState",
     "schrodinger_energy",
-    "radial_R",
-    "radial_R_prime",
     "r_inverse_moment",
     "r_inverse_moment_quadrature",
-    "expectation_p2",
     "expectation_p4_physical",
-    "pi_delta_expectation",
     "ExpectationTable",
     "expectation_table",
     "fine_structure_shift",
-    "fine_structure_dirac_expansion",
     "HyperfineShift",
     "nc_hyperfine_shift",
-    "s_state_cutoff_expectation",
     "s_state_shift",
-    "s_state_shift_assembled",
     "s_state_bound",
 ]
 
@@ -107,42 +99,6 @@ def _radial_norm(n: int, l: int, a0: float) -> float:
     # makes int R^2 r^2 dr = 1 with the modern lower-index Laguerre
     return math.sqrt((2.0 / (n * a0)) ** 3
                      * math.factorial(n - l - 1) / (2.0 * n * math.factorial(n + l)))
-
-
-def radial_R(n: int, l: int, r: float,
-             constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Normalized Schrodinger radial function R_nl(r), r in eV^-1 (a float)."""
-    _check_nl(n, l)
-    check_radius(r, "radial_R")
-    a0 = constants.bohr_radius
-    x = 2.0 * r / (n * a0)
-    envelope = math.exp(-x / 2.0)
-    if envelope == 0.0:  # underflowed; x^l and the polynomial can be inf at this x
-        return 0.0
-    return (_radial_norm(n, l, a0) * x ** l * envelope
-            * laguerre_general(n - l - 1, 2 * l + 1, x))
-
-
-def _dr_poly(n: int, l: int, x: float) -> tuple[float, float]:
-    """(L, Q) with R_nl = N x^l e^{-x/2} L(x) and dR_nl/dr = (N/s) e^{-x/2} Q(x)
-    in x = r/s, s = n a0 / 2; uses d/dx L_q^a = -L_{q-1}^{a+1}."""
-    lag = laguerre_general(n - l - 1, 2 * l + 1, x)
-    dlag = -laguerre_general(n - l - 2, 2 * l + 2, x)
-    return lag, (l * x ** max(l - 1, 0) - 0.5 * x ** l) * lag + x ** l * dlag
-
-
-def radial_R_prime(n: int, l: int, r: float,
-                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """dR_nl/dr, r in eV^-1 (a float)."""
-    _check_nl(n, l)
-    check_radius(r, "radial_R_prime")
-    a0 = constants.bohr_radius
-    scale = 2.0 / (n * a0)
-    x = scale * r
-    envelope = math.exp(-x / 2.0)
-    if envelope == 0.0:  # underflowed; the polynomial can be inf at this x
-        return 0.0
-    return _radial_norm(n, l, a0) * envelope * _dr_poly(n, l, x)[1] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +161,6 @@ def r_inverse_moment_quadrature(n: int, l: int, k: int,
     return val * norm * (n * a0 / 2.0) ** (3 - k)
 
 
-def expectation_p2(n: int, l: int, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """<p^2> by quadrature: int (R'^2 + l(l+1) R^2/r^2) r^2 dr, in eV^2.
-
-    Assembled in x = 2r/(n a0), where the exponential is the Gauss-Laguerre
-    weight and the rest is a polynomial of degree 2n, so the (n+1)-node
-    rule is exact.  The sum is math.fsum.
-    """
-    _check_nl(n, l)
-    a0 = constants.bohr_radius
-
-    def integrand(x):
-        lag, poly_dr = _dr_poly(n, l, x)
-        return poly_dr * poly_dr * x * x + l * (l + 1.0) * x ** (2 * l) * lag * lag
-
-    return (_radial_norm(n, l, a0) ** 2 * (n * a0 / 2.0)
-            * gauss_laguerre(n + 1).integrate(integrand))
-
-
 def expectation_p4_physical(n: int, l: int,
                             constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Positive-definite <p^4> = (4 m^2 e^4 / n^3 a0^2) [1/(l+1/2) - 3/(4n)]."""
@@ -230,15 +168,6 @@ def expectation_p4_physical(n: int, l: int,
     m, alpha = constants.m_e, constants.alpha
     a0 = constants.bohr_radius
     return 4.0 * m * m * alpha * alpha / (n ** 3 * a0 ** 2) * (1.0 / (l + 0.5) - 3.0 / (4.0 * n))
-
-
-def pi_delta_expectation(n: int, l: int,
-                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """pi <delta^3(r)> = (e^2 m)^3 / n^3 for l = 0, and 0 otherwise (eV^3)."""
-    _check_nl(n, l)
-    if l > 0:
-        return 0.0
-    return (constants.alpha * constants.m_e) ** 3 / n ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +292,6 @@ def fine_structure_shift(n: int, l: int, j: float,
     return kinetic + spin_orbit
 
 
-def fine_structure_dirac_expansion(n: int, j: float,
-                                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Standard O(alpha^4) fine-structure term of the exact spectrum, for
-    n and a j that some l < n carries: j = l + 1/2 is a half-integer with
-    1/2 <= j <= n - 1/2."""
-    _check_nl(n)
-    l = round(j - 0.5) if finite_real(j) else j  # the l of j = l + 1/2
-    try:
-        _check_nl(n, l)
-        lj_to_kappa(l, j)
-    except ValidationError:
-        raise ValidationError(f"j = {j!r} is not a half-integer with "
-                              f"1/2 <= j <= n - 1/2 = {n - 0.5}") from None
-    m, alpha = constants.m_e, constants.alpha
-    return -(alpha ** 4 * m / (2.0 * n ** 4)) * (n / (j + 0.5) - 0.75)
-
-
 class HyperfineShift(NamedTuple):
     """theta-proportional first-order shift, split by moment order; where
     <r^-5> does not exist, r5_term and total are None, not inf."""
@@ -434,46 +346,18 @@ def nc_hyperfine_shift(state: SchrodingerState, theta: float) -> HyperfineShift:
 # ---------------------------------------------------------------------------
 
 
-def s_state_cutoff_expectation(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
-                               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Cutoff-regularized 1S expectation of the sigma/theta contact pair,
-    (4 theta / 3) alpha^3 m^3 Lambda, in eV^2."""
-    check_theta(theta)
-    check_lambda_qcd(lambda_qcd)
-    alpha, m = constants.alpha, constants.m_e
-    return (4.0 * theta / 3.0) * alpha ** 3 * m ** 3 * lambda_qcd
-
-
 def s_state_shift(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """1S level shift theta alpha^5 m^2 Lambda / 6 in eV.
 
-    Consistent with (e^4 / 8m) times s_state_cutoff_expectation.  Linear in
+    (e^4 / 8m) times the cutoff-regularized 1S expectation of the
+    sigma/theta contact pair, (4 theta / 3) alpha^3 m^3 Lambda.  Linear in
     both theta and the cutoff.
     """
     check_theta(theta)
     check_lambda_qcd(lambda_qcd)
     alpha, m = constants.alpha, constants.m_e
     return theta * alpha ** 5 * m * m * lambda_qcd / 6.0
-
-
-def s_state_shift_assembled(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
-                            constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                            m_j: float = 0.5) -> float:
-    """The same shift assembled line by line from the expectation table.
-
-    Uses the cutoff moment <r^-4>_1S = 4 alpha^3 m^3 Lambda and the two
-    l = 0 table lines; the result is theta alpha^5 m^2 Lambda / 18 at
-    m_j = 1/2, one third of s_state_shift.  Exposed so the discrepancy
-    between the two assemblies stays visible.  m_j is that of 1S1/2.
-    """
-    check_theta(theta)
-    check_lambda_qcd(lambda_qcd)
-    state = SchrodingerState(n=1, l=0, j=0.5, m_j=m_j, constants=constants)
-    alpha, m = constants.alpha, constants.m_e
-    r4_cut = 4.0 * alpha ** 3 * m ** 3 * lambda_qcd
-    combo = theta * 2.0 * m_j * r4_cut * (1.0 - 4.0 * _bracket5(state))
-    return (alpha * alpha / (8.0 * m)) * combo
 
 
 def s_state_bound(accuracy_hz: float = LAMB_ACCURACY_1S_HZ,

@@ -557,6 +557,15 @@ def test_numpy_imported_first_is_detected():
     assert "numpy" in _loaded_modules(["levels", "2P3/2"], prelude="import numpy\n")
 
 
+def test_import_does_not_load_argparse():
+    # only main parses arguments; a library caller of nchydro.cli never does.
+    # The positive control: a request is seen to load argparse.
+    result = _run_python("import sys\nimport nchydro.cli\nprint('argparse' in sys.modules)\n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+    assert "argparse" in _loaded_modules(["levels", "2P3/2"])
+
+
 # The nchydro modules a request loads: the CLI and what levels computes with,
 # plus the modules of its subcommand.  verify, which loads every module, is
 # the positive control.
@@ -586,10 +595,9 @@ PUBLIC_NAMES = {
               "parse_level_label", "radial_fg"],
     "errors": ["DivergenceError", "DomainError", "SingularityError", "ValidationError"],
     "nonrel": ["ExpectationTable", "HyperfineShift", "SchrodingerState", "expectation_table",
-               "fine_structure_dirac_expansion", "fine_structure_shift", "nc_hyperfine_shift",
-               "pi_delta_expectation", "r_inverse_moment", "r_inverse_moment_quadrature",
-               "radial_R", "s_state_bound", "s_state_cutoff_expectation", "s_state_shift",
-               "s_state_shift_assembled", "schrodinger_energy"],
+               "fine_structure_shift", "nc_hyperfine_shift", "r_inverse_moment",
+               "r_inverse_moment_quadrature", "s_state_bound", "s_state_shift",
+               "schrodinger_energy"],
     "oracle": ["ValidationReport", "run_all", "validate_angular", "validate_moments",
                "validate_radial"],
     "shifts": ["AngularBlock", "Level", "ShiftReport", "ThetaBound",
@@ -604,7 +612,8 @@ PUBLIC_NAMES = {
 
 def test_public_names_resolve_on_first_use():
     # a fresh interpreter, so each name goes through the module __getattr__;
-    # a submodule's own name resolves to the submodule
+    # a submodule's own name resolves to the submodule, and every name that
+    # dir() lists resolves, so the lazy table names no deleted definition
     script = ("import importlib, json, sys\n"
               "import nchydro\n"
               "loaded = sorted(m for m in sys.modules if m.startswith('nchydro.'))\n"
@@ -620,6 +629,9 @@ def test_public_names_resolve_on_first_use():
               "            wrong.append(name)\n"
               "        if name not in listed:\n"
               "            wrong.append(f'{name} not in dir')\n"
+              "for name in listed:\n"
+              "    if not hasattr(nchydro, name):\n"
+              "        wrong.append(f'{name} in dir but not resolved')\n"
               "print(json.dumps([loaded, wrong]))\n")
     result = _run_python(script, json.dumps(PUBLIC_NAMES))
     assert result.returncode == 0, result.stderr

@@ -28,12 +28,10 @@ from nchydro.constants import DEFAULT_CONSTANTS, ThetaTensor, ev2_to_gev_scale, 
 from nchydro.dirac import (deformed_potential, dirac_binding_energy, dirac_energy,
                            kappa_to_lj, lj_to_kappa, make_state, parse_level_label, radial_fg)
 from nchydro.errors import DomainError, ValidationError
-from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p2,
-                            expectation_p4_physical, expectation_table,
-                            fine_structure_dirac_expansion, fine_structure_shift,
-                            pi_delta_expectation, r_inverse_moment,
-                            nc_hyperfine_shift, r_inverse_moment_quadrature, radial_R,
-                            radial_R_prime, s_state_shift, schrodinger_energy)
+from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p4_physical,
+                            expectation_table, fine_structure_shift, nc_hyperfine_shift,
+                            r_inverse_moment, r_inverse_moment_quadrature, s_state_shift,
+                            schrodinger_energy)
 from nchydro.shifts import (Level, level_shift, lz_block, lz_block_numeric, lz_expectation,
                             perturbation_kernels, radial_integral_closed,
                             radial_integral_quadrature, selection_allowed, sigma_cross_block,
@@ -115,21 +113,14 @@ BAD_NL = [(0, 0), (2.5, 1), (2, 2), (2, 1.5), (True, 0)]
 BAD_N = [0, 2.5, True]
 NL_ENTRY_POINTS = {
     "SchrodingerState": lambda n, l: SchrodingerState(n=n, l=l, j=l + 0.5, m_j=0.5),
-    "radial_R": lambda n, l: radial_R(n, l, 1.0),
-    "radial_R_prime": lambda n, l: radial_R_prime(n, l, 1.0),
     "r_inverse_moment": lambda n, l: r_inverse_moment(n, l, 3),
     "r_inverse_moment_quadrature": lambda n, l: r_inverse_moment_quadrature(n, l, 3),
-    "expectation_p2": expectation_p2,
     "expectation_p4_physical": expectation_p4_physical,
-    "pi_delta_expectation": pi_delta_expectation,
     "fine_structure_shift": lambda n, l: fine_structure_shift(n, l, l + 0.5),
 }
 N_ENTRY_POINTS = {
     "schrodinger_energy": schrodinger_energy,
-    "fine_structure_dirac_expansion": lambda n: fine_structure_dirac_expansion(n, 0.5),
 }
-# j that no l < n = 2 carries: not a positive half-integer, or above n - 1/2
-BAD_J_AT_N2 = [-0.5, 7.5, 1.0, 2.5, math.nan]
 # theta (eV^-2) that is not a finite real >= 0: a bool and a str are not numbers
 BAD_THETA = [True, "1e-19", None, math.nan, math.inf, -1.0]
 THETA_ENTRY_POINTS = {
@@ -165,8 +156,6 @@ BAD_LM = [(1.0, 0), (True, 0), (2, 1.0)]
 BAD_COORDINATES = [math.nan, math.inf, -math.inf, True, "1"]
 RADIAL_ENTRY_POINTS = {
     "radial_fg": lambda r: radial_fg(make_state(1, -2, 0.5), r),
-    "radial_R": lambda r: radial_R(2, 1, r),
-    "radial_R_prime": lambda r: radial_R_prime(2, 1, r),
 }
 POSITION_ENTRY_POINTS = {
     "deformed_potential": lambda x: deformed_potential([1.0, x, 0.0],
@@ -191,8 +180,6 @@ REJECTED = (
        for name, call in NL_ENTRY_POINTS.items() for pair in BAD_NL]
     + [pytest.param(call, (n,), id=f"{name}-n{n!r}")
        for name, call in N_ENTRY_POINTS.items() for n in BAD_N]
-    + [pytest.param(fine_structure_dirac_expansion, (2, j),
-                    id=f"fine_structure_dirac_expansion-n2-j{j!r}") for j in BAD_J_AT_N2]
     + [pytest.param(call, (theta,), id=f"{name}-theta{theta!r}")
        for name, call in THETA_ENTRY_POINTS.items() for theta in BAD_THETA]
     + [pytest.param(call, (label,), id=f"{name}-label{label!r}")
@@ -263,9 +250,6 @@ def test_out_of_domain_rejected(error, message, call):
 UNDERFLOWED = [
     pytest.param(partial(RADIAL_ENTRY_POINTS["radial_fg"], 1.0e308), (0.0, 0.0),
                  id="radial_fg-r1e308"),
-    pytest.param(partial(RADIAL_ENTRY_POINTS["radial_R"], 1.0e308), 0.0, id="radial_R-r1e308"),
-    pytest.param(partial(RADIAL_ENTRY_POINTS["radial_R_prime"], 1.0e308), 0.0,
-                 id="radial_R_prime-r1e308"),
     pytest.param(lambda: deformed_potential([1.0e200, 1.0e200, 0.0], ThetaTensor.z_axis(1.0e-19)),
                  (-math.sqrt(DEFAULT_CONSTANTS.alpha) / math.hypot(1.0e200, 1.0e200),
                   (0.0, 0.0, 0.0)), id="deformed_potential-r1.4e200"),
@@ -320,19 +304,12 @@ UNREFERENCED = {
     "dirac.deformed_potential": "waits on direction 3's 3-D route",
     "dirac.dirac_energy": "README library list",
     "dirac.radial_fg": "README library list",
-    "nonrel.expectation_p2": "public API under review in direction 12",
-    "nonrel.fine_structure_dirac_expansion": "public API under review in direction 12",
-    "nonrel.pi_delta_expectation": "public API under review in direction 12",
-    "nonrel.radial_R": "public API under review in direction 12",
-    "nonrel.radial_R_prime": "public API under review in direction 12",
-    "nonrel.s_state_cutoff_expectation": "public API under review in direction 12",
-    "nonrel.s_state_shift_assembled": "public API under review in direction 12",
     "oracle.norm_self_consistency": "acceptance-test import",
     "shifts.perturbation_kernels": "waits on direction 3's 3-D route",
     "shifts.selection_allowed": "waits on direction 10's transition element",
     "shifts.transition_element_2s2p": "README library list",
     "specfun.adaptive_weighted": "WRAPPED table of perfbench/tracer.py",
-    "specfun.spherical_harmonic": "public API under review in direction 12",
+    "specfun.spherical_harmonic": "test reference for spinor_harmonic",
     "specfun.spinor_harmonic": "waits on direction 3's 3-D route",
 }
 

@@ -8,11 +8,12 @@ to rounding, and mpmath at 60 digits gives it outright.
 """
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nchydro.dirac import _overlap, make_state, radial_polynomials
+from nchydro.dirac import _laguerre_series, _overlap, make_state, radial_polynomials
 from nchydro.specfun import IntegrationResult, gauss_laguerre
 
 
@@ -74,3 +75,19 @@ def test_series_matches_60_digits(n_r, kappa):
             exact = _mp_integral(mpmath.mp, state, shift, sign)
             value = _overlap(state, state, shift)[sign < 0.0].value
             assert float(abs(value - exact) / abs(exact)) <= 1e-13, (shift, sign)
+
+
+@pytest.mark.parametrize("n_r,kappa", _levels(5))
+def test_series_sums_are_correctly_rounded(n_r, kappa):
+    # the value and the drift's sum |t_k| are the exact sums of the float
+    # terms, rounded once, on every Python version (the built-in sum is
+    # compensated from 3.12 on only, and plain before)
+    state = make_state(n_r, kappa, 0.5)
+    for shift, sign in _integrals(kappa):
+        p, q, h = _laguerre_series(state, shift)
+        terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]
+        res = _overlap(state, state, shift)[sign < 0.0]
+        value = float(sum(map(Fraction, terms)))
+        magnitude = float(sum(Fraction(abs(t)) for t in terms))
+        assert res.value == value, (shift, sign)
+        assert res.drift == sys.float_info.epsilon * (len(terms) + 1) * magnitude / abs(value)

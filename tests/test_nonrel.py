@@ -1,22 +1,38 @@
 import math
 
-import numpy as np
 import pytest
 
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.errors import DivergenceError, DomainError, ValidationError
-from nchydro.nonrel import (SchrodingerState, expectation_p2, expectation_p4_physical,
-                            expectation_table, fine_structure_dirac_expansion,
-                            fine_structure_shift, nc_hyperfine_shift, r_inverse_moment,
-                            r_inverse_moment_quadrature, radial_R, radial_R_prime,
-                            s_state_bound, s_state_cutoff_expectation, s_state_shift,
-                            s_state_shift_assembled, schrodinger_energy)
-from nchydro.specfun import gauss_laguerre
+from nchydro.nonrel import (SchrodingerState, _bracket5, expectation_p4_physical,
+                            expectation_table, fine_structure_shift, nc_hyperfine_shift,
+                            r_inverse_moment, r_inverse_moment_quadrature, s_state_bound,
+                            s_state_shift, schrodinger_energy)
 
 C = DEFAULT_CONSTANTS
 ALPHA = C.alpha
 M_E = C.m_e
 A0 = C.bohr_radius
+
+
+def _dirac_expansion(n, j):
+    """Standard O(alpha^4) fine-structure term of the exact spectrum, in eV."""
+    return -(ALPHA ** 4 * M_E / (2.0 * n ** 4)) * (n / (j + 0.5) - 0.75)
+
+
+def _s_state_cutoff_expectation(theta, lam):
+    """Cutoff-regularized 1S expectation of the sigma/theta contact pair,
+    (4 theta / 3) alpha^3 m^3 Lambda, in eV^2."""
+    return (4.0 * theta / 3.0) * ALPHA ** 3 * M_E ** 3 * lam
+
+
+def _s_state_shift_assembled(theta, lam):
+    """The 1S shift assembled line by line from the two l = 0 table lines with
+    the cutoff moment <r^-4>_1S = 4 alpha^3 m^3 Lambda, at m_j = 1/2."""
+    m_j = 0.5
+    r4_cut = 4.0 * ALPHA ** 3 * M_E ** 3 * lam
+    bracket = _bracket5(SchrodingerState(n=1, l=0, j=0.5, m_j=m_j))
+    return (ALPHA * ALPHA / (8.0 * M_E)) * theta * 2.0 * m_j * r4_cut * (1.0 - 4.0 * bracket)
 
 
 class TestEnergy:
@@ -34,56 +50,6 @@ class TestEnergy:
     def test_invalid_n(self):
         with pytest.raises(ValidationError):
             schrodinger_energy(0)
-
-
-class TestRadialR:
-    def test_ground_state_closed_form(self):
-        r = 0.7 * A0
-        expected = 2.0 * A0 ** -1.5 * math.exp(-r / A0)
-        assert radial_R(1, 0, r) == pytest.approx(expected, rel=1e-13)
-
-    def test_normalization_by_quadrature(self):
-        # int R^2 r^2 dr = 1, assembled in the scaled variable
-        for n, l in [(1, 0), (2, 1), (3, 1), (6, 5)]:
-            s = n * A0 / 2.0
-            rule = gauss_laguerre(160)
-            x = np.array(rule.nodes)
-            vals = np.array([radial_R(n, l, r) for r in (s * x).tolist()])
-            norm = np.sum(np.array(rule.weights) * np.exp(x) * vals ** 2 * (s * x) ** 2) * s
-            assert norm == pytest.approx(1.0, abs=1e-10)
-
-    def test_radial_distribution_peak_at_4a0(self):
-        # d/dr [r^2 R21^2] = 0 at r = 4 a0 (most probable radius)
-        def rdf_derivative(r):
-            return 2.0 * r * radial_R(2, 1, r) ** 2 + 2.0 * r ** 2 * radial_R(2, 1, r) * radial_R_prime(2, 1, r)
-
-        assert rdf_derivative(4.0 * A0) == pytest.approx(0.0, abs=1e-20)
-        assert rdf_derivative(3.9 * A0) > 0.0
-        assert rdf_derivative(4.1 * A0) < 0.0
-
-    def test_invalid_quantum_numbers(self):
-        with pytest.raises(ValidationError):
-            radial_R(2, 2, 1.0)
-        with pytest.raises(ValidationError):
-            radial_R_prime(2, 2, 1.0)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_p2_exact_on_n_plus_1_nodes(self, n):
-        # <p^2> = (m alpha / n)^2 for every l: the (n+1)-node rule is exact
-        for l in range(n):
-            assert expectation_p2(n, l) == pytest.approx((M_E * ALPHA / n) ** 2, rel=1e-14)
-
-    def test_virial_consistency(self):
-        # <p^2>/2m + <-alpha/r> = eps_n for the whole stack beneath
-        for n, l in [(1, 0), (2, 1), (3, 2), (4, 1)]:
-            p2 = expectation_p2(n, l)
-            s = n * A0 / 2.0
-            rule = gauss_laguerre(160)
-            x = np.array(rule.nodes)
-            vals = np.array([radial_R(n, l, r) for r in (s * x).tolist()])
-            v_exp = -ALPHA * np.sum(np.array(rule.weights) * np.exp(x) * vals ** 2 * (s * x)) * s
-            total = p2 / (2.0 * M_E) + v_exp
-            assert total == pytest.approx(schrodinger_energy(n), rel=1e-9)
 
 
 class TestMoments:
@@ -136,15 +102,6 @@ class TestExpectationTable:
         table = expectation_table(SchrodingerState(n=3, l=2, j=2.5, m_j=0.5), 1.0e-19)
         assert table.pi_delta3 == 0.0
 
-    def test_contact_density_s_states(self):
-        from nchydro.nonrel import pi_delta_expectation
-        # pi <delta^3(r)> = pi |psi(0)|^2 = R_n0(0)^2 / 4
-        for n in (1, 2, 3):
-            r_near_zero = 1e-7 * A0
-            expected = radial_R(n, 0, r_near_zero) ** 2 / 4.0
-            assert pi_delta_expectation(n, 0) == pytest.approx(expected, rel=1e-5)
-        assert pi_delta_expectation(3, 1) == 0.0
-
     @pytest.mark.parametrize("n,l,j,mj", [
         (2, 1, 1.5, 0.5), (2, 1, 0.5, -0.5), (3, 2, 2.5, 1.5), (3, 2, 1.5, -0.5),
     ])
@@ -195,7 +152,7 @@ class TestFineStructure:
     def test_corrected_sign_matches_standard_expansion(self):
         for n, l, j in [(2, 1, 0.5), (2, 1, 1.5), (3, 2, 2.5), (4, 1, 0.5)]:
             corrected = fine_structure_shift(n, l, j, p4_sign_corrected=True)
-            standard = fine_structure_dirac_expansion(n, j)
+            standard = _dirac_expansion(n, j)
             assert corrected == pytest.approx(standard, rel=1e-12)
 
     def test_corrected_matches_exact_spectrum_to_alpha6(self):
@@ -209,7 +166,7 @@ class TestFineStructure:
         # the sign convention carried by the tabulated quartic term shifts the
         # total by twice the kinetic piece; this stays visible, not hidden
         verbatim = fine_structure_shift(2, 1, 0.5)
-        standard = fine_structure_dirac_expansion(2, 0.5)
+        standard = _dirac_expansion(2, 0.5)
         kinetic = M_E * ALPHA ** 4 / 16.0 * (2.0 / 3.0 - 3.0 / 8.0)
         assert verbatim - standard == pytest.approx(2.0 * kinetic, rel=1e-10)
 
@@ -291,14 +248,14 @@ class TestSStateChannel:
     def test_consistent_with_cutoff_expectation(self):
         # (e^4 / 8m) times the cutoff expectation reproduces the shift exactly
         theta, lam = 1.0e-19, 2.0e8
-        assembled = (ALPHA ** 2 / (8.0 * M_E)) * s_state_cutoff_expectation(theta, lam)
+        assembled = (ALPHA ** 2 / (8.0 * M_E)) * _s_state_cutoff_expectation(theta, lam)
         assert assembled == pytest.approx(s_state_shift(theta, lam), rel=1e-14)
 
     def test_line_by_line_assembly_is_one_third(self):
         # assembling from the table lines gives 1/3 of the direct formula;
         # the discrepancy is exposed, not reconciled
         theta, lam = 1.0e-19, 2.0e8
-        ratio = s_state_shift_assembled(theta, lam) / s_state_shift(theta, lam)
+        ratio = _s_state_shift_assembled(theta, lam) / s_state_shift(theta, lam)
         assert ratio == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_bound_scales(self):
@@ -321,12 +278,6 @@ class TestSStateChannel:
     def test_bound_rejects_bad_cutoff(self, lam):
         with pytest.raises(ValidationError):
             s_state_bound(14.0e3, lam)
-
-    @pytest.mark.parametrize("m_j", [1.5, 1.0, 0.0, -1.5])
-    def test_assembly_rejects_non_1s_m_j(self, m_j):
-        with pytest.raises(ValidationError):
-            s_state_shift_assembled(1.0e-19, 2.0e8, m_j=m_j)
-
 
 class TestSchrodingerStateValidation:
     def test_bad_l(self):
