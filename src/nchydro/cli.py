@@ -49,7 +49,9 @@ def parse_theta(text: str) -> float:
         try:
             value = 1.0 / (value * GEV) ** 2
         except (OverflowError, ZeroDivisionError):
-            raise ValidationError(f"GeV scale out of range in {text!r}") from None
+            value = 0.0
+        if not 0.0 < value < math.inf:  # theta is not a finite float > 0
+            raise ValidationError(f"GeV scale out of range in {text!r}")
     check_theta(value)
     return value
 

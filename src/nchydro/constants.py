@@ -28,11 +28,16 @@ DEFAULT_LAMBDA_QCD_EV = 2.0e8
 
 
 def finite_real(value) -> bool:
-    """True for a finite real number (bools and strings are not numbers here)."""
+    """True for a real number that converts to a finite float (bools and
+    strings are not numbers here); False for one beyond the float range,
+    such as the int 10**400."""
     if type(value) is float:  # the common case, without the numbers.Real ABC check
         return math.isfinite(value)
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def check_theta(theta: float):

@@ -20,8 +20,8 @@ Conventions worth stating once:
   _exact_series is the one test of whether the series below is a state's
   radial integral (|kappa| >= 2).
 * make_state is the one place that derives lam, a and the shape
-  coefficients (f1, f2, g1, g2), kept in state.shape.  The state computes
-  its normalization constant state.norm from them when it is built: the
+  coefficients (f1, f2, g1, g2), kept in state.shape.  The state derives
+  its normalization constant state.norm from them on first read: the
   norm integral for the weight x^(2 nu) e^-x as the exact Laguerre series
   below (the sum of its pair); the physics downstream only consumes
   normalized shapes.
@@ -40,9 +40,7 @@ Conventions worth stating once:
   pure Python.  At a point x it returns the sum and diff integrands
   there, for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where
   the series is not the integral).  The Gauss rules of specfun check the
-  series independently in oracle.  A |kappa| >= 2 state computes its
-  series radial integrals (shift -3, sum and diff) once, on first use,
-  and keeps them in state.radial_series; later calls read them.
+  series independently in oracle.
 * Everything is pure Python on floats: radial_fg and deformed_potential
   take a point (constants.check_radius and check_position decide which),
   and radial_polynomials also maps an ndarray x elementwise when a caller
@@ -56,13 +54,12 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from operator import mul
 
 from .constants import (DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor, check_position,
                         check_radius)
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .specfun import (IntegrationResult, check_integer, check_magnetic, kappa_to_lj,
                       laguerre_general, lj_to_kappa)
 
@@ -99,23 +96,20 @@ class RelativisticState:
     a: float          # sqrt(m^2 - E^2)/m, dimensionless momentum scale
     lam: float        # sqrt(m^2 - E^2) in eV
     shape: tuple[float, float, float, float]  # (f1, f2, g1, g2), see radial_polynomials
-    norm: float = field(init=False)  # multiplies the raw radial shapes; > 0
 
-    def __post_init__(self):
-        # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
-        integral = _overlap(self, self, 0)[0].value
-        object.__setattr__(self, "norm", math.sqrt((2.0 * self.lam) ** 3 / integral))
-
-    @cached_property
-    def radial_series(self) -> tuple[IntegrationResult, IntegrationResult]:
-        """(sum, diff): int (f^2 +/- g^2)/r dr in eV^3 for |kappa| >= 2, the
-        exact series of _overlap (shift -3) times norm^2.  Computed on first
-        use and kept in the instance dict, outside the fields, so eq, hash
-        and repr ignore it."""
-        if not _exact_series(self):
-            raise DomainError("the radial integrals diverge at the origin for |kappa| = 1")
-        scale = self.norm * self.norm
-        return tuple(result.scaled(scale) for result in _overlap(self, self, -3))
+    @property
+    def norm(self) -> float:
+        """Multiplies the raw radial shapes; > 0.  Summed on the first read and
+        kept as the attribute _norm, outside the fields, so eq, hash and repr
+        ignore it.  Not a cached_property: on Python 3.11 its write through the
+        instance __dict__ slows every later attribute read of the state."""
+        try:
+            return self._norm
+        except AttributeError:
+            # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
+            norm = math.sqrt((2.0 * self.lam) ** 3 / _overlap(self, self, 0)[0].value)
+            object.__setattr__(self, "_norm", norm)
+            return norm
 
     @property
     def n_principal(self) -> int:

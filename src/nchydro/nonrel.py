@@ -305,10 +305,6 @@ class HyperfineShift(NamedTuple):
     def r5_divergent(self) -> bool:
         return self.r5_term is None
 
-    @property
-    def finite_part(self) -> float:
-        return self.r3_term + self.r4_term + (0.0 if self.r5_divergent else self.r5_term)
-
 
 def nc_hyperfine_shift(state: SchrodingerState, theta: float) -> HyperfineShift:
     """The hyperfine-analog shift for l >= 1, assembled as tabulated.

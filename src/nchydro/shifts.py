@@ -30,16 +30,15 @@ Every radial quantity is computed twice:
   L_k^(2nu-3).  The report gives route "laguerre_series", order n_r + 1
   and the series' a-priori rounding bound eps (terms + 1) sum|t| / |sum t|
   as drift; oracle checks the value against the Gauss rule with n_r + 2
-  nodes.  A state computes its two series (sum and diff) once, on first
-  use, and keeps them in state.radial_series; every later call, at any
-  theta, reads them.  For |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable
+  nodes.  For |kappa| = 1 the x^(2nu-3) endpoint is nonintegrable
   (2nu - 3 < -1) and the integral mathematically diverges; the
   endpoint-substituted plain rule is sampled at 80 and 160 nodes (route
   "endpoint_sample"), the 160-node sample is reported with
   converged=False, and the report is flagged rather than silently
   trusted.  That sample depends on the order and is not a value of the
   integral.  One private helper takes the sum and diff samples together,
-  in pure Python, for the level integrals and the 2S-2P cross element.
+  in pure Python, for the level integrals and the 2S-2P cross element, and
+  one (_radial_pair) chooses between the series and the samples.
 
 A Level keeps its ShiftReport at theta = 0, computed on first use
 (Level.closed_form): the eigenvalues, both closed integrals, the
@@ -158,7 +157,7 @@ class Level:
             theta_bound=(theta_bound(max_coeff, LAMB_ACCURACY_2P_HZ, self.constants)
                          if max_coeff > 0.0 else None),
             flagged=None, notes=None)
-        return self._with_route(report, *state0.radial_series) if _exact_series(state0) else report
+        return self._with_route(report, *_radial_pair(state0)) if _exact_series(state0) else report
 
     def report_fields(self) -> ShiftReport:
         """closed_form with every field set: for |kappa| = 1 the route fields
@@ -166,8 +165,7 @@ class Level:
         not kept."""
         report = self.closed_form
         if report.quadrature_route is None:
-            state0 = self.states[0]
-            report = self._with_route(report, *_endpoint_samples(state0, state0))
+            report = self._with_route(report, *_radial_pair(self.states[0]))
         return report
 
     def _with_route(self, report: ShiftReport, rho1_q: IntegrationResult,
@@ -203,26 +201,12 @@ def m_values(j: float) -> tuple[float, ...]:
 
 
 class AngularBlock(NamedTuple):
-    """Hermitian angular matrix over the M basis of a level, in units of
-    theta: matrix is a tuple of rows of complex."""
+    """Real angular matrix over the M basis of a level, in units of theta:
+    matrix is a tuple of rows of floats."""
 
     label: str
     basis: tuple[float, ...]
-    matrix: tuple[tuple[complex, ...], ...]
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        """The sorted real diagonal; every block built here is diagonal, and
-        a block that is not (to 1e-12) raises DomainError."""
-        if not self.is_diagonal:
-            raise DomainError(f"{self.label} is not diagonal; its eigenvalues are not "
-                              f"its diagonal")
-        return tuple(sorted(row[i].real for i, row in enumerate(self.matrix)))
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(abs(v) < 1e-12 for i, row in enumerate(self.matrix)
-                   for k, v in enumerate(row) if k != i)
+    matrix: tuple[tuple[float, ...], ...]
 
 
 def _lz(kappa: int, M: float) -> float:
@@ -238,22 +222,16 @@ def lz_expectation(j: float, l: int, M: float) -> float:
     return _lz(kappa, M)
 
 
-def _block(label: str, basis: tuple[float, ...], rows) -> AngularBlock:
-    """An AngularBlock whose matrix is the real rows made complex."""
-    return AngularBlock(label=label, basis=basis,
-                        matrix=tuple(tuple(map(complex, row)) for row in rows))
-
-
 def lz_block(j: float, l: int) -> AngularBlock:
     """Closed-form theta.L block: diagonal in M with entries <L_z>."""
     kappa = lj_to_kappa(l, j)
     basis = m_values(j)
-    return _block(f"Lz(j={j}, l={l})", basis,
-                  [[_lz(kappa, a) if a == b else 0.0 for b in basis] for a in basis])
+    return AngularBlock(f"Lz(j={j}, l={l})", basis, tuple(
+        tuple(_lz(kappa, a) if a == b else 0.0 for b in basis) for a in basis))
 
 
 def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act):
-    """M basis and real rows <bra, M_a| O |ket, M_b> of two (j, l) waves
+    """M basis and rows of floats <bra, M_a| O |ket, M_b> of two (j, l) waves
     sharing j on sphere_rule; a spinor is _spinor_profiles' two (m, c,
     profile) and act(spinor, sin_theta) applies O in that form.  A component
     pair's phi integral is 2 pi where the m match, else 0: an entry is 2 pi
@@ -263,9 +241,9 @@ def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act):
     basis = m_values(bra[0])
     bras = [_spinor_profiles(*bra, M, cos_theta, sin_theta) for M in basis]
     kets = [act(_spinor_profiles(*ket, M, cos_theta, sin_theta), sin_theta) for M in basis]
-    return basis, [[2.0 * math.pi * math.fsum(
+    return basis, tuple(tuple(2.0 * math.pi * math.fsum(
         c * d * w * p * q for (m_a, c, ps), (m_b, d, qs) in zip(u, k) if m_a == m_b
-        for w, p, q in zip(weights, ps, qs)) for k in kets] for u in bras]
+        for w, p, q in zip(weights, ps, qs)) for k in kets) for u in bras)
 
 
 def lz_block_numeric(j: float, l: int) -> AngularBlock:
@@ -277,7 +255,7 @@ def lz_block_numeric(j: float, l: int) -> AngularBlock:
     lj_to_kappa(l, j)
     basis, rows = _sphere_block((j, l), (j, l), lambda spinor, sin_theta: tuple(
         (m, m * c, profile) for m, c, profile in spinor))
-    return _block(f"Lz numeric(j={j}, l={l})", basis, rows)
+    return AngularBlock(f"Lz numeric(j={j}, l={l})", basis, rows)
 
 
 def sigma_cross_block(bra: Level, ket: Level) -> AngularBlock:
@@ -302,7 +280,7 @@ def sigma_cross_block(bra: Level, ket: Level) -> AngularBlock:
                 (m_up + 1, -c_up, list(map(mul, sin_theta, up))))
 
     basis, rows = _sphere_block((bra.j, bra.l), (ket.j, ket.l), act)
-    return _block(f"sigma-cross(l={bra.l}->{ket.l}, j={bra.j})", basis, rows)
+    return AngularBlock(f"sigma-cross(l={bra.l}->{ket.l}, j={bra.j})", basis, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,22 +334,29 @@ def _endpoint_samples(bra: RelativisticState,
     return total, adaptive_sampled_endpoint(diff.__getitem__).scaled(scale)
 
 
+def _radial_pair(state: RelativisticState) -> tuple[IntegrationResult, IntegrationResult]:
+    """(sum, diff): int (f^2 +/- g^2)/r dr in eV^3 of one state, the one
+    choice of route: for |kappa| >= 2 the exact series of _overlap (shift
+    -3) times norm^2, for |kappa| = 1 the order-160 endpoint samples."""
+    if not _exact_series(state):
+        return _endpoint_samples(state, state)
+    scale = state.norm * state.norm
+    return tuple(result.scaled(scale) for result in _overlap(state, state, -3))
+
+
 def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> IntegrationResult:
     """Direct quadrature of int (f^2 +/- g^2)/r dr in eV^3.
 
     For |kappa| >= 2 (nu > 1) the value is exact: the Laguerre series of
     dirac._overlap for the weight x^(2nu-3) e^-x, with order = its n_r + 1
     terms, drift = its a-priori rounding bound and converged = drift <=
-    1e-10.  The first call on a state computes both kinds and keeps them
-    (state.radial_series); later calls return the kept result.  For
-    |kappa| = 1 the integral diverges at the origin; the value
+    1e-10.  For |kappa| = 1 the integral diverges at the origin; the value
     is the order-160 sample of the endpoint-substituted plain rule, with the
     gap to the order-80 sample as drift and converged=False.
     """
     if kind not in ("sum", "diff"):
         raise ValidationError(f"kind must be 'sum' or 'diff', got {kind!r}")
-    pair = state.radial_series if _exact_series(state) else _endpoint_samples(state, state)
-    return pair[kind == "diff"]
+    return _radial_pair(state)[kind == "diff"]
 
 
 def cross_radial_integral_closed(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

@@ -145,6 +145,8 @@ class TestGlobalFlags:
     # reported as null
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e300"],
     ["nonrel", "--n", "2", "--l", "1", "--j", "3/2", "--mj", "1/2", "--theta", "1e300"],
+    # 1 / (1e300 GeV)^2 underflows to 0: a GeV scale out of range, not theta = 0
+    ["shift", "2P3/2", "--theta", "(1e300 GeV)^-2"],
 ])
 def test_non_finite_input_exits_1_without_output(capsys, argv):
     for fmt in ("table", "json"):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nchydro.dirac import _laguerre_series, _overlap, make_state, radial_polynomials
+from nchydro.shifts import radial_integral_quadrature
 from nchydro.specfun import IntegrationResult, gauss_laguerre
 
 
@@ -43,9 +44,10 @@ def test_series_matches_gauss_rule(n_r, kappa):
         # the rounding bound eps (terms + 1) sum|t| / |sum t|: the terms barely cancel
         assert res.converged and res.drift <= 1.001 * (n_r + 2) * sys.float_info.epsilon
         assert res.value == pytest.approx(_gauss(state, shift, sign), rel=1e-13), (shift, sign)
-        if shift:  # the state keeps this radial series, times norm^2, bit for bit
-            assert state.radial_series[sign < 0.0] == IntegrationResult(
-                res.value * (state.norm * state.norm), res.order, res.drift, res.converged)
+        if shift:  # the radial quadrature is this series times norm^2, bit for bit
+            assert radial_integral_quadrature(state, "diff" if sign < 0.0 else "sum") == (
+                IntegrationResult(res.value * (state.norm * state.norm), res.order, res.drift,
+                                  res.converged))
 
 
 def _mp_integral(mp, state, shift, sign):

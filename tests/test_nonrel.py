@@ -209,12 +209,11 @@ class TestHyperfineShift:
         shift = nc_hyperfine_shift(SchrodingerState(n=2, l=1, j=1.5, m_j=0.5), 1.0e-19)
         assert shift.r5_divergent
         assert shift.r5_term is None
-        assert math.isfinite(shift.finite_part)
+        assert math.isfinite(shift.r3_term + shift.r4_term)
 
     def test_total_of_a_divergent_shift_does_not_exist(self):
         shift = nc_hyperfine_shift(SchrodingerState(n=2, l=1, j=1.5, m_j=0.5), 1.0e-19)
         assert shift.total is None
-        assert shift.finite_part == shift.r3_term + shift.r4_term
 
     def test_overflow_is_not_divergence(self):
         shift = nc_hyperfine_shift(SchrodingerState(n=3, l=2, j=2.5, m_j=0.5), 1e308)

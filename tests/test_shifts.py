@@ -93,7 +93,7 @@ class TestAngularBlocks:
     def test_2p12_block(self):
         block = lz_block(0.5, 1)
         assert np.allclose(block.matrix, (2.0 / 3.0) * np.diag([-1.0, 1.0]))
-        assert block.eigenvalues == pytest.approx([-2.0 / 3.0, 2.0 / 3.0])
+        assert np.diag(block.matrix) == pytest.approx([-2.0 / 3.0, 2.0 / 3.0])
 
     def test_2p32_block(self):
         block = lz_block(1.5, 1)
@@ -106,21 +106,17 @@ class TestAngularBlocks:
 
     @pytest.mark.parametrize("j,l", [(0.5, 0), (0.5, 1), (1.5, 1), (1.5, 2), (2.5, 2)])
     def test_block_invariants(self, j, l):
-        block = lz_block(j, l)
-        assert block.is_diagonal
-        matrix = np.array(block.matrix)
+        matrix = np.array(lz_block(j, l).matrix)
+        assert np.max(np.abs(matrix - np.diag(np.diag(matrix)))) < 1e-12
         assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-12
         assert abs(np.trace(matrix)) < 1e-12  # full multiplet is traceless
 
     def test_eigenvalues_are_the_sorted_diagonal(self):
+        # the block is diagonal in M, so its eigenvalues are its diagonal
         block = lz_block_numeric(1.5, 1)
-        assert block.eigenvalues == pytest.approx([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0],
-                                                  abs=1e-13)
-        assert all(type(v) is float for v in block.eigenvalues)
-        rotated = shifts.AngularBlock(label="sigma_x", basis=(-0.5, 0.5),
-                                      matrix=((0j, 1 + 0j), (1 + 0j, 0j)))
-        with pytest.raises(DomainError, match="not diagonal"):
-            rotated.eigenvalues
+        diagonal = [row[i] for i, row in enumerate(block.matrix)]
+        assert sorted(diagonal) == pytest.approx([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0], abs=1e-13)
+        assert all(type(v) is float for row in block.matrix for v in row)
 
     @pytest.mark.parametrize("j,l", PARTIAL_WAVES)
     def test_numeric_matches_closed(self, j, l):
@@ -234,15 +230,6 @@ class TestRadialQuadrature:
         reference = s.norm ** 2 * float(np.sum(np.array(rule.weights) * (pf * pf - pg * pg)))
         assert res.value == pytest.approx(reference, rel=1e-13)
 
-    def test_first_call_expands_each_kind_once(self, monkeypatch):
-        s = make_state(2, 3, 0.5)  # fresh: only its norm has been expanded
-        calls = _count_series_expansions(monkeypatch)
-        first = radial_integral_quadrature(s, "sum")
-        assert calls == [(s, -3)]  # one expansion gives the sum and the diff series
-        assert radial_integral_quadrature(s, "diff") is s.radial_series[1]
-        assert radial_integral_quadrature(s, "sum") is first
-        assert len(calls) == 1
-
     def test_diff_to_sum_ratio_small_alpha(self):
         # g -> 0 with alpha, so the diff and sum integrals of 2P3/2 meet
         s = make_state(0, -2, 0.5, C.with_(alpha=5.0e-4))
@@ -316,12 +303,19 @@ class TestLevelShift:
             assert (d["quadrature_route"], d["quadrature_order"], d["quadrature_drift"]) == (
                 report.quadrature_route, report.quadrature_order, report.quadrature_drift)
 
-    def test_warm_kappa_ge_2_reads_the_state_memo(self, monkeypatch):
+    def test_warm_kappa_ge_2_reads_the_level_memo(self, monkeypatch):
         level = Level.from_label("3D5/2")
         cold = level_shift(level, 1.0e-19)
         calls = _count_series_expansions(monkeypatch)
         assert level_shift(level, 1.0e-19) == cold
         assert calls == []
+
+    def test_only_the_first_state_sums_its_norm(self, monkeypatch):
+        calls = _count_series_expansions(monkeypatch)
+        level = Level.from_label("3D5/2")  # six states, no norm read yet
+        assert calls == []
+        level_shift(level, 1.0e-19)
+        assert calls == [(level.states[0], 0), (level.states[0], -3)]
 
     def test_kappa_1_is_sampled_on_every_call(self, monkeypatch):
         # the divergent |kappa| = 1 integrals have no series to keep
@@ -334,8 +328,8 @@ class TestLevelShift:
             report = level_shift(level, 1.0e-19)
             assert (report.quadrature_route, report.quadrature_order) == ("endpoint_sample", 160)
             assert len(calls) == 2 * warm  # one sample per kind, sum and diff
-        with pytest.raises(DomainError):
-            level.states[0].radial_series
+        sampled = radial_integral_quadrature(level.states[0])
+        assert (sampled.value, sampled.order) == (report.rho1_quadrature, 160)
 
     def test_kappa_1_sum_and_diff_share_one_evaluation_per_node(self, monkeypatch):
         level = Level.from_label("3S1/2")
