@@ -40,16 +40,22 @@ def finite_real(value) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, cut to 40 characters (10**400 has 401)."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def check_theta(theta: float):
     """Reject a theta (eV^-2) that is negative or not finite."""
     if not (finite_real(theta) and theta >= 0.0):
-        raise ValidationError(f"theta must be finite and >= 0, got {theta!r}")
+        raise ValidationError(f"theta must be finite and >= 0, got {shown(theta)}")
 
 
 def check_positive(name: str, value, error=ValidationError):
     """Raise error unless value is a finite real > 0."""
     if not (finite_real(value) and value > 0.0):
-        raise error(f"{name} must be finite and positive, got {value!r}")
+        raise error(f"{name} must be finite and positive, got {shown(value)}")
 
 
 def check_lambda_qcd(lambda_qcd: float):
@@ -60,7 +66,7 @@ def check_lambda_qcd(lambda_qcd: float):
 def check_radius(r: float, caller: str):
     """Reject a radius (eV^-1) that is not a finite real, or not > 0."""
     if not finite_real(r):
-        raise ValidationError(f"{caller} requires a finite real r, got {r!r}")
+        raise ValidationError(f"{caller} requires a finite real r, got {shown(r)}")
     if r <= 0.0:
         raise DomainError(f"{caller} requires r > 0")
 
@@ -69,7 +75,7 @@ def check_triple(name: str, values) -> tuple[float, float, float]:
     """values as three floats: each a finite real, and three of them."""
     components = tuple(values) if hasattr(values, "__iter__") else (values,)
     if not all(map(finite_real, components)):
-        raise ValidationError(f"{name} must hold finite reals, got {components!r}")
+        raise ValidationError(f"{name} must hold finite reals, got {shown(components)}")
     if len(components) != 3:
         raise DomainError(f"{name} must be a 3-vector, got {len(components)} components")
     return tuple(map(float, components))

@@ -20,25 +20,24 @@ Conventions worth stating once:
   _exact_series is the one test of whether the series below is a state's
   radial integral (|kappa| >= 2).
 * make_state is the one place that derives lam, a and the shape
-  coefficients (f1, f2, g1, g2), kept in state.shape.  The state derives
-  its normalization constant state.norm from them on first read: the
-  norm integral for the weight x^(2 nu) e^-x as the exact Laguerre series
-  below (the sum of its pair); the physics downstream only consumes
-  normalized shapes.
+  coefficients (f1, f2, g1, g2), kept in state.shape, and the
+  normalization constant state.norm: the norm integral for the weight
+  x^(2 nu) e^-x as the exact Laguerre series below (the sum of its pair);
+  the physics downstream only consumes normalized shapes.
 * _overlap is the one kernel for radial integrals of a pair of states,
   int x^beta e^-x (P_f P_f' +/- P_g P_g') dx with beta = 2 nu + shift: the
-  norm and the |kappa| >= 2 radial integrals here (shift 0 and -3), and the
-  sampled radial and cross integrals in shifts (shift -3).  It takes no
-  sign: both modes give the (sum, diff) pair.  Without sample points (a
-  state's own overlap, beta > -1) it is exact, one expansion for both: the
+  norm and the |kappa| >= 2 radial integrals here (shift 0 and -3), and,
+  through _overlap_at, the sampled radial and cross integrals in shifts
+  (shift -3).  It takes no sign: both give the (sum, diff) pair.  For a
+  state's own overlap (beta > -1) it is exact, one expansion for both: the
   shape is expanded in the Laguerre polynomials of the weight's own beta,
   L_n^(beta + d) = sum_k C(d - 1 + n - k, n - k) L_k^beta
   for the integer d of each term, and
   x L_k^beta = (2k + beta + 1) L_k^beta - (k + 1) L_{k+1}^beta - (k + beta) L_{k-1}^beta
   for the x L_{n_r-1}^{2 nu + 1} term, so orthogonality leaves
   sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!, n_r + 1 terms in
-  pure Python.  At a point x it returns the sum and diff integrands
-  there, for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where
+  pure Python.  _overlap_at gives the sum and diff integrands at a point
+  x, for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where
   the series is not the integral).  The Gauss rules of specfun check the
   series independently in oracle.
 * Everything is pure Python on floats: radial_fg and deformed_potential
@@ -54,8 +53,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor, check_position,
                         check_radius)
@@ -81,9 +80,9 @@ __all__ = [
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
 
 
-@dataclass(frozen=True)
-class RelativisticState:
-    """One Dirac-Coulomb bound level with all derived quantities attached."""
+class RelativisticState(NamedTuple):
+    """One Dirac-Coulomb bound level with all derived quantities attached,
+    norm included: a named tuple that make_state builds."""
 
     n_r: int
     kappa: int
@@ -96,20 +95,7 @@ class RelativisticState:
     a: float          # sqrt(m^2 - E^2)/m, dimensionless momentum scale
     lam: float        # sqrt(m^2 - E^2) in eV
     shape: tuple[float, float, float, float]  # (f1, f2, g1, g2), see radial_polynomials
-
-    @property
-    def norm(self) -> float:
-        """Multiplies the raw radial shapes; > 0.  Summed on the first read and
-        kept as the attribute _norm, outside the fields, so eq, hash and repr
-        ignore it.  Not a cached_property: on Python 3.11 its write through the
-        instance __dict__ slows every later attribute read of the state."""
-        try:
-            return self._norm
-        except AttributeError:
-            # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
-            norm = math.sqrt((2.0 * self.lam) ** 3 / _overlap(self, self, 0)[0].value)
-            object.__setattr__(self, "_norm", norm)
-            return norm
+    norm: float       # multiplies the raw radial shapes; > 0
 
     @property
     def n_principal(self) -> int:
@@ -156,8 +142,8 @@ def make_state(n_r: int, kappa: int, M: float,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> RelativisticState:
     """Validate quantum numbers and build a fully derived state.
 
-    This is the one place that derives lam, a and the shape coefficients
-    (f1, f2, g1, g2); nu and E come from the one (n_r, kappa) check.
+    This is the one place that derives lam, a, the shape coefficients
+    (f1, f2, g1, g2) and norm; nu and E come from the one (n_r, kappa) check.
     """
     nu, energy = _nu_energy(n_r, kappa, constants)
     l, j = kappa_to_lj(kappa)
@@ -172,9 +158,10 @@ def make_state(n_r: int, kappa: int, M: float,
         denom = energy * kappa - m * nu
         f1 = m * a * alpha / denom
         g1 = m * a * (kappa - nu) / denom
-    return RelativisticState(n_r=n_r, kappa=kappa, M=M, constants=constants, j=j, l=l,
-                             nu=nu, energy=energy, a=a, lam=lam,
-                             shape=(f1, kappa - nu, g1, alpha))
+    bare = RelativisticState(n_r, kappa, M, constants, j, l, nu, energy, a, lam,
+                             (f1, kappa - nu, g1, alpha), 1.0)
+    # C^2 int (f~^2 + g~^2) r^2 dr = 1 with x = 2 lam r: C^2 = (2 lam)^3 / I
+    return bare._replace(norm=math.sqrt((2.0 * lam) ** 3 / _overlap(bare, 0)[0].value))
 
 
 def radial_polynomials(state: RelativisticState, x):
@@ -184,9 +171,13 @@ def radial_polynomials(state: RelativisticState, x):
     with (g1, g2), the coefficients in state.shape.  For n_r = 0 the first
     term is absent and f1 = g1 = 0.  x is a float or an ndarray.
     """
-    f1, f2, g1, g2 = state.shape
-    low = laguerre_general(state.n_r, 2.0 * state.nu - 1.0, x)
-    high = x * laguerre_general(state.n_r - 1, 2.0 * state.nu + 1.0, x)
+    return _polynomials(state.n_r, state.nu, state.shape, x)
+
+
+def _polynomials(n_r: int, nu: float, shape: tuple, x):
+    f1, f2, g1, g2 = shape
+    low = laguerre_general(n_r, 2.0 * nu - 1.0, x)
+    high = x * laguerre_general(n_r - 1, 2.0 * nu + 1.0, x)
     return f1 * high + f2 * low, g1 * high + g2 * low
 
 
@@ -221,31 +212,18 @@ def _laguerre_series(state: RelativisticState,
             [g1 * u + g2 * v for u, v in zip(high, low)], h)
 
 
-def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int,
-             x: float | None = None) -> tuple:
-    """The (sum, diff) radial overlaps int x^beta e^-x (P_f P_f' +/- P_g P_g') dx
-    of two states sharing nu, for the weight exponent beta = 2 nu + shift.
-
-    Without x they are the exact Laguerre series of a state's own overlap
-    (ket is bra, beta > -1), two IntegrationResults from one expansion:
-    with the shapes expanded as P = sum_k p_k L_k^beta, orthogonality
-    leaves sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!.  Each result's
+def _overlap(state: RelativisticState, shift: int) -> tuple:
+    """The (sum, diff) radial overlaps int x^beta e^-x (P_f^2 +/- P_g^2) dx of
+    a state with itself, for the weight exponent beta = 2 nu + shift > -1:
+    two IntegrationResults from one expansion, the exact Laguerre series.
+    With the shapes expanded as P = sum_k p_k L_k^beta, orthogonality leaves
+    sum_k (p_k^2 +/- q_k^2) Gamma(k + beta + 1) / k!.  Each result's
     order is the number of terms and its drift the a-priori relative
     rounding bound eps (terms + 1) sum |t_k| / |sum t_k|.  Both sums are
     math.fsum, correctly rounded, so every Python version gives the same bits
     (the built-in sum is compensated from 3.12 on only).
-    At a point x (a float) they are the two integrands there without e^-x,
-    x^beta (P_f P_f' +/- P_g P_g'): one evaluation serves the sum and diff
-    samples of adaptive_sampled_endpoint.
     """
-    if x is not None:
-        pf, pg = radial_polynomials(bra, x)
-        pf2, pg2 = (pf, pg) if ket is bra else radial_polynomials(ket, x)
-        power = x ** (2.0 * bra.nu + shift)
-        ff, gg = power * pf * pf2, power * pg * pg2
-        return ff + gg, ff - gg
-    assert ket is bra, "the series covers a state's own overlap only"
-    p, q, h = _laguerre_series(bra, shift)
+    p, q, h = _laguerre_series(state, shift)
     results = []
     for sign in (1.0, -1.0):
         terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]
@@ -254,6 +232,23 @@ def _overlap(bra: RelativisticState, ket: RelativisticState, shift: int,
                  / max(abs(value), 1e-300))
         results.append(IntegrationResult(value, len(terms), drift, drift <= 1e-10))
     return tuple(results)
+
+
+def _overlap_at(bra: RelativisticState, ket: RelativisticState, shift: int):
+    """x -> (sum, diff): the integrands x^beta (P_f P_f' +/- P_g P_g') of two
+    states sharing nu at a float x, without e^-x, for the endpoint samples;
+    each state's n_r, nu and shape are read here once, not at every x."""
+    power, n_r, nu, shape = 2.0 * bra.nu + shift, bra.n_r, bra.nu, bra.shape
+    other = None if ket is bra else (ket.n_r, ket.nu, ket.shape)
+
+    def at(x):
+        pf, pg = _polynomials(n_r, nu, shape, x)
+        pf2, pg2 = (pf, pg) if other is None else _polynomials(*other, x)
+        weight = x ** power
+        ff, gg = weight * pf * pf2, weight * pg * pg2
+        return ff + gg, ff - gg
+
+    return at
 
 
 def _exact_series(state: RelativisticState) -> bool:

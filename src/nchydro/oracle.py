@@ -3,10 +3,11 @@
 Every closed form that the rest of the package evaluates is recomputed here
 from its defining integral and compared:
 
-* radial integrals: radial_integral_quadrature (or its 2S-2P cross
-  counterpart) runs once; the closed form is recorded alongside.  The
-  library's |kappa| >= 2 values and every state's normalization are exact
-  Laguerre series, checked against an independent route: the n_r + 2 node
+* radial integrals: shifts._radial_pair (or the 2S-2P cross quadrature)
+  runs once per state, for the sum and diff kinds together; the closed
+  form is recorded alongside.  The library's |kappa| >= 2 values and
+  every state's normalization are exact Laguerre series, checked against
+  an independent route: the n_r + 2 node
   Gauss rule (gauss_laguerre) for each integral's own weight x^beta e^-x,
   beta = 2nu - 3 for the radial integral and 2nu for the norm (also
   norm_self_consistency, every state), with the integrand from
@@ -44,9 +45,9 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac import _exact_series, make_state, radial_polynomials
 from .errors import DivergenceError, ValidationError
 from .nonrel import r_inverse_moment, r_inverse_moment_quadrature
-from .shifts import (Level, cross_radial_integral_closed, cross_radial_integral_quadrature,
-                     lz_block, lz_block_numeric, radial_integral_closed,
-                     radial_integral_quadrature, sigma_cross_block)
+from .shifts import (Level, _radial_pair, cross_radial_integral_closed,
+                     cross_radial_integral_quadrature, lz_block, lz_block_numeric,
+                     radial_integral_closed, sigma_cross_block)
 from .specfun import gauss_laguerre
 
 __all__ = [
@@ -115,11 +116,11 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ValidationReport:
     """Validate one radial integral by a second quadrature route.
 
-    The quadrature runs once.  For |kappa| >= 2 its value, the Laguerre
-    series, is compared with _gauss_route, and the relative gap between
-    the two is the drift; for |kappa| = 1 and the cross element the drift
-    is the gap between the samples at orders 80 and 160 of an integral that
-    diverges at the origin.
+    The quadrature runs once per state.  For |kappa| >= 2 its value, the
+    Laguerre series, is compared with _gauss_route, and the relative gap
+    between the two is the drift; for |kappa| = 1 and the cross element
+    the drift is the gap between the samples at orders 80 and 160 of an
+    integral that diverges at the origin.
 
     kind is "sum", "diff" or "cross" (the 2S-2P element; n_r/kappa ignored).
     The verdict reflects the robustness of the *quadrature* value; the
@@ -127,19 +128,25 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
     levels it cannot reproduce its own defining integral.
     """
     if kind == "cross":
-        name = "radial cross 2S1/2-2P1/2"
-        closed = cross_radial_integral_closed(constants)
-        quad = cross_radial_integral_quadrature(constants)
-        diverges = True  # |kappa| = 1 endpoint, same nonintegrable power
-    else:
-        state = make_state(n_r, kappa, 0.5, constants)
-        name = f"radial {kind} {state.label}"
-        closed = radial_integral_closed(state, kind)
-        quad = radial_integral_quadrature(state, kind)
-        diverges = not _exact_series(state)
+        return _radial_report("radial cross 2S1/2-2P1/2", cross_radial_integral_closed(constants),
+                              cross_radial_integral_quadrature(constants), None)
+    return _state_reports(make_state(n_r, kappa, 0.5, constants), (kind,))[0]
+
+
+def _state_reports(state, kinds=("sum", "diff")) -> list[ValidationReport]:
+    # validate_radial's report of each kind, all from one _radial_pair
+    pair, exact = _radial_pair(state), _exact_series(state)
+    return [_radial_report(f"radial {kind} {state.label}", radial_integral_closed(state, kind),
+                           pair[kind == "diff"],
+                           _gauss_route(state, 1.0 if kind == "sum" else -1.0) if exact else None)
+            for kind in kinds]
+
+
+def _radial_report(name: str, closed: float, quad, gauss: float | None) -> ValidationReport:
+    # gauss: the Gauss-rule value of a |kappa| >= 2 integral; None if it diverges
     drift, converged = quad.drift, quad.converged
-    if not diverges:
-        drift = _rel(quad.value, _gauss_route(state, 1.0 if kind == "sum" else -1.0))
+    if gauss is not None:
+        drift = _rel(quad.value, gauss)
         converged = converged and drift <= RADIAL_TOL
     closed_gap = _rel(closed, quad.value)
 
@@ -149,7 +156,7 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
         verdict = VERDICT_FLAGGED
         note = (f"the closed form differs from the quadrature by {closed_gap:.2e}; "
                 f"closed form kept verbatim")
-    elif diverges:
+    elif gauss is None:
         verdict = VERDICT_FLAGGED
         note = ("defining integral diverges at the origin (|kappa| = 1, "
                 "2 nu - 3 < -1); sampled value reported, closed form quotes "
@@ -273,14 +280,9 @@ def run_all(constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[Validation
     the angular blocks, and the moments for n <= 6.  The CLI's verify
     command serializes this."""
     reports: list[ValidationReport] = []
-    for kappa in range(-3, 4):
-        if kappa == 0:
-            continue
-        for n_r in range(0, 4):
-            if n_r == 0 and kappa > 0:
-                continue
-            for kind in ("sum", "diff"):
-                reports.append(validate_radial(n_r, kappa, kind, constants))
+    for kappa in (-3, -2, -1, 1, 2, 3):
+        for n_r in range(0 if kappa < 0 else 1, 4):
+            reports.extend(_state_reports(make_state(n_r, kappa, 0.5, constants)))
     reports.append(validate_radial(0, 0, "cross", constants))
     for label in ("2P1/2", "2P3/2", "3D3/2"):
         reports.append(validate_angular(label, operator="theta_L", constants=constants))

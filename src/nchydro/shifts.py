@@ -40,15 +40,17 @@ Every radial quantity is computed twice:
   in pure Python, for the level integrals and the 2S-2P cross element, and
   one (_radial_pair) chooses between the series and the samples.
 
-A Level keeps its ShiftReport at theta = 0, computed on first use
-(Level.closed_form): the eigenvalues, both closed integrals, the
-closed-form coefficients and the 2P Lamb-shift theta bound, and for
-|kappa| >= 2 the series route too, with its coefficients, order, drift,
-flag and notes.  level_shift is linear in theta by construction: a warm
-|kappa| >= 2 call checks theta and the constants and replaces the kept
-report's theta and shifts_eV = coefficients * theta; a |kappa| = 1 call
-first fills the route fields from the two endpoint samples, taken again
-and not kept.  cli's bound and sweep read the same report.
+A Level, a named tuple, builds one state with make_state (one norm sum)
+and the others with _replace(M=m).  Outside its fields it keeps its
+ShiftReport at theta = 0, computed on first use (Level.closed_form): the
+eigenvalues, both closed integrals, the closed-form coefficients and the
+2P Lamb-shift theta bound, and for |kappa| >= 2 the series route too,
+with its coefficients, order, drift, flag and notes.  level_shift is
+linear in theta by construction: a warm |kappa| >= 2 call checks theta
+and the constants and replaces the kept report's theta and
+shifts_eV = coefficients * theta; a |kappa| = 1 call first fills the
+route fields from the two endpoint samples, taken again and not kept.
+cli's bound and sweep read the same report.
 
 Reports carry both values plus flags so downstream consumers can see any
 disagreement instead of having it averaged away.
@@ -57,14 +59,15 @@ disagreement instead of having it averaged away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_position, check_positive, check_theta, ev2_to_gev_scale, hz_to_ev)
-from .dirac import RelativisticState, _exact_series, _overlap, make_state, parse_level_label
+from .dirac import (RelativisticState, _exact_series, _overlap, _overlap_at, make_state,
+                    parse_level_label)
 from .errors import DomainError, ValidationError
 from .specfun import (IntegrationResult, _spinor_profiles, adaptive_sampled_endpoint,
                       check_magnetic, kappa_to_lj, lj_to_kappa, sphere_rule)
@@ -98,16 +101,8 @@ RADIAL_AGREEMENT_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Level:
-    """A full j-multiplet of one fine-structure level."""
-
-    label: str
-    n_r: int
-    kappa: int
-    j: float
-    l: int
-    states: tuple[RelativisticState, ...]
+class Level(namedtuple("Level", "label n_r kappa j l states")):
+    """A full j-multiplet of one fine-structure level, as a named tuple."""
 
     @classmethod
     def from_label(cls, label: str,
@@ -119,8 +114,9 @@ class Level:
     def from_quantum_numbers(cls, n_r: int, kappa: int,
                              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "Level":
         l, j = kappa_to_lj(kappa)
-        states = tuple(make_state(n_r, kappa, m, constants) for m in m_values(j))
-        return cls(label=states[0].label, n_r=n_r, kappa=kappa, j=j, l=l, states=states)
+        state = make_state(n_r, kappa, -j, constants)  # one norm sum: the states differ in M
+        states = tuple(state._replace(M=m) for m in m_values(j))
+        return cls(state.label, n_r, kappa, j, l, states)
 
     @property
     def m_basis(self) -> tuple[float, ...]:
@@ -323,10 +319,10 @@ def _endpoint_samples(bra: RelativisticState,
     in eV^3 for two |kappa| = 1 states sharing x = 2 lam r, where the
     integral diverges at the origin.  The sum's pass stores each node's diff
     integrand in a dict for the diff's pass; nothing outlives the call."""
-    diff = {}
+    diff, at = {}, _overlap_at(bra, ket, -3)
 
     def sum_at(x):
-        total, diff[x] = _overlap(bra, ket, -3, x)
+        total, diff[x] = at(x)
         return total
 
     scale = bra.norm * ket.norm
@@ -341,7 +337,7 @@ def _radial_pair(state: RelativisticState) -> tuple[IntegrationResult, Integrati
     if not _exact_series(state):
         return _endpoint_samples(state, state)
     scale = state.norm * state.norm
-    return tuple(result.scaled(scale) for result in _overlap(state, state, -3))
+    return tuple(result.scaled(scale) for result in _overlap(state, -3))
 
 
 def radial_integral_quadrature(state: RelativisticState, kind: str = "sum") -> IntegrationResult:
@@ -493,7 +489,8 @@ def level_shift(level, theta: float,
     elif constants is not None and constants != level.constants:
         raise ValidationError(f"constants differ from those level {level.label} "
                               f"was built with")
-    f = level.report_fields()
+    # via the class: 3.11 specializes no method lookup on a tuple subclass with a dict
+    f = Level.report_fields(level)
     return f._replace(theta=theta, shifts_eV=tuple([c * theta for c in f.coefficients]))
 
 

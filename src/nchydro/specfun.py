@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 from operator import mul
 from typing import NamedTuple
 
-from .constants import finite_real
+from .constants import finite_real, shown
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -118,7 +118,7 @@ def check_integer(name: str, value, minimum: int | None = None):
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer{bound}, got {shown(value)}")
 
 
 def kappa_to_lj(kappa: int) -> tuple[int, float]:
@@ -138,14 +138,14 @@ def lj_to_kappa(l: int, j: float) -> int:
             return l
         if abs(j - (l + 0.5)) < 1e-9:
             return -l - 1
-    raise ValidationError(f"(l, j) = ({l}, {j}) is not a fine-structure pair")
+    raise ValidationError(f"(l, j) = ({l}, {shown(j)}) is not a fine-structure pair")
 
 
 def check_magnetic(j: float, M: float):
     """Reject M unless 2 M is an odd integer (to 1e-12) and |M| <= j."""
     if not (finite_real(M) and abs(2.0 * M - round(2.0 * M)) <= 1e-12
             and round(2.0 * M) % 2 == 1 and abs(M) <= j):
-        raise ValidationError(f"M = {M} is not a half-integer with |M| <= j = {j}")
+        raise ValidationError(f"M = {shown(M)} is not a half-integer with |M| <= j = {j}")
 
 
 def spinor_clebsch(j: float, l: int, M: float) -> tuple[float, float]:

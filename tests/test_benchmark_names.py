@@ -2,7 +2,7 @@
 
 perfbench/tracer.py wraps every name in its WRAPPED table with getattr, so
 deleting or renaming one breaks every traced benchmark run, and its
-_keyify reads the attributes that name a level or a state.  These tests
+_keyify keys a level or a state, named tuples, by its fields.  These tests
 keep the package, that table and those attributes in step.
 """
 
@@ -41,14 +41,31 @@ def test_adaptive_samplers_keep_start():
 
 
 def test_keyify_names_levels_and_states():
-    # a Level by states/label/constants, a state by n_r/kappa/M/constants
+    # A Level and a state are named tuples, keyed by their fields, which
+    # (label, constants) and (n_r, kappa, M, constants) fix.  Over the 25
+    # levels with n <= 5, two sets of constants and every M, each built
+    # twice, the keys are hashable and group the values exactly as those
+    # literal names do: equal for equal values, different otherwise.
+    from nchydro.constants import DEFAULT_CONSTANTS
     from nchydro.dirac import make_state
     from nchydro.nonrel import SchrodingerState
     from nchydro.shifts import Level
 
     keyify = _tracer()._keyify
-    level, state = Level.from_label("2P3/2"), make_state(1, -2, 0.5)
-    assert keyify(level) == ("level", "2P3/2", level.constants)
-    assert keyify(state) == ("state", 1, -2, 0.5, state.constants)
-    for value in (level, state, SchrodingerState(n=3, l=2, j=2.5, m_j=0.5)):
-        hash(keyify(value))
+    labels = [f"{n}{'SPDFG'[l]}{2 * l + sign}/2" for n in range(1, 6) for l in range(n)
+              for sign in (-1, 1) if 2 * l + sign > 0]
+    assert len(labels) == 25
+    named = []
+    for constants in (DEFAULT_CONSTANTS, DEFAULT_CONSTANTS.with_(alpha=1.0 / 137.0)):
+        for label in labels:
+            level, again = (Level.from_label(label, constants) for _ in range(2))
+            named += [(level, ("level", label, constants)), (again, ("level", label, constants))]
+            for state in level.states:
+                rebuilt = make_state(state.n_r, state.kappa, state.M, constants)
+                name = ("state", state.n_r, state.kappa, state.M, constants)
+                named += [(state, name), (rebuilt, name)]
+    keys = [keyify(value) for value, _ in named]
+    names = [name for _, name in named]
+    assert len(set(keys)) == len(set(names)) == len(set(zip(keys, names)))
+    assert len(set(names)) == 2 * (25 + sum(int(label[-3]) + 1 for label in labels))
+    hash(keyify(SchrodingerState(n=3, l=2, j=2.5, m_j=0.5)))

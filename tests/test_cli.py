@@ -410,6 +410,15 @@ class TestConstantsFile:
         assert out == ""
         assert "nchydro: error:" in err
 
+    def test_huge_value_gives_a_short_error_line(self, capsys, tmp_path):
+        # m_e = 10**400, a 401-digit int: the error line quotes it cut short
+        path = tmp_path / "constants.json"
+        path.write_text('{"m_e": 1' + "0" * 400 + "}")
+        code, out, err = run_cli(capsys, "levels", "2P3/2", "--constants-file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("nchydro: error: m_e must be finite and positive, got 1000")
+        assert err.count("\n") == 1 and len(err) <= 100
+
     @pytest.mark.parametrize("content", ['{"lambda_qcd": -1}', '{"lambda_qcd": 0}'])
     @pytest.mark.parametrize("command", sorted(ONE_REQUEST_PER_SUBCOMMAND))
     def test_bad_cutoff_fails_every_subcommand(self, capsys, tmp_path, command, content):
@@ -552,6 +561,16 @@ def test_kappa_1_shift_and_bound_do_not_import_numpy():
     # every |kappa| = 1 level, whose shift and bound take the endpoint samples
     assert "numpy" not in _loaded_modules(*[argv for label in KAPPA_1_LEVELS for argv in (
         ["shift", label, "--theta", "1e-19"], ["bound", label])])
+
+
+def test_no_request_loads_dataclasses_or_inspect():
+    # every value type is a named tuple; dataclasses would pull in inspect,
+    # ast, dis and tokenize, milliseconds of every CLI process.  The
+    # positive control: a script that imports dataclasses itself is seen to
+    modules = {"dataclasses", "inspect"}
+    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, [
+        "nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"])
+    assert modules <= _loaded_modules(["levels", "2P3/2"], prelude="import dataclasses\n")
 
 
 def test_numpy_imported_first_is_detected():

@@ -207,6 +207,28 @@ def test_rejected_at_every_entry_point(call, args):
         call(*args)
 
 
+# Values whose repr runs to hundreds of characters, at entry points that
+# quote the rejected value; the message quotes it cut to a fixed length
+LONG_REJECTED = (
+    [pytest.param(call, (10**400,), id=f"{name}-theta-huge-int")
+     for name, call in THETA_ENTRY_POINTS.items()]
+    + [pytest.param(call, (10**400,), id=f"{name}-huge-int")
+       for name, call in {**RADIAL_ENTRY_POINTS, **POSITION_ENTRY_POINTS}.items()]
+    + [pytest.param(lambda value: DEFAULT_CONSTANTS.with_(m_e=value), (10**400,),
+                    id="PhysicalConstants-m_e-huge-int"),
+       pytest.param(kappa_to_lj, ("1" * 1000,), id="kappa_to_lj-long-str"),
+       pytest.param(lj_to_kappa, (1, 10**400), id="lj_to_kappa-j-huge-int"),
+       pytest.param(make_state, (0, -1, 10**400), id="make_state-M-huge-int")]
+)
+
+
+@pytest.mark.parametrize("call, args", LONG_REJECTED)
+def test_message_quotes_a_long_value_cut_short(call, args):
+    with pytest.raises(ValidationError) as info:
+        call(*args)
+    assert "..." in str(info.value) and len(str(info.value)) <= 100
+
+
 # Arguments outside an entry point's own domain, each rejected by that entry
 # point's own check
 OUT_OF_DOMAIN = [
@@ -310,6 +332,8 @@ UNREFERENCED = {
     "dirac.radial_fg": "README library list",
     "oracle.norm_self_consistency": "acceptance-test import",
     "shifts.perturbation_kernels": "waits on direction 3's 3-D route",
+    "shifts.radial_integral_quadrature": "README library list; WRAPPED table of "
+                                         "perfbench/tracer.py",
     "shifts.selection_allowed": "waits on direction 10's transition element",
     "shifts.transition_element_2s2p": "README library list",
     "specfun.adaptive_weighted": "WRAPPED table of perfbench/tracer.py",
@@ -340,15 +364,11 @@ def test_every_unreferenced_definition_has_a_reason():
     assert sorted(unreferenced) == sorted(UNREFERENCED)
 
 
-# The package's only dataclasses, each with the one reason it is not a named
-# tuple.  A new dataclass fails, and so does one of these that stops being a
-# dataclass without the matching change to perfbench/tracer.py.
-DATACLASSES = {
-    "dirac.RelativisticState": "perfbench/tracer._keyify keys a state through "
-                               "dataclasses.is_dataclass",
-    "shifts.Level": "perfbench/tracer._keyify tests tuple before states, and "
-                    "closed_form is a cached_property that needs an instance dict",
-}
+# The package's dataclasses, each with the one reason it is not a named
+# tuple: none.  Every value type is a named tuple, and importing dataclasses
+# (which loads inspect, ast, dis and tokenize) costs every CLI process
+# milliseconds; a new dataclass, or a module that imports dataclasses, fails.
+DATACLASSES = {}
 
 
 def _is_dataclass_decorator(node) -> bool:

@@ -39,7 +39,7 @@ def _gauss(state, shift, sign):
 def test_series_matches_gauss_rule(n_r, kappa):
     state = make_state(n_r, kappa, 0.5)
     for shift, sign in _integrals(kappa):
-        res = _overlap(state, state, shift)[sign < 0.0]
+        res = _overlap(state, shift)[sign < 0.0]
         assert res.order == n_r + 1
         # the rounding bound eps (terms + 1) sum|t| / |sum t|: the terms barely cancel
         assert res.converged and res.drift <= 1.001 * (n_r + 2) * sys.float_info.epsilon
@@ -75,7 +75,7 @@ def test_series_matches_60_digits(n_r, kappa):
     with mpmath.workdps(60):
         for shift, sign in _integrals(kappa):
             exact = _mp_integral(mpmath.mp, state, shift, sign)
-            value = _overlap(state, state, shift)[sign < 0.0].value
+            value = _overlap(state, shift)[sign < 0.0].value
             assert float(abs(value - exact) / abs(exact)) <= 1e-13, (shift, sign)
 
 
@@ -88,7 +88,7 @@ def test_series_sums_are_correctly_rounded(n_r, kappa):
     for shift, sign in _integrals(kappa):
         p, q, h = _laguerre_series(state, shift)
         terms = [(a * a + sign * b * b) * w for a, b, w in zip(p, q, h)]
-        res = _overlap(state, state, shift)[sign < 0.0]
+        res = _overlap(state, shift)[sign < 0.0]
         value = float(sum(map(Fraction, terms)))
         magnitude = float(sum(Fraction(abs(t)) for t in terms))
         assert res.value == value, (shift, sign)

@@ -170,6 +170,21 @@ class TestSuite:
         mismatches = [r for r in reports if r.verdict == "mismatch"]
         assert mismatches == []
 
+    def test_run_all_samples_each_kappa_1_state_once(self, monkeypatch):
+        # one pair of endpoint samples, sum and diff, for each of the 7
+        # |kappa| = 1 states and the 2S-2P element; the radial reports are
+        # validate_radial's, one kind at a time, in the same order
+        from nchydro import shifts
+
+        calls, sample = [], shifts.adaptive_sampled_endpoint
+        monkeypatch.setattr(shifts, "adaptive_sampled_endpoint", lambda func: (
+            calls.append(func) or sample(func)))
+        reports = run_all()
+        assert len(calls) == 2 * (7 + 1)
+        radial = [validate_radial(n_r, kappa, kind) for n_r, kappa in CRITERION_6_STATES
+                  for kind in ("sum", "diff")] + [validate_radial(0, 0, "cross")]
+        assert reports[:len(radial)] == radial
+
     def test_norm_self_consistency_sample(self):
         for n_r, kappa in [(0, -1), (1, 1), (0, -2), (3, -3)]:
             assert norm_self_consistency(n_r, kappa) == pytest.approx(1.0, abs=1e-8)

@@ -311,11 +311,15 @@ class TestLevelShift:
         assert calls == []
 
     def test_only_the_first_state_sums_its_norm(self, monkeypatch):
+        # building a 3D5/2 Level sums exactly one norm: its five other states
+        # are the first with M replaced
         calls = _count_series_expansions(monkeypatch)
-        level = Level.from_label("3D5/2")  # six states, no norm read yet
-        assert calls == []
+        level = Level.from_label("3D5/2")
+        first = level.states[0]
+        assert [(state[:3], shift) for state, shift in calls] == [(first[:3], 0)]
+        assert level.states == tuple(first._replace(M=m) for m in level.m_basis)
         level_shift(level, 1.0e-19)
-        assert calls == [(level.states[0], 0), (level.states[0], -3)]
+        assert calls[1:] == [(first, -3)]
 
     def test_kappa_1_is_sampled_on_every_call(self, monkeypatch):
         # the divergent |kappa| = 1 integrals have no series to keep
@@ -333,9 +337,13 @@ class TestLevelShift:
 
     def test_kappa_1_sum_and_diff_share_one_evaluation_per_node(self, monkeypatch):
         level = Level.from_label("3S1/2")
-        points, overlap = [], shifts._overlap
-        monkeypatch.setattr(shifts, "_overlap", lambda *args: (
-            points.append(args[-1]) or overlap(*args)))
+        points, overlap_at = [], shifts._overlap_at
+
+        def recording(*args):
+            at = overlap_at(*args)
+            return lambda x: points.append(x) or at(x)
+
+        monkeypatch.setattr(shifts, "_overlap_at", recording)
         level_shift(level, 1.0e-19)
         nodes = _endpoint_rule(80)[0] + _endpoint_rule(160)[0]
         assert sorted(points) == sorted(nodes)

@@ -1,10 +1,11 @@
-"""The package's value types: named tuples, and the two frozen dataclasses.
+"""The package's value types, every one a named tuple.
 
 Each named tuple's field names, order and defaults are pinned here; it
-compares, hashes, iterates and unpacks as the
-tuple of its fields.  PhysicalConstants, ThetaTensor and SchrodingerState
-check their fields on every construction path: the constructor, with_,
-_replace, _make, copy, deepcopy and pickle (protocol 2 and up).
+compares, hashes, iterates and unpacks as the tuple of its fields.  A
+Level also keeps its closed_form memo, outside the fields.
+PhysicalConstants, ThetaTensor and SchrodingerState check their fields on
+every construction path: the constructor, with_, _replace, _make, copy,
+deepcopy and pickle (protocol 2 and up).
 """
 
 import copy
@@ -19,7 +20,7 @@ import pytest
 
 import nchydro
 from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
-from nchydro.dirac import RelativisticState, make_state
+from nchydro.dirac import make_state
 from nchydro.errors import DomainError, ValidationError
 from nchydro.nonrel import SchrodingerState, expectation_table, nc_hyperfine_shift
 from nchydro.oracle import validate_radial
@@ -56,6 +57,11 @@ INSTANCES = {
     "ValidationReport": (lambda: validate_radial(0, -2),
                          ("name", "closed_form", "quadrature", "rel_error", "quad_drift",
                           "verdict", "note"), {"note": ""}),
+    "RelativisticState": (lambda: make_state(1, -2, 0.5),
+                          ("n_r", "kappa", "M", "constants", "j", "l", "nu", "energy", "a",
+                           "lam", "shape", "norm"), {}),
+    "Level": (lambda: Level.from_label("2P3/2"),
+              ("label", "n_r", "kappa", "j", "l", "states"), {}),
 }
 
 
@@ -89,21 +95,29 @@ def test_named_tuple_behaves_as_its_tuple(name):
     assert value._replace() == value and list(value._asdict()) == list(value._fields)
     with pytest.raises(AttributeError):
         setattr(value, value._fields[0], first)
-    with pytest.raises(AttributeError):
-        value.__dict__
+    if name == "Level":  # its one instance dict, for the closed_form memo
+        assert vars(value) == {}
+    else:
+        with pytest.raises(AttributeError):
+            value.__dict__
     with pytest.raises(TypeError):
         dataclasses.replace(value)
     with pytest.raises(TypeError):
         dataclasses.asdict(value)
 
 
-@pytest.mark.parametrize("value", [make_state(1, -2, 0.5), Level.from_label("2P3/2")],
-                         ids=["RelativisticState", "Level"])
-def test_state_and_level_stay_frozen_dataclasses(value):
-    assert dataclasses.is_dataclass(value) and not isinstance(value, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        value.label = "1S1/2"
-    assert isinstance(value, (RelativisticState, Level))
+def test_level_memo_stays_outside_eq_hash_and_repr():
+    warm, cold = Level.from_label("2P3/2"), Level.from_label("2P3/2")
+    memo = warm.closed_form
+    assert vars(warm) == {"closed_form": memo} and vars(cold) == {}
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert tuple(warm) == tuple(cold) and len(warm) == len(Level._fields)
+    assert "closed_form" not in repr(warm)
+    # a copy is the same tuple; a pickle carries the memo along
+    assert copy.copy(warm) == warm
+    assert pickle.loads(pickle.dumps(warm)).closed_form == memo
+    with pytest.raises(AttributeError):
+        warm.label = "1S1/2"
 
 
 # (a valid instance, fields that make it invalid, the error the constructor
