@@ -11,8 +11,7 @@ unexpected validation mismatch from the verify suite.
 A handler imports the modules it computes with, so a request loads only
 those: levels needs constants, errors, specfun and dirac; shift, bound and
 sweep add shifts; nonrel adds shifts and nonrel; only verify loads oracle.
-argparse is imported by build_parser, so importing this module does not
-load it.
+One option table parses the command line; no request imports a parser library.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import json
 import math
 import re
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
@@ -71,83 +71,103 @@ def parse_half_integer(text: str) -> float:
     return value
 
 
-def _argument(parse):
-    """parse as an argparse type; argparse prints an ArgumentTypeError's text."""
-    import argparse
-
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ValidationError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return convert
+def _format(text: str) -> str:
+    if text not in ("table", "json"):
+        raise ValidationError(f"invalid choice: {text!r} (choose from 'table', 'json')")
+    return text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
+# The command line.  An option is flag -> (conversion, default or REQUIRED,
+# help); a subcommand is name -> (summary, its label as usage writes it: "",
+# "[LABEL]" or "LABEL", options).  Every subcommand takes the global flags too.
+REQUIRED = ...
+THETA_HELP = "theta in eV^-2 or '(X GeV)^-2'"
+GLOBAL_FLAGS = {
+    "--constants-file": (str, None, "JSON file overriding m_e/alpha/lambda_qcd"),
+    "--format": (_format, "table", "output format: table (default) or json"),
+    "--out": (str, None, "write output to this path instead of stdout")}
+SUBCOMMANDS = {
+    "levels": ("exact level energies", "[LABEL]", {
+        "--n-r": (int, None, "radial quantum number (with --kappa)"),
+        "--kappa": (int, None, "angular quantum number (with --n-r)")}),
+    "shift": ("first-order theta shifts of a level", "LABEL", {
+        "--theta": (str, REQUIRED, THETA_HELP)}),
+    "bound": ("theta bound from a level splitting", "LABEL", {
+        "--accuracy-khz": (float, LAMB_ACCURACY_2P_HZ / 1e3, "accuracy of the splitting, kHz")}),
+    "nonrel": ("nonrelativistic corrections", "", {
+        "--n": (int, REQUIRED, "principal quantum number, >= 1"),
+        "--l": (int, REQUIRED, "orbital quantum number, 0 <= l < n"),
+        "--j": (parse_half_integer, REQUIRED, "total angular momentum l +/- 1/2, as 5/2 or 2.5"),
+        "--mj": (parse_half_integer, REQUIRED, "magnetic quantum number, |mj| <= j"),
+        "--theta": (str, REQUIRED, THETA_HELP),
+        "--lambda-qcd": (float, None, "cutoff in eV for the l = 0 channel")}),
+    "sweep": ("shift table over a theta range", "", {
+        "--theta-min": (str, REQUIRED, "first theta, " + THETA_HELP),
+        "--theta-max": (str, REQUIRED, "last theta, " + THETA_HELP),
+        "--steps": (int, REQUIRED, "number of theta values, >= 2"),
+        "--levels": (str, "2P1/2,2P3/2", "comma-separated level labels")}),
+    "verify": ("run the validation suite", "", {})}
 
-    class _Parser(argparse.ArgumentParser):
-        # argparse exits 2 on usage errors by default; the contract is 1.  A
-        # negative fraction or exponent form such as -3/2 or -1e-19 is a value,
-        # as -1.5 is, not an option.
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?(/\d+)?$")
 
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            print(f"{self.prog}: error: {message}", file=sys.stderr)
-            raise SystemExit(1)
+def _help(command) -> str:
+    """The usage line, then one row per subcommand (top level) or per option."""
+    summary, label, options = SUBCOMMANDS.get(command) or (
+        "Hydrogen levels and their noncommutative-space shifts", "",
+        {name: (None, None, entry[0]) for name, entry in SUBCOMMANDS.items()})
+    usage = ["usage: nchydro", command or "{" + ",".join(SUBCOMMANDS) + "}", label, "[options]"]
+    rows = {label: (None, None, "spectroscopic label like 2P3/2")} if label else {}
+    rows = {**rows, **options, **GLOBAL_FLAGS, "-h, --help": (None, None, "print this help")}
+    width = max(map(len, rows))
+    return f"{' '.join(filter(None, usage))}\n\n{summary}\n\n" + "".join(
+        f"  {key:<{width}}  {text}{' (required)' * (default is REQUIRED)}\n"
+        for key, (_, default, text) in rows.items())
 
-    def _global_flags() -> argparse.ArgumentParser:
-        # No defaults here: the subcommand's copy of a flag that is not given
-        # must not overwrite the value given before the subcommand.
-        common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
-        common.add_argument("--constants-file", help="JSON file overriding m_e/alpha/lambda_qcd")
-        common.add_argument("--format", choices=("table", "json"))
-        common.add_argument("--out", help="write output to this path instead of stdout")
-        return common
 
-    parser = _Parser(prog="nchydro", parents=[_global_flags()],
-                     description="Hydrogen levels and their noncommutative-space shifts")
-    parser.set_defaults(constants_file=None, format="table", out=None)
-    common = _global_flags()
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(command, message: str):
+    print(f"{_help(command).splitlines()[0]}\nnchydro: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
 
-    p_levels = sub.add_parser("levels", parents=[common], help="exact level energies")
-    p_levels.add_argument("label", nargs="?", help="spectroscopic label like 2P3/2")
-    p_levels.add_argument("--n-r", type=int, help="radial quantum number (with --kappa)")
-    p_levels.add_argument("--kappa", type=int, help="angular quantum number (with --n-r)")
 
-    p_shift = sub.add_parser("shift", parents=[common],
-                             help="first-order theta shifts of a level")
-    p_shift.add_argument("label")
-    p_shift.add_argument("--theta", required=True,
-                         help="theta in eV^-2 or '(X GeV)^-2'")
-
-    p_bound = sub.add_parser("bound", parents=[common],
-                             help="theta bound from a level splitting")
-    p_bound.add_argument("label")
-    p_bound.add_argument("--accuracy-khz", type=float, default=LAMB_ACCURACY_2P_HZ / 1e3)
-
-    p_nonrel = sub.add_parser("nonrel", parents=[common], help="nonrelativistic corrections")
-    p_nonrel.add_argument("--n", type=int, required=True)
-    p_nonrel.add_argument("--l", type=int, required=True)
-    p_nonrel.add_argument("--j", type=_argument(parse_half_integer), required=True)
-    p_nonrel.add_argument("--mj", type=_argument(parse_half_integer), required=True)
-    p_nonrel.add_argument("--theta", required=True)
-    p_nonrel.add_argument("--lambda-qcd", type=float, default=None,
-                          help="cutoff in eV for the l = 0 channel")
-
-    p_sweep = sub.add_parser("sweep", parents=[common], help="shift table over a theta range")
-    p_sweep.add_argument("--theta-min", required=True)
-    p_sweep.add_argument("--theta-max", required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--levels", default="2P1/2,2P3/2",
-                         help="comma-separated level labels")
-
-    sub.add_parser("verify", parents=[common], help="run the validation suite")
-    return parser
+def parse_args(argv=None) -> SimpleNamespace:
+    """argv (sys.argv[1:] for None) as the handlers' namespace, over SUBCOMMANDS."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    command, kind, label, values, options = None, "", None, {}, GLOBAL_FLAGS
+    while tokens:
+        token = tokens.pop(0)
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        if token.startswith("--"):
+            flag, equals, text = token.partition("=")
+            if flag not in options:
+                _usage_error(command, f"unrecognized option: {flag}")
+            if not equals:  # the value is the next token, unless that is an option
+                if not tokens or tokens[0].startswith("--"):
+                    _usage_error(command, f"argument {flag}: expected one argument")
+                text = tokens.pop(0)
+            try:
+                values[flag] = options[flag][0](text)
+            except ValidationError as exc:
+                _usage_error(command, f"argument {flag}: {exc}")
+            except ValueError:  # from int or float
+                name = options[flag][0].__name__
+                _usage_error(command, f"argument {flag}: invalid {name} value: {text!r}")
+        elif command is None:
+            if token not in SUBCOMMANDS:
+                _usage_error(None, f"argument command: invalid choice: {token!r}")
+            command, kind = token, SUBCOMMANDS[token][1]
+            options = {**GLOBAL_FLAGS, **SUBCOMMANDS[token][2]}
+        elif label is not None or not kind:
+            _usage_error(command, f"unrecognized argument: {token}")
+        else:
+            label = token
+    missing = ["command"] * (command is None) + ["label"] * (kind == "LABEL" and label is None)
+    missing += [flag for flag, (_, default, _) in options.items()
+                if default is REQUIRED and flag not in values]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(command=command, label=label, **{
+        flag[2:].replace("-", "_"): values.get(flag, entry[1]) for flag, entry in options.items()})
 
 
 class Output(NamedTuple):
@@ -310,7 +330,7 @@ def cmd_verify(args, constants: PhysicalConstants) -> Output:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         constants, lambda_qcd = (read_constants_file(args.constants_file) if args.constants_file
                                  else (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV))

@@ -114,11 +114,11 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
 
 
 def check_integer(name: str, value, minimum: int | None = None):
-    """Reject value unless it is an integer (not a bool) and >= minimum."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Reject value unless it is an integer (not a bool), finite as a float and >= minimum."""
+    if not (isinstance(value, numbers.Integral) and finite_real(value)
             and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f"{name} must be an integer{bound}, got {shown(value)}")
+        raise ValidationError(f"{name} must be a finite integer{bound}, got {shown(value)}")
 
 
 def kappa_to_lj(kappa: int) -> tuple[int, float]:

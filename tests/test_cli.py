@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nchydro
-from nchydro.cli import build_parser, main, parse_half_integer, parse_theta
+from nchydro.cli import GLOBAL_FLAGS, SUBCOMMANDS, main, parse_half_integer, parse_theta
 from nchydro.constants import read_constants_file
 from nchydro.errors import ValidationError
 from nchydro.shifts import level_shift
@@ -113,9 +113,103 @@ class TestGlobalFlags:
         section = text.split("Global flags work before or after the subcommand:")[1]
         section = section.split("Exit codes:")[0]
         documented = set(re.findall(r"^\* `(--[a-z-]+)", section, re.MULTILINE))
-        parsed = {opt for action in build_parser()._actions
-                  for opt in action.option_strings if opt != "--help"} - {"-h"}
-        assert documented == parsed
+        assert documented == set(GLOBAL_FLAGS)
+
+    @pytest.mark.parametrize("first, last", [("table", "json"), ("json", "table")])
+    def test_the_last_one_given_wins(self, capsys, first, last):
+        code, out, _ = run_cli(capsys, "--format", first, "levels", "1S1/2", "--format", last)
+        assert code == 0
+        assert out.startswith("{") == (last == "json")
+
+    def test_main_reads_sys_argv_without_an_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["nchydro", "levels", "1S1/2", "--format", "json"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["label"] == "1S1/2"
+
+
+USAGE_LINE = re.compile(r"usage: nchydro \S+( \[?LABEL\]?)? \[options\]")
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["levels", "2P3/2", "--bogus", "1"], "unrecognized option: --bogus"),
+    # options are spelled in full: a unique prefix is not the option
+    (["bound", "2P3/2", "--acc", "0.08"], "unrecognized option: --acc"),
+    (["bound", "2P3/2", "--acc=0.08"], "unrecognized option: --acc"),
+    (["shift", "2P3/2"], "the following arguments are required: --theta"),
+    (["shift", "--theta", "1e-19"], "the following arguments are required: label"),
+    (["nonrel", "--n", "3", "--l", "2", "--theta", "1e-19"],
+     "the following arguments are required: --j, --mj"),
+    (["levels", "2P3/2", "3D5/2"], "unrecognized argument: 3D5/2"),
+    (["verify", "all"], "unrecognized argument: all"),
+    (["shift", "2P3/2", "--theta"], "argument --theta: expected one argument"),
+    # a token that begins with -- is never taken as a value
+    (["shift", "2P3/2", "--theta", "--format", "json"], "argument --theta: expected one argument"),
+    (["nonrel", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["bound", "2P3/2", "--accuracy-khz", "fast"],
+     "argument --accuracy-khz: invalid float value: 'fast'"),
+    (["--format=csv", "levels", "2P3/2"],
+     "argument --format: invalid choice: 'csv' (choose from 'table', 'json')"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no-arguments" for argv, _ in USAGE_ERRORS])
+def test_usage_error_prints_usage_and_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert USAGE_LINE.fullmatch(usage), usage
+    assert error == f"nchydro: error: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "--n-r", "1", "--kappa", "-1"],
+    ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "-5/2", "--theta", "1e-19"],
+    ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "-2.5", "--theta", "1e-19"],
+], ids=" ".join)
+def test_a_value_may_begin_with_a_minus(capsys, argv):
+    joined = [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
+    separate = run_cli(capsys, *argv, "--format", "json")
+    assert separate == run_cli(capsys, argv[0], *joined, "--format", "json")
+    assert separate[0] == 0 and separate[2] == ""
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_lists_the_subcommands(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: nchydro ")
+    listed = re.findall(r"^  ([a-z]+)  +(.*)$", captured.out, re.MULTILINE)
+    assert listed == [(name, entry[0]) for name, entry in SUBCOMMANDS.items()]
+    assert len(listed) == 6
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_subcommand_help_lists_every_option(capsys, command, flag):
+    # -h after the subcommand, after a global flag or an option's value, and
+    # before an unknown option that is never read
+    argv = (["--format", "json", command, flag] if command != "shift"
+            else ["shift", "2P3/2", "--theta", "1e-19", flag, "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summary, label, options = SUBCOMMANDS[command]
+    assert captured.out.startswith(f"usage: nchydro {command} ")
+    assert f"\n{summary}\n" in captured.out
+    listed = dict(re.findall(r"^  (--[a-z-]+)  +(.*)$", captured.out, re.MULTILINE))
+    assert set(listed) == set(options) | set(GLOBAL_FLAGS)
+    for name, (_, _, text) in {**options, **GLOBAL_FLAGS}.items():
+        assert listed[name].startswith(text)
+    assert (f"\n  {label} " in captured.out) == bool(label)
 
 
 @pytest.mark.parametrize("argv", [
@@ -579,12 +673,18 @@ def test_numpy_imported_first_is_detected():
 
 
 def test_import_does_not_load_argparse():
-    # only main parses arguments; a library caller of nchydro.cli never does.
-    # The positive control: a request is seen to load argparse.
+    # cli parses its own option table; argparse would pull in gettext and,
+    # on its first message, locale.  The positive controls: a prelude that
+    # imports argparse is seen to load it, and one that parses with it all three.
     result = _run_python("import sys\nimport nchydro.cli\nprint('argparse' in sys.modules)\n")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
-    assert "argparse" in _loaded_modules(["levels", "2P3/2"])
+    assert "argparse" in _loaded_modules(["levels", "2P3/2"], prelude="import argparse\n")
+    modules = {"argparse", "gettext", "locale"}
+    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, [
+        "nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"])
+    assert modules <= _loaded_modules(["levels", "2P3/2"], prelude=(
+        "import argparse\nargparse.ArgumentParser().parse_args([])\n"))
 
 
 # The nchydro modules a request loads: the CLI and what levels computes with,

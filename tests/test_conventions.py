@@ -166,6 +166,13 @@ POSITION_ENTRY_POINTS = {
     "ThetaTensor-space_vector": lambda x: ThetaTensor(space_vector=(0.0, x, 1.0e-19)),
     "ThetaTensor-time_row": lambda x: ThetaTensor((0.0, 0.0, 1.0e-19), time_row=(x, 0.0, 0.0)),
 }
+# Integers beyond the float range: check_integer rejects them before any
+# float conversion could raise OverflowError
+HUGE_QUANTUM_NUMBERS = [
+    pytest.param(make_state, (10**400, -1, 0.5), id="huge-n_r"),
+    pytest.param(make_state, (0, 10**400, 0.5), id="huge-kappa"),
+    pytest.param(lz_expectation, (1.5, 10**400, 0.5), id="huge-l"),
+]
 REJECTED = (
     [pytest.param(call, (l, j), id=f"{name}-l{l}-j{j}")
      for name, call in PAIR_ENTRY_POINTS.items() for l, j in BAD_PAIRS]
@@ -198,6 +205,7 @@ REJECTED = (
     + [pytest.param(call, (math.nan, 1), id=f"{call.__name__}-jnan")
        for call in (lz_block, lz_block_numeric)]
     + [pytest.param(sigma_cross_block, ("2S1/2", "2P1/2"), id="sigma_cross_block-labels")]
+    + HUGE_QUANTUM_NUMBERS
 )
 
 
@@ -219,6 +227,7 @@ LONG_REJECTED = (
        pytest.param(kappa_to_lj, ("1" * 1000,), id="kappa_to_lj-long-str"),
        pytest.param(lj_to_kappa, (1, 10**400), id="lj_to_kappa-j-huge-int"),
        pytest.param(make_state, (0, -1, 10**400), id="make_state-M-huge-int")]
+    + HUGE_QUANTUM_NUMBERS
 )
 
 
