@@ -66,6 +66,8 @@ def parse_half_integer(text: str) -> float:
             value = float(text)
     except ZeroDivisionError:
         raise ValidationError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValidationError(f"cannot parse {text!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{text!r} is not finite")
     return value

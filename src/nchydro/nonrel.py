@@ -29,6 +29,7 @@ number that does not exist is None, not inf: inf or NaN means overflow.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
@@ -134,6 +135,33 @@ def r_inverse_moment(n: int, l: int, k: int,
     return 1.0 / (3.0 * a0 ** 5 * n ** 3) / ((l + 2.0) * (l - 1.0) * (l + 0.5)) * bracket
 
 
+def _moment_integrands(n: int, l: int, ks) -> list:
+    """The integrands x^(2l+2-k) L_{n-l-1}^{2l+1}(x)^2 of <r^-k>, one per k
+    of ks, in x = 2r / (n a0) against e^-x: functions of a float x that
+    share one laguerre_general evaluation per x."""
+    lag = {}
+
+    def integrand(power, x):
+        if x not in lag:
+            lag[x] = laguerre_general(n - l - 1, 2 * l + 1, x)
+        return x ** power * lag[x] * lag[x]
+
+    return [partial(integrand, 2 * l + 2 - k) for k in ks]
+
+
+def _moment_quadratures(n: int, l: int, ks, constants: PhysicalConstants,
+                        order: int | None = None) -> list[float]:
+    """<r^-k> for each k of ks by Gauss-Laguerre quadrature of
+    int R^2 r^(2-k) dr on the order-node rule (default n), with one
+    laguerre_general evaluation per node for all of them; each sum is
+    math.fsum."""
+    a0 = constants.bohr_radius
+    rule = gauss_laguerre(n if order is None else order)
+    norm = _radial_norm(n, l, a0) ** 2
+    return [rule.integrate(integrand) * norm * (n * a0 / 2.0) ** (3 - k)
+            for k, integrand in zip(ks, _moment_integrands(n, l, ks))]
+
+
 def r_inverse_moment_quadrature(n: int, l: int, k: int,
                                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
                                 order: int | None = None, check: bool = True) -> float:
@@ -143,22 +171,13 @@ def r_inverse_moment_quadrature(n: int, l: int, k: int,
     x^(2l+2-k) L_{n-l-1}^{2l+1}(x)^2 is a polynomial of degree 2n - k, so
     the n-node rule is exact.  With check=True the divergent cases raise
     DivergenceError up front (their x-space exponent 2l + 2 - k falls to -1
-    or below); with check=False the raw finite sample is returned, which
-    lets callers probe the non-convergence directly.  The sum is math.fsum.
+    or below); with check=False the raw finite sample is returned.  The
+    value is _moment_quadratures', as the oracle reports it.
     """
     _check_nl(n, l)
     if check:
         _moment_precondition(l, k)
-    a0 = constants.bohr_radius
-    power = 2 * l + 2 - k
-
-    def integrand(x):
-        lag = laguerre_general(n - l - 1, 2 * l + 1, x)
-        return x ** power * lag * lag
-
-    val = gauss_laguerre(n if order is None else order).integrate(integrand)
-    norm = _radial_norm(n, l, a0) ** 2
-    return val * norm * (n * a0 / 2.0) ** (3 - k)
+    return _moment_quadratures(n, l, (k,), constants, order)[0]
 
 
 def expectation_p4_physical(n: int, l: int,

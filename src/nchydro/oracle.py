@@ -11,22 +11,27 @@ from its defining integral and compared:
   Gauss rule (gauss_laguerre) for each integral's own weight x^beta e^-x,
   beta = 2nu - 3 for the radial integral and 2nu for the norm (also
   norm_self_consistency, every state), with the integrand from
-  radial_polynomials; the rule is exact for these polynomials, so the gap
-  between the routes is rounding.  For |kappa| = 1 and the 2S-2P cross
-  element the endpoint-substituted plain rule (tested against numpy's
-  Golub-Welsch rule) is sampled at orders 80 and 160 and the drift is the gap
-  between the two samples; those integrals diverge at the origin, which
-  is detected rather than hidden, and reported as a flagged inconsistency
-  because the closed forms quote finite values there.
+  radial_polynomials evaluated once per node for the sum and the diff, and
+  the norm integral taken once per state; the rule is exact for these
+  polynomials, so the gap between the routes is rounding.  For |kappa| = 1
+  and the 2S-2P cross element the endpoint-substituted plain rule (tested
+  against numpy's Golub-Welsch rule) is sampled at orders 80 and 160 and
+  the drift is the gap between the two samples; those integrals diverge
+  at the origin, which is detected rather than hidden, and reported as a
+  flagged inconsistency because the closed forms quote finite values
+  there.
 * angular blocks: sums over the 16-node Gauss-Legendre rule in cos(theta)
-  (specfun.sphere_rule), with the phi integral taken exactly, against the
+  (specfun._SPHERE_RULE), with the phi integral taken exactly, against the
   closed-form blocks, including the parity zeros; the rule is exact for
   these blocks.
 * inverse-radius moments: closed forms against direct quadrature on the
   n-node Gauss-Laguerre rule, which is exact for every finite moment; the
   divergent (n, l, k) combinations must be detected on both paths, the
-  numerical one by the gap between samples at 16 and 32 nodes.  A divergent
-  moment's report has closed_form, quadrature and quad_drift None, not inf.
+  numerical one by the gap between the endpoint samples at 80 and 160
+  nodes (adaptive_sampled_endpoint, the same tables as the |kappa| = 1
+  integrals).  Each rule evaluates the Laguerre polynomial of an (n, l)
+  once per node for all its k.  A divergent moment's report has
+  closed_form, quadrature and quad_drift None, not inf.
 
 Every route here is pure Python and never loads numpy: the Gauss rules
 and the sphere rule are float tuples, each quadrature sum is the math.fsum
@@ -39,16 +44,19 @@ cases where the printed closed forms cannot agree with their definitions.
 
 from __future__ import annotations
 
+import math
+from functools import partial
+from operator import mul
 from typing import NamedTuple
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac import _exact_series, make_state, radial_polynomials
 from .errors import DivergenceError, ValidationError
-from .nonrel import r_inverse_moment, r_inverse_moment_quadrature
+from .nonrel import _moment_integrands, _moment_quadratures, r_inverse_moment
 from .shifts import (Level, _radial_pair, cross_radial_integral_closed,
                      cross_radial_integral_quadrature, lz_block, lz_block_numeric,
                      radial_integral_closed, sigma_cross_block)
-from .specfun import gauss_laguerre
+from .specfun import adaptive_sampled_endpoint, gauss_laguerre
 
 __all__ = [
     "ValidationReport",
@@ -93,23 +101,24 @@ def _rel(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_integral(state, beta: float, sign: float) -> float:
-    """int x^beta e^-x (P_f^2 + sign P_g^2) dx on the n_r + 2 node Gauss
-    rule for its own weight x^beta e^-x, exact for the degree-2 n_r
-    polynomials of radial_polynomials, summed by math.fsum."""
-    def integrand(x):
-        pf, pg = radial_polynomials(state, x)
-        return pf * pf + sign * pg * pg
+def _gauss_sums(state, beta: float) -> tuple[float, float]:
+    """(sum, diff): int x^beta e^-x (P_f^2 +/- P_g^2) dx on the n_r + 2 node
+    Gauss rule for its own weight x^beta e^-x, exact for the degree-2 n_r
+    polynomials of radial_polynomials, from one evaluation of them per
+    node; each sum is math.fsum."""
+    rule = gauss_laguerre(state.n_r + 2, beta)
+    at = partial(radial_polynomials, state)
+    squares = [(pf * pf, pg * pg) for pf, pg in map(at, rule.nodes)]
+    return (math.fsum(map(mul, rule.weights, [f + g for f, g in squares])),
+            math.fsum(map(mul, rule.weights, [f - g for f, g in squares])))
 
-    return gauss_laguerre(state.n_r + 2, beta).integrate(integrand)
 
-
-def _gauss_route(state, sign: float) -> float:
-    """int (f^2 + sign g^2)/r dr in eV^3 on Gauss rules instead of the
-    library's Laguerre series, for nu > 1: the defining integral
-    (beta = 2 nu - 3) over the norm integral (beta = 2 nu)."""
-    return ((2.0 * state.lam) ** 3 * _gauss_integral(state, 2.0 * state.nu - 3.0, sign)
-            / _gauss_integral(state, 2.0 * state.nu, 1.0))
+def _gauss_pair(state) -> tuple[float, float]:
+    """(sum, diff): int (f^2 +/- g^2)/r dr in eV^3 on Gauss rules instead of
+    the library's Laguerre series, for nu > 1: the defining integrals
+    (beta = 2 nu - 3) over the norm integral (beta = 2 nu), taken once."""
+    scale, norm = (2.0 * state.lam) ** 3, _gauss_sums(state, 2.0 * state.nu)[0]
+    return tuple(scale * value / norm for value in _gauss_sums(state, 2.0 * state.nu - 3.0))
 
 
 def validate_radial(n_r: int, kappa: int, kind: str = "sum",
@@ -117,7 +126,7 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
     """Validate one radial integral by a second quadrature route.
 
     The quadrature runs once per state.  For |kappa| >= 2 its value, the
-    Laguerre series, is compared with _gauss_route, and the relative gap
+    Laguerre series, is compared with _gauss_pair, and the relative gap
     between the two is the drift; for |kappa| = 1 and the cross element
     the drift is the gap between the samples at orders 80 and 160 of an
     integral that diverges at the origin.
@@ -135,10 +144,10 @@ def validate_radial(n_r: int, kappa: int, kind: str = "sum",
 
 def _state_reports(state, kinds=("sum", "diff")) -> list[ValidationReport]:
     # validate_radial's report of each kind, all from one _radial_pair
-    pair, exact = _radial_pair(state), _exact_series(state)
+    pair = _radial_pair(state)
+    gauss = _gauss_pair(state) if _exact_series(state) else (None, None)
     return [_radial_report(f"radial {kind} {state.label}", radial_integral_closed(state, kind),
-                           pair[kind == "diff"],
-                           _gauss_route(state, 1.0 if kind == "sum" else -1.0) if exact else None)
+                           pair[kind == "diff"], gauss[kind == "diff"])
             for kind in kinds]
 
 
@@ -228,14 +237,6 @@ def validate_angular(label_a: str, label_b: str | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _moment_diverges_numerically(n: int, l: int, k: int,
-                                 constants: PhysicalConstants) -> bool:
-    # positive drift between two quadrature orders marks a divergent moment
-    lo = r_inverse_moment_quadrature(n, l, k, constants, order=16, check=False)
-    hi = r_inverse_moment_quadrature(n, l, k, constants, order=32, check=False)
-    return _rel(lo, hi) > MOMENT_TOL
-
-
 def validate_moments(n: int, l: int,
                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[ValidationReport]:
     """Validate <r^-k> for k = 3, 4, 5 at one (n, l).
@@ -243,16 +244,26 @@ def validate_moments(n: int, l: int,
     Finite moments must match quadrature at tolerance; the integrand
     x^(2l+2-k) L^2 is a polynomial of degree 2n - k, so the n-node
     Gauss-Laguerre rule is exact for it.  Divergent ones must be rejected
-    by the closed form and non-convergent numerically: their samples at 16
-    and 32 nodes must differ by more than the tolerance.
+    by the closed form and non-convergent numerically: their endpoint
+    samples at 80 and 160 nodes (adaptive_sampled_endpoint) must differ by
+    more than the tolerance.  Each rule evaluates L once per node for all
+    the k it serves.
     """
+    closed = {}
+    for k in (3, 4, 5):
+        try:
+            closed[k] = r_inverse_moment(n, l, k, constants)
+        except DivergenceError:
+            pass
+    finite, divergent = list(closed), [k for k in (3, 4, 5) if k not in closed]
+    quads = dict(zip(finite, _moment_quadratures(n, l, finite, constants) if finite else ()))
+    drifts = dict(zip(divergent, (adaptive_sampled_endpoint(integrand).drift
+                                  for integrand in _moment_integrands(n, l, divergent))))
     reports = []
     for k in (3, 4, 5):
         name = f"moment <r^-{k}> (n={n}, l={l})"
-        try:
-            closed = r_inverse_moment(n, l, k, constants)
-        except DivergenceError:
-            detected = _moment_diverges_numerically(n, l, k, constants)
+        if k in drifts:
+            detected = drifts[k] > MOMENT_TOL
             reports.append(ValidationReport(
                 name=name, closed_form=None, quadrature=None,
                 rel_error=0.0, quad_drift=None,
@@ -260,10 +271,9 @@ def validate_moments(n: int, l: int,
                 note="divergent moment detected on both paths" if detected
                 else "closed form rejected the moment but quadrature converged"))
             continue
-        quad = r_inverse_moment_quadrature(n, l, k, constants)
-        gap = _rel(closed, quad)
+        gap = _rel(closed[k], quads[k])
         reports.append(ValidationReport(
-            name=name, closed_form=closed, quadrature=quad, rel_error=gap,
+            name=name, closed_form=closed[k], quadrature=quads[k], rel_error=gap,
             quad_drift=0.0,
             verdict=VERDICT_MATCH if gap <= MOMENT_TOL else VERDICT_MISMATCH,
             note="" if gap <= MOMENT_TOL else f"closed vs quadrature gap {gap:.2e}"))
@@ -302,5 +312,5 @@ def norm_self_consistency(n_r: int, kappa: int,
     series, here on the n_r + 2 node Gauss rule for its weight x^(2 nu) e^-x
     (exact for it, and independent of the series)."""
     state = make_state(n_r, kappa, 0.5, constants)
-    return (state.norm ** 2 * _gauss_integral(state, 2.0 * state.nu, 1.0)
+    return (state.norm ** 2 * _gauss_sums(state, 2.0 * state.nu)[0]
             / (2.0 * state.lam) ** 3)

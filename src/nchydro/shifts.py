@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
 from typing import NamedTuple
 
@@ -69,8 +69,8 @@ from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstant
 from .dirac import (RelativisticState, _exact_series, _overlap, _overlap_at, make_state,
                     parse_level_label)
 from .errors import DomainError, ValidationError
-from .specfun import (IntegrationResult, _spinor_profiles, adaptive_sampled_endpoint,
-                      check_magnetic, kappa_to_lj, lj_to_kappa, sphere_rule)
+from .specfun import (_SPHERE_RULE, IntegrationResult, _norm_legendre, _spinor_profiles,
+                      adaptive_sampled_endpoint, check_magnetic, kappa_to_lj, lj_to_kappa)
 
 __all__ = [
     "AngularBlock",
@@ -228,15 +228,25 @@ def lz_block(j: float, l: int) -> AngularBlock:
 
 def _sphere_block(bra: tuple[float, int], ket: tuple[float, int], act):
     """M basis and rows of floats <bra, M_a| O |ket, M_b> of two (j, l) waves
-    sharing j on sphere_rule; a spinor is _spinor_profiles' two (m, c,
+    sharing j on _SPHERE_RULE; a spinor is _spinor_profiles' two (m, c,
     profile) and act(spinor, sin_theta) applies O in that form.  A component
     pair's phi integral is 2 pi where the m match, else 0: an entry is 2 pi
-    times the fsum of c c' w p p' over the matching pairs."""
-    cos_theta, weights = sphere_rule()
+    times the fsum of c c' w p p' over the matching pairs.  Each wave's
+    profile of Y_lm is computed once per m, and the ket's spinors are the
+    bra's when the waves are equal."""
+    cos_theta, weights = _SPHERE_RULE
     sin_theta = [math.sqrt((1.0 - x) * (1.0 + x)) for x in cos_theta]
     basis = m_values(bra[0])
-    bras = [_spinor_profiles(*bra, M, cos_theta, sin_theta) for M in basis]
-    kets = [act(_spinor_profiles(*ket, M, cos_theta, sin_theta), sin_theta) for M in basis]
+
+    def spinors(j, l):
+        # M's lower component shares its m, and so its profile, with the
+        # upper component of M + 1
+        profile = {m: list(map(partial(_norm_legendre, l, m), cos_theta, sin_theta))
+                   for m in range(-l, l + 1)}.__getitem__
+        return [_spinor_profiles(j, l, M, profile) for M in basis]
+
+    bras = spinors(*bra)
+    kets = [act(spinor, sin_theta) for spinor in (bras if ket == bra else spinors(*ket))]
     return basis, tuple(tuple(2.0 * math.pi * math.fsum(
         c * d * w * p * q for (m_a, c, ps), (m_b, d, qs) in zip(u, k) if m_a == m_b
         for w, p, q in zip(weights, ps, qs)) for k in kets) for u in bras)

@@ -14,18 +14,22 @@ lj_to_kappa the one test of j = l +/- 1/2 and check_magnetic the one
 half-integer test.  dirac re-exports kappa_to_lj and lj_to_kappa.
 
 No module of the package imports numpy: the rules, harmonics and sums
-here are pure Python on floats and tuples.  Both Gauss rules (Laguerre and
-the Legendre sphere rule) take their nodes from one eigenvalue-only
-implicit QL on the Jacobi matrix and their weights from the scaled
-Christoffel sum.  laguerre_general also maps an ndarray x elementwise
-when a caller passes one.
+here are pure Python on floats and tuples.  The rules that depend on no
+input are float tables, written with repr: _ENDPOINT_RULES (the 80- and
+160-node endpoint rules) and _SPHERE_RULE (the 16-node Legendre rule);
+tests/rule_tables.py rebuilds them and checks every bit.  The Gauss-Laguerre
+rules, whose order and beta the caller chooses, are built at run time,
+once per (n, beta) in a process: nodes from an eigenvalue-only implicit QL
+on the Jacobi matrix, weights from the scaled Christoffel sum.
+laguerre_general also maps an ndarray x elementwise when a caller passes
+one.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
@@ -46,7 +50,6 @@ __all__ = [
     "gauss_laguerre",
     "adaptive_weighted",
     "adaptive_sampled_endpoint",
-    "sphere_rule",
 ]
 
 
@@ -161,18 +164,15 @@ def spinor_clebsch(j: float, l: int, M: float) -> tuple[float, float]:
     return c_up, c_dn
 
 
-def _spinor_profiles(j: float, l: int, M: float, cos_theta, sin_theta) -> tuple:
-    """spinor_harmonic's (upper, lower) components at the points
-    (cos_theta[i], sin_theta[i]): each is (m, c, profile), its value at
-    point i being c profile[i] e^{i m phi}, profile[i] the real theta factor
-    of Y_lm there.  A component with |m| > l or c = 0 vanishes: its c is
-    0.0 and its profile zeros."""
+def _spinor_profiles(j: float, l: int, M: float, profile) -> tuple:
+    """spinor_harmonic's (upper, lower) components at a set of points: each
+    is (m, c, p), its value at point i being c p[i] e^{i m phi}, where
+    p = profile(m) lists the real theta factor of Y_lm at the points.  A
+    component with |m| > l or c = 0 vanishes: its c is 0.0 and its p ()."""
     parts = []
     for c, m in zip(spinor_clebsch(j, l, M), spinor_orbital_m(M)):
         m = int(round(m))
-        kept = abs(m) <= l and c != 0.0
-        parts.append((m, c, list(map(partial(_norm_legendre, l, m), cos_theta, sin_theta)))
-                     if kept else (m, 0.0, [0.0] * len(cos_theta)))
+        parts.append((m, c, profile(m)) if abs(m) <= l and c != 0.0 else (m, 0.0, ()))
     return tuple(parts)
 
 
@@ -185,8 +185,10 @@ def spinor_harmonic(j: float, l: int, M: float, theta: float,
     theta and phi are finite reals; returns (upper, lower).
     """
     _check_angles(theta, phi)
+    cos_theta, sin_theta = math.cos(theta), math.sin(theta)
     return tuple(c * (p[0] * complex(math.cos(m * phi), math.sin(m * phi))) if c else 0j
-                 for m, c, p in _spinor_profiles(j, l, M, (math.cos(theta),), (math.sin(theta),)))
+                 for m, c, p in _spinor_profiles(j, l, M, lambda m: (
+                     _norm_legendre(l, m, cos_theta, sin_theta),)))
 
 
 def spinor_orbital_m(M: float) -> tuple[float, float]:
@@ -337,64 +339,83 @@ def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
     return IntegrationResult(value=prev, order=order, drift=drift, converged=False)
 
 
-@lru_cache(maxsize=None)
-def _endpoint_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The n-node plain Gauss-Laguerre rule after x = t^2, in floats: x = t^2
-    and w = 2 t w_t e^(t - t^2), w_t = 1 / (t L_n'(t)^2), for the ascending
-    roots t of L_n up to the first w that underflows to 0.  Each root is
-    found by Halley steps on the three-term recurrence (L'' from Laguerre's
-    equation), started from Tricomi's t ~ j^2 / v (1 + (j^2 - 2) / (3 v^2)),
-    v = 4n + 2, with McMahon's i-th zero j of the Bessel J_0."""
-    # L_{k+1} = (a_k - b_k t) L_k - c_k L_{k-1}
-    steps = [((2.0 * k + 1.0) / (k + 1.0), 1.0 / (k + 1.0), k / (k + 1.0))
-             for k in range(1, n)]
-    v = 4.0 * n + 2.0
-    rule = []
-    for i in range(1, n + 1):
-        b = (i - 0.25) * math.pi
-        j = b + 1.0 / (8.0 * b) - 124.0 / (3.0 * (8.0 * b) ** 3)
-        t = j * j / v * (1.0 + (j * j - 2.0) / (3.0 * v * v))
-        for _ in range(8):
-            prev, cur = 1.0, 1.0 - t  # L_0, L_1
-            for a_k, b_k, c_k in steps:
-                prev, cur = cur, (a_k - b_k * t) * cur - c_k * prev
-            d1 = n * (cur - prev) / t  # L_n' = n (L_n - L_{n-1}) / t
-            d2 = ((t - 1.0) * d1 - n * cur) / t
-            step = cur / d1 / (1.0 - cur * d2 / (2.0 * d1 * d1))
-            t -= step
-            if abs(step) <= 1e-10 * t:
-                break
-        d1 -= d2 * step  # L_n' at the final t
-        w = 2.0 * math.exp(t - t * t) / (d1 * d1)  # 2 t w_t e^(t - t^2)
-        if w == 0.0:
-            break
-        rule.append((t * t, w))
-    return tuple(zip(*rule))
+# The endpoint rules of adaptive_sampled_endpoint, order n -> (x, w): the
+# n-node plain Gauss-Laguerre rule after the substitution x = t^2, with
+# x = t^2 and w = 2 t w_t e^(t - t^2) at the ascending roots t of L_n (w_t
+# the plain rule's weight), kept up to the first w that underflows to 0 (29
+# of 80 nodes, 42 of 160).  tests/rule_tables.py rebuilds them by Halley
+# steps on L_n and checks every bit.
+_ENDPOINT_RULES = {
+    80: ((
+        0.0003225768051402857, 0.008956713131579001, 0.05411339877510493, 0.18661756135679808,
+        0.4800118311223397, 1.030697143147008, 1.95811797796368, 3.4049929699575725,
+        5.537591993420534, 8.546061090599308, 12.64479685977006, 18.072872188234815,
+        25.094515499531326, 33.99964598941108, 45.10446765469551, 58.752125276733224,
+        75.31342591105593, 95.18762986171988, 118.80331558809644, 146.61932350967416,
+        179.12578424775504, 216.84523747980862, 260.33384829194284, 310.18272870814735,
+        367.0193729640457, 431.5092160922585, 504.3573265128998, 586.3102445958439,
+        678.1579806042224,
+    ), (
+        0.0016551692816821678, 0.020131069326004367, 0.07433695252477111, 0.16495041453778134,
+        0.2500224097136498, 0.25587216266668444, 0.16390240068549938, 0.05844598570460807,
+        0.009984967595564437, 0.0006831569537353317, 1.5223436999697953e-05,
+        8.748797932015688e-08, 9.998294610706904e-11, 1.7059518387250793e-14,
+        3.1759625952738934e-19, 4.587052226338671e-25, 3.553387160009184e-32,
+        9.917839608962218e-41, 6.504882429484354e-51, 6.342634715914815e-63,
+        5.636571333467607e-77, 2.709291856506184e-93, 4.041352926131994e-112,
+        1.0364548518072485e-133, 2.44128913378676e-158, 2.7159627715808047e-186,
+        7.053771116351444e-218, 2.0278709438686387e-253, 2.9296463563998695e-293,
+    )),
+    160: ((
+        8.114596263240929e-05, 0.002252842534206393, 0.013607993523482739, 0.046914546488692324,
+        0.12062329696626746, 0.25887668075978904, 0.49152035596062643, 0.8541175454470243,
+        1.3879661523526956, 2.140118668443408, 3.1634048994523294, 4.51645753507715,
+        6.26374059495218, 8.475580785563102, 11.228201806799376, 14.603761650653531,
+        18.690392938488323, 23.582246347313724, 29.379537179653774, 36.1885951358526,
+        44.12191735207714, 53.29822477183479, 63.842521923550116, 75.88616018164632,
+        89.5669045936707, 105.02900436130167, 122.42326706859282, 141.90713675656565,
+        163.6447759492682, 187.80715174270094, 214.57212607457663, 244.1245502997673,
+        276.6563642035033, 312.366699591964, 351.4619886078493, 394.15607692688513,
+        440.67034200001444, 491.2338165152863, 546.0833172632258, 605.4635795997649,
+        669.6273977116886, 738.8357709010354,
+    ), (
+        0.0004164616415379265, 0.005097164137550567, 0.019462874751399715, 0.04766890186109808,
+        0.08995081199242334, 0.1389439759469744, 0.17813554527379932, 0.18765633022064815,
+        0.1584044197497962, 0.10333948370500902, 0.0498039388240831, 0.01681698285855228,
+        0.003746051261104767, 0.0005147886976365188, 4.054521875757495e-05, 1.689396973190779e-06,
+        3.415615086891558e-08, 3.0540259903684444e-10, 1.0937808180157004e-12,
+        1.4121922526715946e-15, 5.878590006507006e-19, 7.011702207959059e-23,
+        2.1160621256359647e-27, 1.4176864205647503e-32, 1.8380449722362764e-38,
+        3.9938607046714596e-45, 1.2512899424809172e-52, 4.830795456155385e-61,
+        1.9507843615680556e-70, 6.946973605654554e-81, 1.8265761103716478e-92,
+        2.94815381049479e-105, 2.4113486488235326e-119, 8.191500918624939e-135,
+        9.403279840561024e-152, 2.9457829230800333e-170, 2.0185724782606633e-190,
+        2.4065644123157767e-212, 3.939694921686305e-236, 6.934245919646209e-262,
+        1.0192099208837246e-289, 9.637e-320,
+    )),
+}
 
 
 def adaptive_sampled_endpoint(func, start: int = 80) -> IntegrationResult:
-    """Samples of int func(x) e^-x dx over (0, inf) at orders start and 2 start.
+    """Samples of int func(x) e^-x dx over (0, inf) at orders 80 and 160.
 
     Each sample is the plain Gauss-Laguerre rule after the substitution
-    x = t^2, which clusters nodes near an algebraic endpoint singularity;
-    func maps a float x to a float.  Meant for integrals the caller already
-    knows to diverge at the origin, where more nodes only move the sample,
-    so there is no refinement loop.  Reports the 2 start sample with
-    order = 2 start, the relative gap between the two samples as drift and
-    converged = drift <= 1e-10; for a divergent integrand converged is
-    False and the value is a sample, not a value of the integral.  The
-    rule's starting guesses for its roots need start >= 16.
+    x = t^2 (_ENDPOINT_RULES), which clusters nodes near an algebraic
+    endpoint singularity; func maps a float x to a float.  Meant for
+    integrals the caller already knows to diverge at the origin, where more
+    nodes only move the sample, so there is no refinement loop.  Reports
+    the 160 sample with order = 160, the relative gap between the two
+    samples as drift and converged = drift <= 1e-10; for a divergent
+    integrand converged is False and the value is a sample, not a value of
+    the integral.  Only start = 80 is accepted (the rules are tables); the
+    parameter stays because the benchmark's tracer reads it.
     """
-    if start < 16:
-        raise DomainError(f"adaptive_sampled_endpoint requires start >= 16, got {start}")
-
-    def sample(order):
-        nodes, weights = _endpoint_rule(order)
-        return math.fsum(map(mul, weights, map(func, nodes)))
-
-    prev, cur = sample(start), sample(2 * start)
+    if start != 80:
+        raise DomainError(f"adaptive_sampled_endpoint requires start = 80, got {start}")
+    prev, cur = (math.fsum(map(mul, weights, map(func, nodes)))
+                 for nodes, weights in (_ENDPOINT_RULES[80], _ENDPOINT_RULES[160]))
     drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
-    return IntegrationResult(value=cur, order=2 * start, drift=drift, converged=drift <= 1e-10)
+    return IntegrationResult(value=cur, order=160, drift=drift, converged=drift <= 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +423,23 @@ def adaptive_sampled_endpoint(func, start: int = 80) -> IntegrationResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def sphere_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The 16-node Gauss-Legendre rule (cos_theta, weights) on (-1, 1),
-    float tuples, by _golub_welsch: zero diagonal, off-diagonal
-    k / sqrt(4k^2 - 1), mass 2, so the weights sum to 2.
-
-    Exact for the angular blocks: their integrands are one e^{ik phi},
-    integer k, whose phi integral (2 pi for k = 0, else 0) is taken
-    exactly, times a polynomial in cos(theta) of degree at most
-    l_a + l_b + 1 between levels l_a and l_b; 16 nodes are exact to degree
-    31, so to l_a + l_b <= 30.
-    """
-    n = 16
-    return _golub_welsch([0.0] * n, [k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, n)],
-                         2.0, lambda x: 0.0)
+# The 16-node Gauss-Legendre rule (cos_theta, weights) on (-1, 1) of the
+# angular blocks; its weights sum to 2.  tests/rule_tables.py rebuilds it by
+# _golub_welsch (zero diagonal, off-diagonal k / sqrt(4k^2 - 1), mass 2) and
+# checks every bit.
+#
+# It is exact for the angular blocks: their integrands are one e^{ik phi},
+# integer k, whose phi integral (2 pi for k = 0, else 0) is taken exactly,
+# times a polynomial in cos(theta) of degree at most l_a + l_b + 1 between
+# levels l_a and l_b; 16 nodes are exact to degree 31, so to l_a + l_b <= 30.
+_SPHERE_RULE = ((
+    -0.9894009349916498, -0.9445750230732328, -0.8656312023878316, -0.7554044083550031,
+    -0.617876244402644, -0.4580167776572273, -0.2816035507792589, -0.09501250983763743,
+    0.09501250983763743, 0.281603550779259, 0.4580167776572274, 0.617876244402644,
+    0.7554044083550031, 0.8656312023878315, 0.9445750230732325, 0.98940093499165,
+), (
+    0.02715245941175428, 0.06225352393864768, 0.09515851168249294, 0.12462897125553386,
+    0.14959598881657674, 0.16915651939500254, 0.18260341504492364, 0.18945061045506847,
+    0.18945061045506847, 0.18260341504492358, 0.16915651939500254, 0.14959598881657674,
+    0.12462897125553386, 0.095158511682493, 0.06225352393864804, 0.027152459411753673,
+))

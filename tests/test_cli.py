@@ -94,6 +94,11 @@ class TestHalfIntegerParsing:
         assert captured.out == "" and "Traceback" not in captured.err
         assert f"error: argument --j: {message}\n" in captured.err
 
+    @pytest.mark.parametrize("text", ["x", "5/x", "1/2/3", ""])
+    def test_text_that_is_no_number_is_a_validation_error(self, text):
+        with pytest.raises(ValidationError, match=f"cannot parse {text!r}"):
+            parse_half_integer(text)
+
     @pytest.mark.parametrize("text", ["1e999", "-1e999", "nan", "inf/2"])
     def test_non_finite_is_a_validation_error(self, text):
         with pytest.raises(ValidationError, match="is not finite"):
@@ -145,6 +150,8 @@ USAGE_ERRORS = [
     # a token that begins with -- is never taken as a value
     (["shift", "2P3/2", "--theta", "--format", "json"], "argument --theta: expected one argument"),
     (["nonrel", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["nonrel", "--n", "3", "--l", "2", "--j", "x", "--mj", "1/2", "--theta", "1e-19"],
+     "argument --j: cannot parse 'x'"),
     (["bound", "2P3/2", "--accuracy-khz", "fast"],
      "argument --accuracy-khz: invalid float value: 'fast'"),
     (["--format=csv", "levels", "2P3/2"],

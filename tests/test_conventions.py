@@ -339,6 +339,9 @@ UNREFERENCED = {
     "dirac.deformed_potential": "waits on direction 3's 3-D route",
     "dirac.dirac_energy": "README library list",
     "dirac.radial_fg": "README library list",
+    "nonrel.r_inverse_moment_quadrature": "WRAPPED table of perfbench/tracer.py; "
+                                          "perfbench/child.py; the oracle's moment "
+                                          "reports equal it bit for bit",
     "oracle.norm_self_consistency": "acceptance-test import",
     "shifts.perturbation_kernels": "waits on direction 3's 3-D route",
     "shifts.radial_integral_quadrature": "README library list; WRAPPED table of "

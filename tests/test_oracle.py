@@ -1,12 +1,14 @@
 import pytest
 
-from nchydro import oracle, specfun
+from nchydro import nonrel, oracle, specfun
 from nchydro.cli import main
 from nchydro.constants import DEFAULT_CONSTANTS
+from nchydro.dirac import make_state
 from nchydro.errors import DivergenceError, ValidationError
-from nchydro.nonrel import r_inverse_moment, r_inverse_moment_quadrature
+from nchydro.nonrel import _moment_integrands, r_inverse_moment, r_inverse_moment_quadrature
 from nchydro.oracle import (norm_self_consistency, run_all, validate_angular,
                             validate_moments, validate_radial)
+from nchydro.specfun import _ENDPOINT_RULES, adaptive_sampled_endpoint, gauss_laguerre
 
 C = DEFAULT_CONSTANTS
 MOMENTS_N_LE_6 = [(n, l, k) for n in range(1, 7) for l in range(n) for k in (3, 4, 5)]
@@ -71,9 +73,9 @@ class TestValidateRadial:
         assert a == b
 
     def test_routes_that_disagree_are_a_mismatch(self, monkeypatch, capsys):
-        gauss_route = oracle._gauss_route
-        monkeypatch.setattr(oracle, "_gauss_route",
-                            lambda state, sign: gauss_route(state, sign) * (1.0 + 1e-6))
+        gauss_pair = oracle._gauss_pair
+        monkeypatch.setattr(oracle, "_gauss_pair", lambda state: tuple(
+            value * (1.0 + 1e-6) for value in gauss_pair(state)))
         report = validate_radial(0, -2, "sum")
         assert report.verdict == "mismatch"
         assert "Laguerre series and Gauss rule disagree" in report.note
@@ -142,15 +144,31 @@ class TestValidateMoments:
         for n in range(1, 7):
             for l in range(n):
                 validate_moments(n, l)
-        assert max(rules_built) <= 32
+        assert max(rules_built) <= 6
 
     def test_divergent_moments_drift_between_probe_orders(self):
+        # the endpoint samples at 80 and 160 nodes, as validate_moments takes them
         divergent = [(n, l, k) for n, l, k in MOMENTS_N_LE_6 if _diverges(n, l, k)]
         assert len(divergent) == 23
         for n, l, k in divergent:
-            lo = r_inverse_moment_quadrature(n, l, k, order=16, check=False)
-            hi = r_inverse_moment_quadrature(n, l, k, order=32, check=False)
-            assert abs(hi - lo) / max(abs(hi), abs(lo)) > 0.1, (n, l, k)
+            integrand, = _moment_integrands(n, l, [k])
+            result = adaptive_sampled_endpoint(integrand)
+            assert result.order == 160 and result.drift > 0.1, (n, l, k)
+
+    def test_laguerre_evaluated_once_per_node_per_rule(self, monkeypatch):
+        # the n-node rule serves the finite k of an (n, l), the endpoint
+        # tables its divergent k; each evaluates L once per node for all k
+        points, lag = [], nonrel.laguerre_general
+        monkeypatch.setattr(nonrel, "laguerre_general", lambda *args: (
+            points.append(args) or lag(*args)))
+        endpoint = _ENDPOINT_RULES[80][0] + _ENDPOINT_RULES[160][0]
+        for n in range(1, 7):
+            for l in range(n):
+                points.clear()
+                validate_moments(n, l)
+                expected = ((gauss_laguerre(n).nodes if l >= 1 else ())
+                            + (endpoint if any(_diverges(n, l, k) for k in (3, 4, 5)) else ()))
+                assert sorted(points) == sorted((n - l - 1, 2 * l + 1, x) for x in expected)
 
     def test_finite_moments_exact_on_n_node_rule(self):
         finite = [(n, l, k) for n, l, k in MOMENTS_N_LE_6 if not _diverges(n, l, k)]
@@ -195,6 +213,37 @@ class TestSuite:
         assert len(levels) == 225
         for n_r, kappa in levels:
             assert abs(norm_self_consistency(n_r, kappa) - 1.0) <= 1e-14, (n_r, kappa)
+
+    def test_gauss_route_evaluates_each_node_once(self, monkeypatch):
+        # per |kappa| >= 2 state one pass over the beta = 2 nu - 3 rule for
+        # the sum and the diff, and one over the beta = 2 nu rule for the norm
+        points, polynomials = [], oracle.radial_polynomials
+        monkeypatch.setattr(oracle, "radial_polynomials", lambda state, x: (
+            points.append((state.n_r, state.kappa, x)) or polynomials(state, x)))
+        run_all()
+        states = [make_state(n_r, kappa, 0.5) for n_r, kappa in CRITERION_6_STATES
+                  if abs(kappa) >= 2]
+        assert sorted(points) == sorted(
+            (s.n_r, s.kappa, x) for s in states for shift in (-3.0, 0.0)
+            for x in gauss_laguerre(s.n_r + 2, 2.0 * s.nu + shift).nodes)
+
+    def test_run_all_builds_only_the_rules_that_depend_on_input(self, monkeypatch):
+        # a fresh run_all: the n_r + 2 node rules for beta = 2 nu - 3 and
+        # 2 nu of the |kappa| >= 2 states and the n-node moment rules of
+        # n = 2 ... 6 (n = 1 has no finite moment); the endpoint and sphere
+        # rules are tables
+        built, golub_welsch = [], specfun._golub_welsch
+        monkeypatch.setattr(specfun, "_golub_welsch", lambda diag, *args: (
+            built.append((len(diag), diag[0] - 1.0)) or golub_welsch(diag, *args)))
+        specfun._laguerre_rule.cache_clear()
+        run_all()
+        specfun._laguerre_rule.cache_clear()
+        states = [make_state(n_r, kappa, 0.5) for n_r, kappa in CRITERION_6_STATES
+                  if abs(kappa) >= 2]
+        expected = ({(s.n_r + 2, 2.0 * s.nu + shift) for s in states for shift in (-3.0, 0.0)}
+                    | {(n, 0.0) for n in range(2, 7)})
+        assert len(built) == len(expected)
+        assert sorted(built) == pytest.approx(sorted(expected), rel=1e-15, abs=1e-15)
 
     def test_no_default_path_builds_a_large_rule(self, rules_built):
         from nchydro.shifts import level_shift, transition_element_2s2p

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nchydro import cli, dirac, shifts
+from nchydro import cli, dirac, shifts, specfun
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.dirac import dirac_energy, lj_to_kappa, make_state, radial_polynomials
 from nchydro.errors import DomainError, SingularityError, ValidationError
@@ -17,7 +17,8 @@ from nchydro.shifts import (Level, cross_radial_integral_closed,
                             radial_integral_closed, radial_integral_quadrature,
                             selection_allowed, sigma_cross_block, theta_bound,
                             transition_element_2s2p)
-from nchydro.specfun import _endpoint_rule, gauss_laguerre, spinor_harmonic, spinor_orbital_m
+from nchydro.specfun import (_ENDPOINT_RULES, gauss_laguerre, spinor_harmonic,
+                             spinor_orbital_m)
 
 C = DEFAULT_CONSTANTS
 ALPHA = C.alpha
@@ -173,6 +174,29 @@ class TestSigmaCrossBlocks:
     def test_requires_shared_j(self):
         with pytest.raises(ValidationError):
             sigma_cross_block(Level.from_label("2S1/2"), Level.from_label("2P3/2"))
+
+    def test_each_legendre_profile_is_computed_once_per_block(self, monkeypatch):
+        # one profile of Y_lm over the 16 nodes per (l, m) of the block: the
+        # spinors of adjacent M share one m, and equal waves share all
+        calls, legendre = [], specfun._norm_legendre
+
+        def recording(l, m, cos_theta, sin_theta):
+            calls.append((l, m))
+            return legendre(l, m, cos_theta, sin_theta)
+
+        for module in (specfun, shifts):
+            monkeypatch.setattr(module, "_norm_legendre", recording, raising=False)
+        for block, expected in [
+                (lambda: lz_block_numeric(1.5, 2), {(2, m) for m in range(-2, 3)}),
+                (lambda: sigma_cross_block(Level.from_label("2P3/2"),
+                                           Level.from_label("2P3/2")),
+                 {(1, m) for m in range(-1, 2)}),
+                (lambda: sigma_cross_block(Level.from_label("2S1/2"),
+                                           Level.from_label("2P1/2")),
+                 {(0, 0)} | {(1, m) for m in range(-1, 2)})]:
+            calls.clear()
+            block()
+            assert sorted(calls) == sorted(list(expected) * 16)
 
 
 class TestRadialClosedForms:
@@ -345,7 +369,7 @@ class TestLevelShift:
 
         monkeypatch.setattr(shifts, "_overlap_at", recording)
         level_shift(level, 1.0e-19)
-        nodes = _endpoint_rule(80)[0] + _endpoint_rule(160)[0]
+        nodes = _ENDPOINT_RULES[80][0] + _ENDPOINT_RULES[160][0]
         assert sorted(points) == sorted(nodes)
 
     @pytest.mark.parametrize("label, bounds", [("2P1/2", 1), ("3D5/2", 1), ("2S1/2", 0)])

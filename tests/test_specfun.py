@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nchydro import specfun
 from nchydro.dirac import make_state, radial_polynomials
 from nchydro.errors import DomainError
 from nchydro.shifts import cross_radial_integral_quadrature, radial_integral_quadrature
-from nchydro.specfun import (_endpoint_rule, adaptive_sampled_endpoint, adaptive_weighted,
-                             gauss_laguerre, laguerre_general, sphere_rule, spherical_harmonic,
-                             spinor_harmonic, spinor_orbital_m)
+from nchydro.specfun import (_ENDPOINT_RULES, _SPHERE_RULE, adaptive_sampled_endpoint,
+                             adaptive_weighted, gauss_laguerre, laguerre_general,
+                             spherical_harmonic, spinor_harmonic, spinor_orbital_m)
+
+from rule_tables import differences, endpoint_rule, sphere_rule
+from rule_tables import main as rule_tables_main
 
 
 def numpy_laguerre_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,14 +156,14 @@ class TestSphericalHarmonic:
 
     def test_sphere_weights_sum_to_4pi(self):
         # the phi integral contributes 2 pi, the cos(theta) weights sum to 2
-        cos_theta, weights = sphere_rule()
+        cos_theta, weights = _SPHERE_RULE
         assert len(cos_theta) == len(weights) == 16
         assert 2.0 * math.pi * math.fsum(weights) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
     def test_legendre_factor_matches_numpy(self):
         # absolute: the edge weights (0.027) differ by 1.9e-14 relative, as
         # far as numpy's eigh route stood from the exact ones (1.7e-14)
-        cos_theta, weights = sphere_rule()
+        cos_theta, weights = _SPHERE_RULE
         x, w = np.polynomial.legendre.leggauss(16)
         assert np.max(np.abs(np.array(cos_theta) - x)) <= 1e-14
         assert np.max(np.abs(np.array(weights) - w)) <= 1e-14
@@ -293,8 +297,9 @@ class TestGaussLaguerre:
 
 
 class TestEndpointRule:
-    """The pure-Python rule of adaptive_sampled_endpoint against numpy's
-    Golub-Welsch rule (numpy_laguerre_rule)."""
+    """The Halley rule of tests/rule_tables.py against numpy's Golub-Welsch
+    rule (numpy_laguerre_rule), and the tables of adaptive_sampled_endpoint
+    against it."""
 
     @pytest.mark.parametrize("n", [16, 40, 80, 160, 320])
     def test_matches_golub_welsch(self, n):
@@ -304,24 +309,66 @@ class TestEndpointRule:
         kept = int(np.count_nonzero(weights))
         assert kept == {80: 29, 160: 42}.get(n, kept)  # as README states
         assert np.all(weights[:kept] > 0.0) and not np.any(weights[kept:])
-        x, w = _endpoint_rule(n)
+        x, w = endpoint_rule(n)
         assert len(x) == len(w) == kept
         assert np.max(np.abs(np.array(x) / (t[:kept] * t[:kept]) - 1.0)) <= 1e-12
         assert np.max(np.abs(np.array(w) / weights[:kept] - 1.0)) <= 1e-10
 
-    def test_rejects_fewer_than_16_nodes(self):
-        with pytest.raises(DomainError, match="start >= 16"):
-            adaptive_sampled_endpoint(lambda x: x, start=8)
+    @pytest.mark.parametrize("n", [80, 160])
+    def test_table_is_the_built_rule_bit_for_bit(self, n):
+        assert sorted(_ENDPOINT_RULES) == [80, 160]
+        built, table = endpoint_rule(n), _ENDPOINT_RULES[n]
+        assert [list(map(float.hex, v)) for v in table] == [list(map(float.hex, v))
+                                                            for v in built]
+
+    def test_rejects_every_start_but_80(self):
+        for start in (8, 16, 40, 160):
+            with pytest.raises(DomainError, match="start = 80"):
+                adaptive_sampled_endpoint(lambda x: x, start=start)
+        assert adaptive_sampled_endpoint(lambda x: x, start=80).order == 160
 
     def test_is_plain_floats(self):
-        x, w = _endpoint_rule(80)
-        assert all(type(v) is float for v in x + w)
+        for x, w in (_ENDPOINT_RULES[80], _ENDPOINT_RULES[160], _SPHERE_RULE):
+            assert all(type(v) is float for v in x + w)
 
     def test_samples_a_smooth_integrand(self):
         # int x^3 e^-x dx = 6; after x = t^2 the integrand is smooth in t
         res = adaptive_sampled_endpoint(lambda x: x ** 3)
         assert res.value == pytest.approx(6.0, rel=1e-13)
         assert res.order == 160 and res.drift < 1e-7
+
+
+class TestRuleTables:
+    def test_sphere_table_is_golub_welsch_bit_for_bit(self):
+        # rule_tables.sphere_rule is specfun._golub_welsch on the Legendre
+        # Jacobi matrix
+        assert [list(map(float.hex, v)) for v in _SPHERE_RULE] == [list(map(float.hex, v))
+                                                                  for v in sphere_rule()]
+
+    def test_check_passes(self, capsys):
+        assert rule_tables_main(["--check"]) == 0
+        assert "bit for bit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["_ENDPOINT_RULES", "_SPHERE_RULE"])
+    def test_check_sees_one_bit(self, monkeypatch, capsys, name):
+        # the last weight of each table one ulp off
+        def nudged(rule):
+            nodes, weights = rule
+            return nodes, weights[:-1] + (math.nextafter(weights[-1], math.inf),)
+
+        table = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name, {n: nudged(rule) for n, rule in table.items()}
+                            if isinstance(table, dict) else nudged(table))
+        assert differences() == [name]
+        assert rule_tables_main(["--check"]) == 1
+        assert f"specfun.{name} differs" in capsys.readouterr().err
+
+    def test_printed_source_is_the_module_source(self, capsys):
+        assert rule_tables_main([]) == 0
+        printed = capsys.readouterr().out
+        source = open(specfun.__file__, encoding="utf-8").read()
+        for block in printed.strip().split("\n\n"):
+            assert block in source
 
 
 KAPPA_1 = [(n - 1, -1) for n in range(1, 6)] + [(n - 1, 1) for n in range(2, 6)]
