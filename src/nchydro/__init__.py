@@ -17,12 +17,11 @@ __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
     "constants": ("DEFAULT_CONSTANTS", "DEFAULT_LAMBDA_QCD_EV", "LAMB_ACCURACY_1S_HZ",
-                  "LAMB_ACCURACY_2P_HZ", "PhysicalConstants", "ThetaTensor",
-                  "ev2_to_gev_scale", "hz_to_ev"),
-    "dirac": ("RelativisticState", "deformed_potential", "dirac_binding_energy",
-              "dirac_energy", "kappa_to_lj", "level_label", "lj_to_kappa", "make_state",
-              "parse_level_label", "radial_fg"),
-    "errors": ("DivergenceError", "DomainError", "SingularityError", "ValidationError"),
+                  "LAMB_ACCURACY_2P_HZ", "PhysicalConstants", "ev2_to_gev_scale",
+                  "hz_to_ev"),
+    "dirac": ("RelativisticState", "dirac_binding_energy", "dirac_energy", "kappa_to_lj",
+              "level_label", "lj_to_kappa", "make_state", "parse_level_label", "radial_fg"),
+    "errors": ("DivergenceError", "DomainError", "ValidationError"),
     "nonrel": ("ExpectationTable", "HyperfineShift", "SchrodingerState", "expectation_table",
                "fine_structure_shift", "nc_hyperfine_shift", "r_inverse_moment",
                "r_inverse_moment_quadrature", "s_state_bound", "s_state_shift",
@@ -31,9 +30,9 @@ _SUBMODULE_NAMES = {
                "validate_radial"),
     "shifts": ("AngularBlock", "Level", "ShiftReport", "ThetaBound",
                "cross_radial_integral_closed", "cross_radial_integral_quadrature",
-               "level_shift", "lz_block", "lz_block_numeric", "perturbation_kernels",
-               "radial_integral_closed", "radial_integral_quadrature", "selection_allowed",
-               "sigma_cross_block", "theta_bound", "transition_element_2s2p"),
+               "level_shift", "lz_block", "lz_block_numeric", "radial_integral_closed",
+               "radial_integral_quadrature", "sigma_cross_block", "theta_bound",
+               "transition_element_2s2p"),
     "specfun": ("IntegrationResult", "QuadratureRule", "gauss_laguerre", "laguerre_general",
                 "spherical_harmonic", "spinor_harmonic"),
 }

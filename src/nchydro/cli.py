@@ -192,12 +192,12 @@ def _table(payload: dict) -> str:
 
 
 def cmd_levels(args, constants: PhysicalConstants) -> Output:
-    if args.label is not None:
+    if args.label is not None and args.n_r is None and args.kappa is None:
         n_r, kappa = parse_level_label(args.label)
-    elif args.n_r is not None and args.kappa is not None:
+    elif args.label is None and args.n_r is not None and args.kappa is not None:
         n_r, kappa = args.n_r, args.kappa
     else:
-        raise ValidationError("give a label like 2P3/2, or both --n-r and --kappa")
+        raise ValidationError("give either a label like 2P3/2 or both --n-r and --kappa")
     state = make_state(n_r, kappa, 0.5, constants)
     binding = dirac_binding_energy(n_r, kappa, constants)
     return Output({

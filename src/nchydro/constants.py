@@ -1,5 +1,5 @@
 """Physical constants, the noncommutativity parameter, and the one check of each
-kind of real boundary value: positive number, theta, radius, 3-vector, constants file.
+kind of real boundary value: positive number, theta, radius, constants file.
 
 Natural units hbar = c = 1 throughout; energies in eV, lengths in eV^-1.
 The squared electron charge equals the fine-structure constant in these
@@ -14,7 +14,7 @@ import math
 import numbers
 from typing import NamedTuple
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, ValidationError
 
 GEV = 1.0e9  # eV per GeV
 
@@ -71,25 +71,6 @@ def check_radius(r: float, caller: str):
         raise DomainError(f"{caller} requires r > 0")
 
 
-def check_triple(name: str, values) -> tuple[float, float, float]:
-    """values as three floats: each a finite real, and three of them."""
-    components = tuple(values) if hasattr(values, "__iter__") else (values,)
-    if not all(map(finite_real, components)):
-        raise ValidationError(f"{name} must hold finite reals, got {shown(components)}")
-    if len(components) != 3:
-        raise DomainError(f"{name} must be a 3-vector, got {len(components)} components")
-    return tuple(map(float, components))
-
-
-def check_position(name: str, position, caller: str):
-    """(the point as three floats, its r), for a point off caller's singular origin."""
-    vector = check_triple(name, position)
-    r = math.hypot(*vector)
-    if r == 0.0:
-        raise SingularityError(f"{caller} is singular at r = 0")
-    return vector, r
-
-
 def _checked(cls):
     """cls, a named tuple, with every construction (constructor, _make and so
     _replace, copy, pickle) returning cls._check of the new tuple."""
@@ -139,27 +120,6 @@ def read_constants_file(path: str) -> tuple[PhysicalConstants, float]:
     lambda_qcd = data.pop("lambda_qcd", DEFAULT_LAMBDA_QCD_EV)
     check_lambda_qcd(lambda_qcd)
     return DEFAULT_CONSTANTS.with_(**data), lambda_qcd
-
-
-@_checked
-class ThetaTensor(NamedTuple):
-    """Antisymmetric space-space block (as its dual vector) plus the
-    time-space row theta^{0j}, each three floats (check_triple).
-
-    The spectroscopy in this package keeps theta^{0j} = 0; the potential
-    evaluator accepts it anyway so the full deformed potential can be
-    inspected.
-    """
-
-    space_vector: tuple[float, float, float]
-    time_row: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def _check(self):
-        return tuple.__new__(type(self), map(check_triple, self._fields, self))
-
-    @classmethod
-    def z_axis(cls, theta: float, time_row=(0.0, 0.0, 0.0)) -> "ThetaTensor":
-        return cls(space_vector=(0.0, 0.0, theta), time_row=time_row)
 
 
 def hz_to_ev(frequency_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

@@ -40,10 +40,10 @@ Conventions worth stating once:
   x, for the |kappa| = 1 endpoint samples (beta = 2 nu - 3 < -1, where
   the series is not the integral).  The Gauss rules of specfun check the
   series independently in oracle.
-* Everything is pure Python on floats: radial_fg and deformed_potential
-  take a point (constants.check_radius and check_position decide which),
-  and radial_polynomials also maps an ndarray x elementwise when a caller
-  passes one; no module of the package imports numpy.
+* Everything is pure Python on floats: radial_fg takes a radius
+  (constants.check_radius decides which), and radial_polynomials also
+  maps an ndarray x elementwise when a caller passes one; no module of the
+  package imports numpy.
 * kappa_to_lj, lj_to_kappa (the one test of j = l +/- 1/2) and the one
   half-integer test check_magnetic live in specfun.
 """
@@ -53,11 +53,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from operator import mul
 from typing import NamedTuple
 
-from .constants import (DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor, check_position,
-                        check_radius)
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, check_radius
 from .errors import ValidationError
 from .specfun import (IntegrationResult, check_integer, check_magnetic, kappa_to_lj,
                       laguerre_general, lj_to_kappa)
@@ -71,7 +69,6 @@ __all__ = [
     "dirac_binding_energy",
     "radial_polynomials",
     "radial_fg",
-    "deformed_potential",
     "parse_level_label",
     "level_label",
     "SPECTROSCOPIC_LETTERS",
@@ -270,41 +267,6 @@ def radial_fg(state: RelativisticState, r: float) -> tuple[float, float]:
         return 0.0, 0.0
     pf, pg = radial_polynomials(state, x)
     return state.norm * envelope * pf, state.norm * envelope * pg
-
-
-# ---------------------------------------------------------------------------
-# Deformed Coulomb potential
-# ---------------------------------------------------------------------------
-
-
-def deformed_potential(x_vec, theta: ThetaTensor,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """First-order deformed Coulomb potential at the point x_vec, a 3-vector
-    of floats.
-
-    Returns (a0, a_vec): the scalar part -e/r - e^3 (theta^{0j} x_j)/r^4 and
-    the vector part e^3 (x cross theta)/(4 r^4), a tuple of three floats,
-    with e = sqrt(alpha).  Setting all theta components to zero recovers
-    (-e/r, 0).  A term whose true value underflows is 0.0; one that
-    overflows (a point very close to the origin) raises OverflowError.
-    """
-    xv, r = check_position("x_vec", x_vec, "deformed_potential")
-    e = math.sqrt(constants.alpha)
-    e3 = e ** 3
-
-    def over_r4(c):
-        # one division by r at a time: r^4 alone overflows or underflows
-        # where the term itself underflows
-        return e3 * (c / r) / r / r / r
-
-    a0 = -e / r - over_r4(math.fsum(map(mul, theta.time_row, xv)))
-    (x, y, z), (tx, ty, tz) = xv, theta.space_vector
-    a_vec = tuple(over_r4(c) / 4.0 for c in (y * tz - z * ty, z * tx - x * tz,
-                                             x * ty - y * tx))
-    if not all(map(math.isfinite, (a0, *a_vec))):
-        raise OverflowError(f"deformed_potential: the potential at r = {r!r} eV^-1 "
-                            "is out of float range")
-    return a0, a_vec
 
 
 # ---------------------------------------------------------------------------

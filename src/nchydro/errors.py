@@ -9,9 +9,5 @@ class ValidationError(ValueError):
     """Quantum numbers or configuration values are inconsistent."""
 
 
-class SingularityError(ValueError):
-    """Evaluation was requested at a singular point (typically r = 0)."""
-
-
 class DivergenceError(ArithmeticError):
     """The requested expectation value or integral does not exist."""

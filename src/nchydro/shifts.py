@@ -65,7 +65,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
-                        check_position, check_positive, check_theta, ev2_to_gev_scale, hz_to_ev)
+                        check_positive, check_theta, ev2_to_gev_scale, hz_to_ev)
 from .dirac import (RelativisticState, _exact_series, _overlap, _overlap_at, make_state,
                     parse_level_label)
 from .errors import DomainError, ValidationError
@@ -87,9 +87,7 @@ __all__ = [
     "cross_radial_integral_quadrature",
     "level_shift",
     "transition_element_2s2p",
-    "selection_allowed",
     "theta_bound",
-    "perturbation_kernels",
     "RADIAL_AGREEMENT_TOL",
 ]
 
@@ -521,45 +519,3 @@ def transition_element_2s2p(theta: float,
         raise ValidationError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
     alpha = constants.alpha
     return (alpha * alpha / 4.0) * (2.0 / 3.0) * abs(rho) * theta
-
-
-def selection_allowed(state_a: RelativisticState, state_b: RelativisticState,
-                      kind: str) -> bool:
-    """Selection rules for the two perturbation channels.
-
-    within_level: Delta l = 0 and Delta M in {0, +-1} (theta.L channel);
-    cross_level:  Delta l = 1 and Delta M in {0, +-1} (vector channel).
-    """
-    delta_l = abs(state_a.l - state_b.l)
-    delta_m = abs(state_a.M - state_b.M)
-    if kind == "within_level":
-        return delta_l == 0 and delta_m <= 1.0 + 1e-12
-    if kind == "cross_level":
-        return delta_l == 1 and delta_m <= 1.0 + 1e-12
-    raise ValidationError(f"kind must be 'within_level' or 'cross_level', got {kind!r}")
-
-
-def perturbation_kernels(state: RelativisticState, theta: float, position):
-    """Point evaluation of the two perturbation kernels.
-
-    position is a 3-vector of floats.  Returns (scalar_term, vector_term):
-    the scalar kernel -(e^2 / 2 r^3) theta <L_z> for the state's effective
-    L_z eigenvalue, and the vector kernel (e^4/4)(r x theta)/r^4 that
-    multiplies the alpha matrices, a tuple of three floats.  The vector is
-    perpendicular to both r and the theta axis.  A term whose true value
-    underflows is 0.0; one that overflows (a point very close to the origin)
-    raises OverflowError.
-    """
-    (x, y, _), r = check_position("position", position, "perturbation_kernels")
-    check_theta(theta)
-    alpha = state.constants.alpha
-    # one division by r at a time: r^3 and r^4 alone overflow or underflow
-    # where the terms themselves underflow
-    term1 = -(alpha / 2.0) * theta * _lz(state.kappa, state.M) / r / r / r
-    # r x (0, 0, theta)
-    term2 = tuple((alpha * alpha / 4.0) * (c / r) / r / r / r
-                  for c in (y * theta, -x * theta, 0.0))
-    if not all(map(math.isfinite, (term1, *term2))):
-        raise OverflowError(f"perturbation_kernels: the kernels at r = {r!r} eV^-1 "
-                            "are out of float range")
-    return term1, term2

@@ -248,6 +248,9 @@ def test_subcommand_help_lists_every_option(capsys, command, flag):
     ["nonrel", "--n", "2", "--l", "1", "--j", "3/2", "--mj", "1/2", "--theta", "1e300"],
     # 1 / (1e300 GeV)^2 underflows to 0: a GeV scale out of range, not theta = 0
     ["shift", "2P3/2", "--theta", "(1e300 GeV)^-2"],
+    # a label names the level alone: --n-r or --kappa beside it is an error
+    ["levels", "2P3/2", "--n-r", "3", "--kappa", "2"],
+    ["levels", "2P3/2", "--kappa", "-2"],
 ])
 def test_non_finite_input_exits_1_without_output(capsys, argv):
     for fmt in ("table", "json"):
@@ -712,16 +715,14 @@ def test_request_loads_only_its_modules(argv):
     assert loaded == LEVELS_MODULES | {f"nchydro.{m}" for m in SUBCOMMAND_MODULES[argv[0]]}
 
 
-# Every name nchydro/__init__.py imported from its submodules before its
-# re-exports became lazy, by defining module.
+# Every name nchydro exports, by defining module.
 PUBLIC_NAMES = {
     "constants": ["DEFAULT_CONSTANTS", "DEFAULT_LAMBDA_QCD_EV", "LAMB_ACCURACY_1S_HZ",
-                  "LAMB_ACCURACY_2P_HZ", "PhysicalConstants", "ThetaTensor",
-                  "ev2_to_gev_scale", "hz_to_ev"],
-    "dirac": ["RelativisticState", "deformed_potential", "dirac_binding_energy",
-              "dirac_energy", "kappa_to_lj", "level_label", "lj_to_kappa", "make_state",
-              "parse_level_label", "radial_fg"],
-    "errors": ["DivergenceError", "DomainError", "SingularityError", "ValidationError"],
+                  "LAMB_ACCURACY_2P_HZ", "PhysicalConstants", "ev2_to_gev_scale",
+                  "hz_to_ev"],
+    "dirac": ["RelativisticState", "dirac_binding_energy", "dirac_energy", "kappa_to_lj",
+              "level_label", "lj_to_kappa", "make_state", "parse_level_label", "radial_fg"],
+    "errors": ["DivergenceError", "DomainError", "ValidationError"],
     "nonrel": ["ExpectationTable", "HyperfineShift", "SchrodingerState", "expectation_table",
                "fine_structure_shift", "nc_hyperfine_shift", "r_inverse_moment",
                "r_inverse_moment_quadrature", "s_state_bound", "s_state_shift",
@@ -730,9 +731,9 @@ PUBLIC_NAMES = {
                "validate_radial"],
     "shifts": ["AngularBlock", "Level", "ShiftReport", "ThetaBound",
                "cross_radial_integral_closed", "cross_radial_integral_quadrature",
-               "level_shift", "lz_block", "lz_block_numeric", "perturbation_kernels",
-               "radial_integral_closed", "radial_integral_quadrature", "selection_allowed",
-               "sigma_cross_block", "theta_bound", "transition_element_2s2p"],
+               "level_shift", "lz_block", "lz_block_numeric", "radial_integral_closed",
+               "radial_integral_quadrature", "sigma_cross_block", "theta_bound",
+               "transition_element_2s2p"],
     "specfun": ["IntegrationResult", "QuadratureRule", "gauss_laguerre", "laguerre_general",
                 "spherical_harmonic", "spinor_harmonic"],
 }

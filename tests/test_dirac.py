@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
-from nchydro.dirac import (deformed_potential, dirac_binding_energy, dirac_energy,
-                           level_label, make_state, parse_level_label, radial_fg,
-                           radial_polynomials)
-from nchydro.errors import DomainError, SingularityError, ValidationError
+from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants
+from nchydro.dirac import (dirac_binding_energy, dirac_energy, level_label, make_state,
+                           parse_level_label, radial_fg, radial_polynomials)
+from nchydro.errors import DomainError, ValidationError
 from nchydro.specfun import gauss_laguerre
 
 C = DEFAULT_CONSTANTS
@@ -161,38 +160,6 @@ class TestNormalizationConstant:
     def test_idempotent_renormalization(self):
         from nchydro.oracle import norm_self_consistency
         assert norm_self_consistency(0, -2) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestDeformedPotential:
-    def test_theta_zero_is_coulomb(self):
-        a0, a_vec = deformed_potential([1.0, 2.0, 2.0], ThetaTensor.z_axis(0.0))
-        assert a0 == pytest.approx(-math.sqrt(ALPHA) / 3.0, rel=1e-14)
-        assert np.allclose(a_vec, 0.0)
-
-    def test_z_axis_vector_pattern(self):
-        # theta along z, position in the xy-plane: vector part ~ (y, -x, 0)
-        theta = 1e-18
-        x, y = 0.7, -1.3
-        r = math.hypot(x, y)
-        _, a_vec = deformed_potential([x, y, 0.0], ThetaTensor.z_axis(theta))
-        scale = math.sqrt(ALPHA) ** 3 * theta / (4.0 * r ** 4)
-        assert a_vec[0] == pytest.approx(scale * y, rel=1e-13)
-        assert a_vec[1] == pytest.approx(scale * (-x), rel=1e-13)
-        assert a_vec[2] == 0.0
-
-    def test_time_row_zero_keeps_pure_coulomb_scalar(self):
-        a0, _ = deformed_potential([0.0, 0.0, 4.0], ThetaTensor.z_axis(1e-18))
-        assert a0 == pytest.approx(-math.sqrt(ALPHA) / 4.0, rel=1e-14)
-
-    def test_time_row_contributes(self):
-        t = ThetaTensor(space_vector=(0.0, 0.0, 0.0), time_row=(0.0, 0.0, 1e-18))
-        a0, _ = deformed_potential([0.0, 0.0, 2.0], t)
-        e = math.sqrt(ALPHA)
-        assert a0 == pytest.approx(-e / 2.0 - e ** 3 * 1e-18 * 2.0 / 16.0, rel=1e-13)
-
-    def test_singular_at_origin(self):
-        with pytest.raises(SingularityError):
-            deformed_potential([0.0, 0.0, 0.0], ThetaTensor.z_axis(0.0))
 
 
 class TestPhysicalConstants:

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from nchydro import cli, dirac, shifts, specfun
 from nchydro.constants import DEFAULT_CONSTANTS
 from nchydro.dirac import dirac_energy, lj_to_kappa, make_state, radial_polynomials
-from nchydro.errors import DomainError, SingularityError, ValidationError
+from nchydro.errors import DomainError, ValidationError
 from nchydro.shifts import (Level, cross_radial_integral_closed,
                             cross_radial_integral_quadrature, level_shift, lz_block,
-                            lz_block_numeric, lz_expectation, perturbation_kernels,
-                            radial_integral_closed, radial_integral_quadrature,
-                            selection_allowed, sigma_cross_block, theta_bound,
+                            lz_block_numeric, lz_expectation, radial_integral_closed,
+                            radial_integral_quadrature, sigma_cross_block, theta_bound,
                             transition_element_2s2p)
 from nchydro.specfun import (_ENDPOINT_RULES, gauss_laguerre, spinor_harmonic,
                              spinor_orbital_m)
@@ -479,14 +478,11 @@ class TestLevelShift:
             level_shift("2P3/2", -1.0e-19)
 
     def test_non_finite_theta_rejected(self):
-        s = make_state(1, 1, 0.5)
         for theta in (math.nan, math.inf):
             with pytest.raises(ValidationError):
                 level_shift("2P3/2", theta)
             with pytest.raises(ValidationError):
                 transition_element_2s2p(theta)
-            with pytest.raises(ValidationError):
-                perturbation_kernels(s, theta, [1.0, 0.0, 0.0])
 
 
 class TestTransitionElement:
@@ -509,30 +505,6 @@ class TestTransitionElement:
         v1 = transition_element_2s2p(3.0e-20)
         v2 = transition_element_2s2p(6.0e-20)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
-
-
-class TestSelectionRules:
-    def test_within_level_allowed(self):
-        a = make_state(1, 1, 0.5)
-        b = make_state(1, 1, -0.5)
-        assert selection_allowed(a, b, "within_level")
-
-    def test_cross_level_2s_2p(self):
-        a = make_state(1, -1, 0.5)
-        b = make_state(1, 1, 0.5)
-        assert selection_allowed(a, b, "cross_level")
-        assert not selection_allowed(a, b, "within_level")
-
-    def test_delta_l_two_forbidden(self):
-        a = make_state(0, -1, 0.5)   # 1S
-        b = make_state(1, 2, 0.5)    # 3D3/2
-        assert not selection_allowed(a, b, "within_level")
-        assert not selection_allowed(a, b, "cross_level")
-
-    def test_delta_m_two_forbidden(self):
-        a = make_state(0, -2, 1.5)
-        b = make_state(0, -2, -0.5)
-        assert not selection_allowed(a, b, "within_level")
 
 
 class TestThetaBound:
@@ -561,29 +533,3 @@ class TestThetaBound:
                                       (1.0e6, True), ("1e6", 80.0)):
             with pytest.raises(DomainError):
                 theta_bound(coefficient, accuracy)
-
-
-class TestPerturbationKernels:
-    def test_zero_theta(self):
-        s = make_state(1, 1, 0.5)
-        t1, t2 = perturbation_kernels(s, 0.0, [1.0, 0.0, 0.0])
-        assert t1 == 0.0
-        assert np.allclose(t2, 0.0)
-
-    def test_scalar_kernel_value(self):
-        s = make_state(1, 1, 0.5)  # <L_z> = (4/3) M = 2/3
-        r = 2.0
-        t1, _ = perturbation_kernels(s, 1.0e-19, [0.0, 0.0, r])
-        assert t1 == pytest.approx(-(ALPHA / (2.0 * r ** 3)) * 1.0e-19 * (2.0 / 3.0), rel=1e-13)
-
-    def test_vector_kernel_orthogonal(self):
-        s = make_state(1, 1, 0.5)
-        pos = np.array([1.0, 2.0, 3.0])
-        _, t2 = perturbation_kernels(s, 1.0e-19, pos)
-        assert abs(np.dot(t2, pos)) < 1e-30
-        assert abs(t2[2]) == 0.0  # perpendicular to the theta axis
-
-    def test_singular_origin(self):
-        s = make_state(1, 1, 0.5)
-        with pytest.raises(SingularityError):
-            perturbation_kernels(s, 1.0e-19, [0.0, 0.0, 0.0])

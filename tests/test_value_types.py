@@ -3,8 +3,8 @@
 Each named tuple's field names, order and defaults are pinned here; it
 compares, hashes, iterates and unpacks as the tuple of its fields.  A
 Level also keeps its closed_form memo, outside the fields.
-PhysicalConstants, ThetaTensor and SchrodingerState check their fields on
-every construction path: the constructor, with_, _replace, _make, copy,
+PhysicalConstants and SchrodingerState check their fields on every
+construction path: the constructor, with_, _replace, _make, copy,
 deepcopy and pickle (protocol 2 and up).
 """
 
@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 
 import nchydro
-from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants, ThetaTensor
+from nchydro.constants import DEFAULT_CONSTANTS, PhysicalConstants
 from nchydro.dirac import make_state
-from nchydro.errors import DomainError, ValidationError
+from nchydro.errors import ValidationError
 from nchydro.nonrel import SchrodingerState, expectation_table, nc_hyperfine_shift
 from nchydro.oracle import validate_radial
 from nchydro.shifts import Level, lz_block, radial_integral_quadrature, theta_bound
@@ -35,8 +35,6 @@ INSTANCES = {
     "PhysicalConstants": (lambda: DEFAULT_CONSTANTS, ("m_e", "alpha", "hbar_eV_s"),
                           {"m_e": 510998.95, "alpha": 7.2973525693e-3,
                            "hbar_eV_s": 6.582119569e-16}),
-    "ThetaTensor": (lambda: ThetaTensor.z_axis(1.0e-19), ("space_vector", "time_row"),
-                    {"time_row": (0.0, 0.0, 0.0)}),
     "QuadratureRule": (lambda: gauss_laguerre(3, 0.5), ("nodes", "weights", "beta"),
                        {"beta": 0.0}),
     "IntegrationResult": (lambda: radial_integral_quadrature(make_state(1, -2, 0.5)),
@@ -128,9 +126,6 @@ INVALID = [
     (DEFAULT_CONSTANTS, {"m_e": -1.0}, ValidationError),
     (DEFAULT_CONSTANTS, {"hbar_eV_s": True}, ValidationError),
     (DEFAULT_CONSTANTS, {"alpha": 1.0, "m_e": "1"}, ValidationError),
-    (ThetaTensor.z_axis(1.0), {"time_row": (math.inf, 0.0, 0.0)}, ValidationError),
-    (ThetaTensor.z_axis(1.0), {"space_vector": (0.0, "1", 0.0)}, ValidationError),
-    (ThetaTensor.z_axis(1.0), {"space_vector": (1.0, 2.0)}, DomainError),
     (SchrodingerState(3, 2, 2.5, 0.5), {"l": 3}, ValidationError),
     (SchrodingerState(3, 2, 2.5, 0.5), {"n": 3.0}, ValidationError),
     (SchrodingerState(3, 2, 2.5, 0.5), {"j": 3.5}, ValidationError),
@@ -178,21 +173,12 @@ def test_every_construction_path_checks(valid, fields, error):
         assert str(raised.value) == message, path
 
 
-@pytest.mark.parametrize("valid", [DEFAULT_CONSTANTS, ThetaTensor.z_axis(1.0),
-                                   SchrodingerState(3, 2, 2.5, 0.5)],
+@pytest.mark.parametrize("valid", [DEFAULT_CONSTANTS, SchrodingerState(3, 2, 2.5, 0.5)],
                          ids=lambda v: type(v).__name__)
 def test_valid_round_trips_are_equal(valid):
     for path, build in _paths(valid, {}).items():
         rebuilt = build()
         assert type(rebuilt) is type(valid) and rebuilt == valid, path
-
-
-def test_theta_tensor_keeps_floats_on_every_path():
-    theta = ThetaTensor([0, 0, 1])
-    assert theta == ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
-    assert all(type(c) is float for row in theta for c in row)
-    assert theta._replace(time_row=[1, 2, 3]).time_row == (1.0, 2.0, 3.0)
-    assert type(ThetaTensor._make([(1, 2, 3), (0, 0, 0)]).space_vector[0]) is float
 
 
 def test_with_rejects_an_unknown_field():
