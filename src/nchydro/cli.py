@@ -22,28 +22,29 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
                         PhysicalConstants, check_lambda_qcd, check_positive, check_theta,
-                        read_constants_file)
+                        read_constants_file, shown)
 from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
 
 JSON_SCHEMA_VERSION = 1
 SWEEP_HEADER = ["theta_eV2", "level", "eigenvalue", "shift_eV"]
 
-_THETA_GEV_RE = re.compile(r"^\(?\s*([0-9.eE+-]+)\s*GeV\s*\)?\s*\^?\s*-2$")
+# compiled on first use (re's cache): only shift, nonrel and sweep parse a theta
+_THETA_GEV_RE = r"^\(?\s*([0-9.eE+-]+)\s*GeV\s*\)?\s*\^?\s*-2$"
 
 
 def parse_theta(text: str) -> float:
     """theta in eV^-2, either a float or the shorthand '(X GeV)^-2'."""
-    match = _THETA_GEV_RE.match(text.strip())
+    match = re.match(_THETA_GEV_RE, text.strip())
     try:
         value = float(match.group(1) if match else text)
     except ValueError:
-        raise ValidationError(f"cannot parse theta {text!r}") from None
+        raise ValidationError(f"cannot parse theta {shown(text)}") from None
     if match:
         check_positive("the GeV scale", value)
         try:
@@ -51,7 +52,7 @@ def parse_theta(text: str) -> float:
         except (OverflowError, ZeroDivisionError):
             value = 0.0
         if not 0.0 < value < math.inf:  # theta is not a finite float > 0
-            raise ValidationError(f"GeV scale out of range in {text!r}")
+            raise ValidationError(f"GeV scale out of range in {shown(text)}")
     check_theta(value)
     return value
 
@@ -65,17 +66,17 @@ def parse_half_integer(text: str) -> float:
         else:
             value = float(text)
     except ZeroDivisionError:
-        raise ValidationError(f"zero denominator in {text!r}") from None
+        raise ValidationError(f"zero denominator in {shown(text)}") from None
     except ValueError:
-        raise ValidationError(f"cannot parse {text!r}") from None
+        raise ValidationError(f"cannot parse {shown(text)}") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{text!r} is not finite")
+        raise ValidationError(f"{shown(text)} is not finite")
     return value
 
 
 def _format(text: str) -> str:
     if text not in ("table", "json"):
-        raise ValidationError(f"invalid choice: {text!r} (choose from 'table', 'json')")
+        raise ValidationError(f"invalid choice: {shown(text)} (choose from 'table', 'json')")
     return text
 
 
@@ -153,10 +154,10 @@ def parse_args(argv=None) -> SimpleNamespace:
                 _usage_error(command, f"argument {flag}: {exc}")
             except ValueError:  # from int or float
                 name = options[flag][0].__name__
-                _usage_error(command, f"argument {flag}: invalid {name} value: {text!r}")
+                _usage_error(command, f"argument {flag}: invalid {name} value: {shown(text)}")
         elif command is None:
             if token not in SUBCOMMANDS:
-                _usage_error(None, f"argument command: invalid choice: {token!r}")
+                _usage_error(None, f"argument command: invalid choice: {shown(token)}")
             command, kind = token, SUBCOMMANDS[token][1]
             options = {**GLOBAL_FLAGS, **SUBCOMMANDS[token][2]}
         elif label is not None or not kind:
@@ -172,13 +173,11 @@ def parse_args(argv=None) -> SimpleNamespace:
         flag[2:].replace("-", "_"): values.get(flag, entry[1]) for flag, entry in options.items()})
 
 
-class Output(NamedTuple):
-    """A handler's result: the JSON payload, the table text (None for the
-    two-column table of the payload) and the exit code."""
+class Output(namedtuple("Output", "payload table code", defaults=(None, 0))):
+    """A handler's result: the JSON payload (a dict), the table text (None
+    for the two-column table of the payload) and the exit code."""
 
-    payload: dict
-    table: str | None = None
-    code: int = 0
+    __slots__ = ()
 
 
 def _table(payload: dict) -> str:
@@ -298,7 +297,7 @@ def cmd_sweep(args, constants: PhysicalConstants) -> Output:
         raise ValidationError("theta-max must be >= theta-min")
     labels = [s.strip() for s in args.levels.split(",") if s.strip()]
     if not labels:
-        raise ValidationError(f"--levels names no level: {args.levels!r}")
+        raise ValidationError(f"--levels names no level: {shown(args.levels)}")
     levels = [Level.from_label(lbl, constants) for lbl in labels]
     rows = []
     for i in range(args.steps):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, ValidationError
 
@@ -31,9 +30,12 @@ def finite_real(value) -> bool:
     """True for a real number that converts to a finite float (bools and
     strings are not numbers here); False for one beyond the float range,
     such as the int 10**400."""
-    if type(value) is float:  # the common case, without the numbers.Real ABC check
+    if type(value) is float:  # a float, then an int: without the numbers.Real ABC check
         return math.isfinite(value)
     try:
+        if type(value) is int:
+            return math.isfinite(value)
+        import numbers
         return (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and math.isfinite(value))
     except OverflowError:
@@ -81,12 +83,11 @@ def _checked(cls):
 
 
 @_checked
-class PhysicalConstants(NamedTuple):
-    """Electron mass, fine-structure constant, and hbar in eV s."""
+class PhysicalConstants(namedtuple("PhysicalConstants", "m_e alpha hbar_eV_s",
+                                   defaults=(510998.95, 7.2973525693e-3, 6.582119569e-16))):
+    """Electron mass (eV), fine-structure constant, and hbar in eV s."""
 
-    m_e: float = 510998.95
-    alpha: float = 7.2973525693e-3
-    hbar_eV_s: float = 6.582119569e-16
+    __slots__ = ()
 
     def _check(self):
         for name, value in zip(self._fields, self):

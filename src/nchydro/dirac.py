@@ -53,9 +53,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants, check_radius
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, check_radius, shown
 from .errors import ValidationError
 from .specfun import (IntegrationResult, check_integer, check_magnetic, kappa_to_lj,
                       laguerre_general, lj_to_kappa)
@@ -77,22 +77,16 @@ __all__ = [
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
 
 
-class RelativisticState(NamedTuple):
+class RelativisticState(namedtuple("RelativisticState",
+                                   "n_r kappa M constants j l nu energy a lam shape norm")):
     """One Dirac-Coulomb bound level with all derived quantities attached,
-    norm included: a named tuple that make_state builds."""
+    norm included: a named tuple that make_state builds.  n_r, kappa and l
+    are ints; M, j, nu and energy (eV) floats; a = sqrt(m^2 - E^2)/m is the
+    dimensionless momentum scale and lam = sqrt(m^2 - E^2) in eV; shape is
+    (f1, f2, g1, g2), see radial_polynomials; norm (> 0) multiplies the raw
+    radial shapes."""
 
-    n_r: int
-    kappa: int
-    M: float
-    constants: PhysicalConstants
-    j: float
-    l: int
-    nu: float
-    energy: float
-    a: float          # sqrt(m^2 - E^2)/m, dimensionless momentum scale
-    lam: float        # sqrt(m^2 - E^2) in eV
-    shape: tuple[float, float, float, float]  # (f1, f2, g1, g2), see radial_polynomials
-    norm: float       # multiplies the raw radial shapes; > 0
+    __slots__ = ()
 
     @property
     def n_principal(self) -> int:
@@ -109,7 +103,7 @@ def _check_level(n_r: int, kappa: int, label: str | None = None):
     check_integer("n_r", n_r)
     kappa_to_lj(kappa)
     if n_r < 0 or (n_r == 0 and kappa > 0):
-        name = repr(label) if label else f"(n_r, kappa) = ({n_r}, {kappa})"
+        name = shown(label) if label else f"(n_r, kappa) = ({n_r}, {kappa})"
         raise ValidationError(f"{name} does not name a bound state")
 
 
@@ -285,12 +279,12 @@ def parse_level_label(label: str) -> tuple[int, int]:
     """
     match = _LABEL_RE.match(label) if isinstance(label, str) else None
     if not match:
-        raise ValidationError(f"cannot parse level label {label!r} (expected e.g. '2P3/2')")
+        raise ValidationError(f"cannot parse level label {shown(label)} (expected e.g. '2P3/2')")
     n_principal = int(match.group(1))
     letter = match.group(2).upper()
     two_j = int(match.group(3))
     if letter not in SPECTROSCOPIC_LETTERS:
-        raise ValidationError(f"unknown orbital letter {letter!r} in {label!r}")
+        raise ValidationError(f"unknown orbital letter {letter!r} in {shown(label)}")
     l = SPECTROSCOPIC_LETTERS.index(letter)
     kappa = lj_to_kappa(l, two_j / 2.0)  # raises unless j = l +/- 1/2 > 0
     n_r = n_principal - abs(kappa)

@@ -29,8 +29,8 @@ number that does not exist is None, not inf: inf or NaN means overflow.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
                         PhysicalConstants, _checked, check_lambda_qcd, check_theta)
@@ -56,15 +56,13 @@ __all__ = [
 
 
 @_checked
-class SchrodingerState(NamedTuple):
-    """Hydrogen level (n, l, j = l +/- 1/2, m_j) in the nonrelativistic stack;
-    (l, j) and m_j are checked for every l, 0 included."""
+class SchrodingerState(namedtuple("SchrodingerState", "n l j m_j constants",
+                                  defaults=(DEFAULT_CONSTANTS,))):
+    """Hydrogen level (n, l, j = l +/- 1/2, m_j) in the nonrelativistic stack,
+    n and l ints, j and m_j floats; (l, j) and m_j are checked for every l,
+    0 included."""
 
-    n: int
-    l: int
-    j: float
-    m_j: float
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
+    __slots__ = ()
 
     def _check(self):
         _check_nl(self.n, self.l)
@@ -194,27 +192,20 @@ def expectation_p4_physical(n: int, l: int,
 # ---------------------------------------------------------------------------
 
 
-class ExpectationTable(NamedTuple):
-    """All tabulated first-order expectation values for one (n, l, j, m_j).
+class ExpectationTable(namedtuple("ExpectationTable", (
+        "p4_printed p4_physical theta_L_over_r3 theta_L_over_r4 theta_L_over_r5 "
+        "sigma_theta_over_r4 sigma_r_theta_r_over_r6 sigma_L_over_r3 thetaL_sigmaL_over_r5 "
+        "pi_delta3 thetaL_p2_over_r3 l_z s_z"))):
+    """All tabulated first-order expectation values for one (n, l, j, m_j),
+    each a float.
 
-    Entries proportional to a moment that does not exist are None, not inf
-    (or 0 when their angular coefficient vanishes), and listed in
-    `divergent`.  hbar = 1: angular momenta are pure numbers.
+    Entries proportional to a moment that does not exist (theta_L_over_r5
+    and thetaL_sigmaL_over_r5 can be such entries) are None, not inf (or 0
+    when their angular coefficient vanishes), and listed in `divergent`.
+    hbar = 1: angular momenta are pure numbers.
     """
 
-    p4_printed: float
-    p4_physical: float
-    theta_L_over_r3: float
-    theta_L_over_r4: float
-    theta_L_over_r5: float | None
-    sigma_theta_over_r4: float
-    sigma_r_theta_r_over_r6: float
-    sigma_L_over_r3: float
-    thetaL_sigmaL_over_r5: float | None
-    pi_delta3: float
-    thetaL_p2_over_r3: float
-    l_z: float
-    s_z: float
+    __slots__ = ()
 
     @property
     def divergent(self) -> tuple[str, ...]:
@@ -311,14 +302,11 @@ def fine_structure_shift(n: int, l: int, j: float,
     return kinetic + spin_orbit
 
 
-class HyperfineShift(NamedTuple):
-    """theta-proportional first-order shift, split by moment order; where
-    <r^-5> does not exist, r5_term and total are None, not inf."""
+class HyperfineShift(namedtuple("HyperfineShift", "total r3_term r4_term r5_term")):
+    """theta-proportional first-order shift in eV, split by moment order;
+    where <r^-5> does not exist, r5_term and total are None, not inf."""
 
-    total: float | None
-    r3_term: float
-    r4_term: float
-    r5_term: float | None
+    __slots__ = ()
 
     @property
     def r5_divergent(self) -> bool:

@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dirac import _exact_series, make_state, radial_polynomials
@@ -80,16 +80,13 @@ VERDICT_FLAGGED = "flagged_paper_inconsistency"
 VERDICTS = (VERDICT_MATCH, VERDICT_FLAGGED, VERDICT_MISMATCH)
 
 
-class ValidationReport(NamedTuple):
-    """One validated quantity: the two routes, their disagreement, a verdict."""
+class ValidationReport(namedtuple("ValidationReport", (
+        "name closed_form quadrature rel_error quad_drift verdict note"), defaults=("",))):
+    """One validated quantity: the two routes (closed_form and quadrature,
+    floats or None), their disagreement (rel_error, a float; quad_drift, a
+    float or None), a verdict and a note (strs)."""
 
-    name: str
-    closed_form: float | None
-    quadrature: float | None
-    rel_error: float
-    quad_drift: float | None
-    verdict: str
-    note: str = ""
+    __slots__ = ()
 
 
 def _rel(a: float, b: float) -> float:

@@ -47,9 +47,10 @@ eigenvalues, both closed integrals, the closed-form coefficients and the
 2P Lamb-shift theta bound, and for |kappa| >= 2 the series route too,
 with its coefficients, order, drift, flag and notes.  level_shift is
 linear in theta by construction: a warm |kappa| >= 2 call checks theta
-and the constants and replaces the kept report's theta and
-shifts_eV = coefficients * theta; a |kappa| = 1 call first fills the
-route fields from the two endpoint samples, taken again and not kept.
+and the constants and builds its report in one tuple construction, the
+kept report's fields with theta and shifts_eV = coefficients * theta set;
+a |kappa| = 1 call first fills the route fields from the two endpoint
+samples, taken again and not kept.
 cli's bound and sweep read the same report.
 
 Reports carry both values plus flags so downstream consumers can see any
@@ -62,7 +63,6 @@ import math
 from collections import namedtuple
 from functools import cached_property, partial
 from operator import mul
-from typing import NamedTuple
 
 from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
                         check_positive, check_theta, ev2_to_gev_scale, hz_to_ev)
@@ -194,13 +194,11 @@ def m_values(j: float) -> tuple[float, ...]:
     return tuple(-j + k for k in range(count))
 
 
-class AngularBlock(NamedTuple):
-    """Real angular matrix over the M basis of a level, in units of theta:
-    matrix is a tuple of rows of floats."""
+class AngularBlock(namedtuple("AngularBlock", "label basis matrix")):
+    """Real angular matrix over the M basis (a float tuple) of a level, in
+    units of theta: matrix is a tuple of rows of floats."""
 
-    label: str
-    basis: tuple[float, ...]
-    matrix: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
 
 def _lz(kappa: int, M: float) -> float:
@@ -389,13 +387,13 @@ def cross_radial_integral_quadrature(
 # ---------------------------------------------------------------------------
 
 
-class ThetaBound(NamedTuple):
-    """Upper bound on theta implied by one splitting coefficient."""
+class ThetaBound(namedtuple("ThetaBound",
+                            "theta_max_ev2 gev_scale coefficient_ev3 accuracy_hz")):
+    """Upper bound on theta implied by one splitting coefficient: theta_max
+    in eV^-2, gev_scale the X of "theta <= (X GeV)^-2", the coefficient in
+    eV^3 and the accuracy in Hz."""
 
-    theta_max_ev2: float
-    gev_scale: float          # the X of "theta <= (X GeV)^-2"
-    coefficient_ev3: float
-    accuracy_hz: float
+    __slots__ = ()
 
 
 def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
@@ -413,30 +411,30 @@ def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
                       coefficient_ev3=shift_coefficient_ev3, accuracy_hz=accuracy_hz)
 
 
-class ShiftReport(NamedTuple):
+class ShiftReport(namedtuple("ShiftReport", (
+        "label theta eigenvalues rho1 rho2 rho1_quadrature rho2_quadrature "
+        "quadrature_converged quadrature_route quadrature_order quadrature_drift "
+        "coefficients coefficients_quadrature shifts_eV theta_bound flagged notes"),
+        defaults=((),))):
     """First-order shift data for one level at a given theta.
 
     A named tuple, so it compares, hashes, iterates and unpacks as the
     tuple of its fields.  Level.closed_form is a level's report at
-    theta = 0; level_shift replaces its theta and shifts_eV."""
+    theta = 0; level_shift sets its theta and shifts_eV in a copy.
 
-    label: str
-    theta: float
-    eigenvalues: tuple[float, ...]          # angular eigenvalues per unit theta
-    rho1: float                              # closed-form sum integral, eV^3
-    rho2: float                              # closed-form diff integral, eV^3
-    rho1_quadrature: float
-    rho2_quadrature: float
-    quadrature_converged: bool
-    quadrature_route: str                    # "laguerre_series" or "endpoint_sample"
-    quadrature_order: int                    # series terms, or the larger sample's order
-    quadrature_drift: float                  # larger of the two: rounding bound, or sample gap
-    coefficients: tuple[float, ...]          # closed-form route, eV^3 per theta
-    coefficients_quadrature: tuple[float, ...]
-    shifts_eV: tuple[float, ...]             # closed-form coefficients times theta
-    theta_bound: ThetaBound | None
-    flagged: bool
-    notes: tuple[str, ...] = ()
+    Fields: label; theta (eV^-2); eigenvalues, the angular eigenvalues per
+    unit theta; rho1 and rho2, the closed-form sum and diff integrals in
+    eV^3, and rho1_quadrature and rho2_quadrature their quadrature values;
+    quadrature_converged; quadrature_route, "laguerre_series" or
+    "endpoint_sample"; quadrature_order, the series terms or the larger
+    sample's order; quadrature_drift, the larger of the two rounding bounds
+    or sample gaps; coefficients (closed-form route) and
+    coefficients_quadrature in eV^3 per theta; shifts_eV, the closed-form
+    coefficients times theta; theta_bound, a ThetaBound or None; flagged;
+    notes, a tuple of strs.
+    """
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         d = {
@@ -463,6 +461,10 @@ class ShiftReport(NamedTuple):
         return d
 
 
+# the slots level_shift sets in a copy of a level's report
+_THETA, _SHIFTS_EV = map(ShiftReport._fields.index, ("theta", "shifts_eV"))
+
+
 def level_shift(level, theta: float,
                 constants: PhysicalConstants | None = None) -> ShiftReport:
     """First-order shifts Delta E = -(e^2/2) rho1 lambda_k theta for a level.
@@ -481,8 +483,10 @@ def level_shift(level, theta: float,
     Every field but theta and shifts_eV is independent of theta; the Level
     keeps them in its report at theta = 0 (Level.closed_form) after its
     first call, and every report on it shares the kept objects.  A warm
-    |kappa| >= 2 call checks theta and the constants and replaces the kept
-    report's theta and shifts_eV (coefficient * theta).  A |kappa| = 1 call
+    |kappa| >= 2 call checks theta and the constants, copies the kept
+    report's fields into a list once, sets theta and shifts_eV
+    (coefficient * theta) there and builds the report with one _make, no
+    _replace.  A |kappa| = 1 call
     also samples the divergent integrals again and forms their
     coefficients, flag and notes (Level.report_fields), which are not kept.
 
@@ -499,7 +503,10 @@ def level_shift(level, theta: float,
                               f"was built with")
     # via the class: 3.11 specializes no method lookup on a tuple subclass with a dict
     f = Level.report_fields(level)
-    return f._replace(theta=theta, shifts_eV=tuple([c * theta for c in f.coefficients]))
+    fields = list(f)
+    fields[_THETA] = theta
+    fields[_SHIFTS_EV] = tuple([c * theta for c in f.coefficients])
+    return ShiftReport._make(fields)
 
 
 def transition_element_2s2p(theta: float,

@@ -28,10 +28,9 @@ one.
 from __future__ import annotations
 
 import math
-import numbers
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from .constants import finite_real, shown
 from .errors import DomainError, ValidationError
@@ -96,7 +95,8 @@ def _norm_legendre(l: int, m: int, cos_theta: float, sin_theta: float) -> float:
 
 def _check_angles(theta, phi):
     if not (finite_real(theta) and finite_real(phi)):
-        raise ValidationError(f"theta and phi must be finite reals, got {theta!r} and {phi!r}")
+        raise ValidationError(f"theta and phi must be finite reals, got {shown(theta)} and "
+                              f"{shown(phi)}")
 
 
 def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
@@ -118,8 +118,12 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
 
 def check_integer(name: str, value, minimum: int | None = None):
     """Reject value unless it is an integer (not a bool), finite as a float and >= minimum."""
-    if not (isinstance(value, numbers.Integral) and finite_real(value)
-            and (minimum is None or value >= minimum)):
+    if type(value) is int:  # the common case, without the numbers.Integral ABC check
+        integral = True
+    else:
+        import numbers
+        integral = isinstance(value, numbers.Integral)
+    if not (integral and finite_real(value) and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValidationError(f"{name} must be a finite integer{bound}, got {shown(value)}")
 
@@ -268,13 +272,11 @@ def _golub_welsch(diag, off, mu0: float,
     return tuple(nodes), tuple(weights)
 
 
-class QuadratureRule(NamedTuple):
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights beta", defaults=(0.0,))):
     """Nodes and weights (float tuples) for integration against x^beta e^-x
     on (0, inf)."""
 
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-    beta: float = 0.0
+    __slots__ = ()
 
     def integrate(self, func) -> float:
         """math.fsum of w func(x) over the nodes; func maps a float to a float."""
@@ -305,15 +307,13 @@ def gauss_laguerre(n: int, beta: float = 0.0) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, beta=beta)
 
 
-class IntegrationResult(NamedTuple):
-    """A radial integral's value, its order (series terms, or the final
-    quadrature order) and drift (the series' rounding bound, or the gap to
-    the previous order), and whether that drift is within tolerance."""
+class IntegrationResult(namedtuple("IntegrationResult", "value order drift converged")):
+    """A radial integral's value (float), its order (int: series terms, or
+    the final quadrature order) and drift (float: the series' rounding
+    bound, or the gap to the previous order), and whether that drift is
+    within tolerance (converged, a bool)."""
 
-    value: float
-    order: int
-    drift: float
-    converged: bool
+    __slots__ = ()
 
     def scaled(self, factor: float) -> IntegrationResult:
         """The same result with its value multiplied by factor."""

@@ -172,6 +172,36 @@ def test_usage_error_prints_usage_and_one_error_line(capsys, argv, message):
     assert error == f"nchydro: error: {message}"
 
 
+# A 1000-character value wherever a request quotes the value it rejects
+# (--format's cut message, one byte longer, is in test_conventions.py)
+LONG = "x" * 1000
+LONG_VALUE_REQUESTS = {
+    "label": ["levels", LONG],
+    "label-letter": ["levels", "1" * 1000 + "X1/2"],
+    "theta": ["shift", "2P3/2", "--theta", LONG],
+    "theta-gev": ["shift", "2P3/2", "--theta", "(" + "0" * 1000 + "1e-200 GeV)^-2"],
+    "half-integer": ["nonrel", "--n", "3", "--l", "2", "--j", LONG, "--mj", "1/2",
+                     "--theta", "1e-19"],
+    "int": ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", LONG],
+    "float": ["bound", "2P3/2", "--accuracy-khz", LONG],
+    "levels": ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3",
+               "--levels", "," * 1000],
+    "command": [LONG],
+}
+
+
+@pytest.mark.parametrize("argv", LONG_VALUE_REQUESTS.values(), ids=LONG_VALUE_REQUESTS)
+def test_long_value_is_cut_in_the_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("nchydro: error:")]
+    assert code == 1 and captured.out == ""
+    assert len(errors) == 1 and "..." in errors[0] and len(errors[0].encode()) <= 120, errors
+
+
 @pytest.mark.parametrize("argv", [
     ["levels", "--n-r", "1", "--kappa", "-1"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "-5/2", "--theta", "1e-19"],
@@ -632,24 +662,25 @@ KAPPA_1_LEVELS = ["1S1/2", "2S1/2", "2P1/2", "3S1/2", "3P1/2", "4S1/2", "4P1/2",
                   "5P1/2"]
 
 
-def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
-    """Run script in a fresh interpreter that imports nchydro from this tree."""
+def _run_python(script: str, *args: str, options: tuple = ()) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter, started with options, that imports
+    nchydro from this tree."""
     src = str(Path(nchydro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return subprocess.run([sys.executable, *options, "-c", script, *args], env=env,
                           capture_output=True, text=True)
 
 
-def _loaded_modules(*argvs, prelude: str = "") -> set[str]:
-    """Run CLI requests in one fresh interpreter, after prelude; the names in
-    sys.modules afterwards."""
+def _loaded_modules(*argvs, prelude: str = "", options: tuple = ()) -> set[str]:
+    """Run CLI requests in one fresh interpreter, started with options, after
+    prelude; the names in sys.modules afterwards."""
     script = (prelude + "import contextlib, io, json, sys\n"
               "from nchydro.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
               "print(json.dumps([codes, sorted(sys.modules)]))\n")
-    result = _run_python(script, json.dumps(argvs))
+    result = _run_python(script, json.dumps(argvs), options=options)
     assert result.returncode == 0, result.stderr
     codes, modules = json.loads(result.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs), argvs
@@ -675,6 +706,20 @@ def test_no_request_loads_dataclasses_or_inspect():
     assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, [
         "nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"])
     assert modules <= _loaded_modules(["levels", "2P3/2"], prelude="import dataclasses\n")
+
+
+def test_no_request_loads_typing_or_numbers():
+    # every value type is a collections.namedtuple subclass, and the integer
+    # and real checks take ints and floats without the numbers ABCs.  Under
+    # -S, because a site-packages .pth file may import typing itself.  The
+    # positive control: a prelude that imports each module is seen to
+    modules = {"typing", "numbers"}
+    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, [
+        "nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"],
+        options=("-S",))
+    for module in modules:
+        assert module in _loaded_modules(["levels", "2P3/2"], prelude=f"import {module}\n",
+                                         options=("-S",))
 
 
 def test_numpy_imported_first_is_detected():

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import nchydro
+from nchydro.cli import _format, parse_half_integer, parse_theta
 from nchydro.constants import DEFAULT_CONSTANTS, ev2_to_gev_scale, finite_real
 from nchydro.dirac import (dirac_binding_energy, dirac_energy, kappa_to_lj, lj_to_kappa,
                            make_state, parse_level_label, radial_fg)
@@ -36,8 +37,8 @@ from nchydro.nonrel import (SchrodingerState, _spin_orbit, expectation_p4_physic
 from nchydro.shifts import (Level, level_shift, lz_block, lz_block_numeric, lz_expectation,
                             radial_integral_closed, radial_integral_quadrature,
                             sigma_cross_block, transition_element_2s2p)
-from nchydro.specfun import (laguerre_general, spherical_harmonic, spinor_clebsch,
-                             spinor_harmonic)
+from nchydro.specfun import (check_integer, laguerre_general, spherical_harmonic,
+                             spinor_clebsch, spinor_harmonic)
 
 
 def short(value) -> str:
@@ -221,7 +222,22 @@ LONG_REJECTED = (
                     id="PhysicalConstants-m_e-huge-int"),
        pytest.param(kappa_to_lj, ("1" * 1000,), id="kappa_to_lj-long-str"),
        pytest.param(lj_to_kappa, (1, 10**400), id="lj_to_kappa-j-huge-int"),
-       pytest.param(make_state, (0, -1, 10**400), id="make_state-M-huge-int")]
+       pytest.param(make_state, (0, -1, 10**400), id="make_state-M-huge-int"),
+       pytest.param(spherical_harmonic, (1, 0, 10**400, 0.2),
+                    id="spherical_harmonic-theta-huge-int"),
+       pytest.param(parse_level_label, ("x" * 1000,), id="parse_level_label-long-str"),
+       pytest.param(parse_level_label, ("1" * 1000 + "X1/2",),
+                    id="parse_level_label-letter-long-str"),
+       pytest.param(parse_level_label, (" " * 1000 + "1P1/2",),
+                    id="parse_level_label-no-level-long-str"),
+       pytest.param(parse_theta, ("x" * 1000,), id="parse_theta-long-str"),
+       pytest.param(parse_theta, ("(" + "0" * 1000 + "1e-200 GeV)^-2",),
+                    id="parse_theta-gev-long-str"),
+       pytest.param(parse_half_integer, ("x" * 1000,), id="parse_half_integer-long-str"),
+       pytest.param(parse_half_integer, ("1/" + "0" * 1000,),
+                    id="parse_half_integer-zero-long-str"),
+       pytest.param(parse_half_integer, ("1" * 1000,), id="parse_half_integer-inf-long-str"),
+       pytest.param(_format, ("x" * 1000,), id="format-long-str")]
     + HUGE_QUANTUM_NUMBERS
 )
 
@@ -290,6 +306,24 @@ def test_finite_real_accepts(value):
 @pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=short)
 def test_finite_real_rejects(value):
     assert finite_real(value) is False
+
+
+# check_integer takes an int on a fast path and everything else through the
+# numbers.Integral check; numpy's integers take the second
+INTEGERS = [0, 3, -7, 2**60, np.int64(3), np.int64(-2)]
+NOT_INTEGERS = [True, False, 3.0, np.float64(3.0), "3", None, Fraction(3, 1), 10**400]
+
+
+@pytest.mark.parametrize("value", INTEGERS, ids=short)
+def test_check_integer_accepts(value):
+    check_integer("n", value)
+    check_integer("n", value, -7)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=short)
+def test_check_integer_rejects(value):
+    with pytest.raises(ValidationError, match="n must be a finite integer, got"):
+        check_integer("n", value)
 
 
 def _spelled(trees) -> set[str]:

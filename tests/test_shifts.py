@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -435,18 +436,21 @@ class TestLevelShift:
 
     @pytest.mark.parametrize("label", ["2P1/2", "3D5/2", "2S1/2"])
     def test_bound_builds_no_report(self, monkeypatch, capsys, label):
-        # a report at a theta is the level's report with theta replaced
-        thetas, replace = [], shifts.ShiftReport._replace
+        # a report at a theta is built by ShiftReport._make from the level's
+        # report with theta set; _with_route's _replace makes reports at
+        # theta = 0 through _make too, so only theta != 0 is recorded
+        thetas, make = [], shifts.ShiftReport._make
 
-        def replace_recording_theta(report, **changes):
-            if "theta" in changes:
-                thetas.append(changes["theta"])
-            return replace(report, **changes)
+        def make_recording_theta(cls, fields):
+            report = make(fields)
+            if report.theta != 0.0:
+                thetas.append(report.theta)
+            return report
 
         def no_shift(*args, **kwargs):
             raise AssertionError("level_shift called")
 
-        monkeypatch.setattr(shifts.ShiftReport, "_replace", replace_recording_theta)
+        monkeypatch.setattr(shifts.ShiftReport, "_make", classmethod(make_recording_theta))
         level_shift(label, 1.0e-19)
         assert thetas == [1.0e-19]  # the positive control: a shift records its theta
         monkeypatch.setattr(shifts, "level_shift", no_shift)
@@ -455,6 +459,36 @@ class TestLevelShift:
         assert cli.main(["bound", label, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["label"] == label
         assert thetas == [1.0e-19]
+
+    @pytest.mark.parametrize("label", LEVEL_LABELS)
+    def test_report_is_the_kept_report_with_theta_set(self, label):
+        # at seeded thetas: the report at theta = 0 with theta and shifts_eV
+        # replaced, and each theta-independent field the level keeps is the
+        # kept object (for |kappa| = 1 the route fields are sampled anew)
+        level, rng = Level.from_label(label), random.Random(label)
+        kept = level.closed_form
+        for theta in [0.0, 1.0e-19] + [10.0 ** rng.uniform(-24.0, -16.0) for _ in range(4)]:
+            report = level_shift(level, theta)
+            assert type(report) is shifts.ShiftReport
+            expected = Level.report_fields(level)._replace(
+                theta=theta, shifts_eV=tuple(c * theta for c in kept.coefficients))
+            assert report == expected and repr(report) == repr(expected)
+            for name, value in zip(report._fields, report):
+                if name not in ("theta", "shifts_eV") and getattr(kept, name) is not None:
+                    assert value is getattr(kept, name), name
+
+    @pytest.mark.parametrize("label", [lbl for lbl in LEVEL_LABELS if not lbl.endswith("1/2")])
+    def test_warm_report_is_not_replaced(self, monkeypatch, label):
+        # a warm |kappa| >= 2 call builds its report in one _make
+        def no_replace(*args, **kwargs):
+            raise AssertionError("_replace called")
+
+        level = Level.from_label(label)
+        report = level_shift(level, 1.0e-19)
+        monkeypatch.setattr(shifts.ShiftReport, "_replace", no_replace)
+        assert level_shift(level, 1.0e-19) == report
+        with pytest.raises(AssertionError, match="_replace called"):
+            level.closed_form._replace(theta=1.0e-19)  # the positive control
 
     def test_level_constants_set_alpha(self):
         # a Level built with other constants must not mix in the defaults
