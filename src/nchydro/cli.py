@@ -8,6 +8,11 @@ Output formats are table (default; the CSV for sweep) and json
 inputs out of range (a payload holding inf or NaN is never written), 2
 unexpected validation mismatch from the verify suite.
 
+to_json writes the JSON text, byte for byte what json.dumps(payload,
+indent=2, allow_nan=False) writes, and its walk of the payload is the
+finiteness check of both formats; no request imports json but one that
+reads a constants file.
+
 A handler imports the modules it computes with, so a request loads only
 those: levels needs constants, errors, specfun and dirac; shift, bound and
 sweep add shifts; nonrel adds shifts and nonrel; only verify loads oracle.
@@ -18,16 +23,14 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import math
 import re
 import sys
-from collections import namedtuple
 from types import SimpleNamespace
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
-                        PhysicalConstants, check_lambda_qcd, check_positive, check_theta,
-                        read_constants_file, shown)
+                        PhysicalConstants, Record, check_lambda_qcd, check_positive,
+                        check_theta, cut, read_constants_file, shown)
 from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
 
@@ -143,7 +146,7 @@ def parse_args(argv=None) -> SimpleNamespace:
         if token.startswith("--"):
             flag, equals, text = token.partition("=")
             if flag not in options:
-                _usage_error(command, f"unrecognized option: {flag}")
+                _usage_error(command, f"unrecognized option: {cut(flag)}")
             if not equals:  # the value is the next token, unless that is an option
                 if not tokens or tokens[0].startswith("--"):
                     _usage_error(command, f"argument {flag}: expected one argument")
@@ -161,7 +164,7 @@ def parse_args(argv=None) -> SimpleNamespace:
             command, kind = token, SUBCOMMANDS[token][1]
             options = {**GLOBAL_FLAGS, **SUBCOMMANDS[token][2]}
         elif label is not None or not kind:
-            _usage_error(command, f"unrecognized argument: {token}")
+            _usage_error(command, f"unrecognized argument: {cut(token)}")
         else:
             label = token
     missing = ["command"] * (command is None) + ["label"] * (kind == "LABEL" and label is None)
@@ -173,11 +176,59 @@ def parse_args(argv=None) -> SimpleNamespace:
         flag[2:].replace("-", "_"): values.get(flag, entry[1]) for flag, entry in options.items()})
 
 
-class Output(namedtuple("Output", "payload table code", defaults=(None, 0))):
+class Output(Record, fields="payload table code", defaults=(None, 0)):
     """A handler's result: the JSON payload (a dict), the table text (None
     for the two-column table of the payload) and the exit code."""
 
     __slots__ = ()
+
+
+# json's short escapes, by code point
+_JSON_ESCAPES = {8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"}
+
+
+def _json_escape(match) -> str:
+    """json's escape of one character outside ' ' to '~'."""
+    code = ord(match.group())
+    if code >= 0x10000:  # a surrogate pair
+        code -= 0x10000
+        return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
+    return _JSON_ESCAPES.get(code) or f"\\u{code:04x}"
+
+
+def _json_str(text: str) -> str:
+    text = text.replace("\\", "\\\\").replace('"', '\\"')
+    if not (text.isascii() and text.isprintable()):  # a character outside ' ' to '~'
+        text = re.sub(r"[^ -~]", _json_escape, text)
+    return f'"{text}"'
+
+
+def to_json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it, for
+    dicts with str keys, lists, tuples, strs, ints, floats, bools and None;
+    a float that is not finite raises ValueError, anything else TypeError.
+    indent is the newline and indentation of value's own line."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items = [f"{_json_str(key)}: {to_json(item, inner)}" for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [to_json(item, inner) for item in value]
+    else:
+        raise TypeError(f"not a JSON payload: {shown(value)}")
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _table(payload: dict) -> str:
@@ -347,8 +398,7 @@ def main(argv=None) -> int:
         }[args.command]
         result = handler(args, constants)
         try:  # the JSON text; a result that overflowed is an error in either format
-            encoded = json.dumps({"schema": JSON_SCHEMA_VERSION, **result.payload}, indent=2,
-                                 allow_nan=False)
+            encoded = to_json({"schema": JSON_SCHEMA_VERSION, **result.payload})
         except ValueError:
             raise ArithmeticError("a result is not finite") from None
         text = encoded + "\n" if args.format == "json" else result.table or _table(result.payload)

@@ -1,17 +1,30 @@
-"""Physical constants, the noncommutativity parameter, and the one check of each
-kind of real boundary value: positive number, theta, radius, constants file.
+"""Physical constants, the noncommutativity parameter, the one check of each
+kind of real boundary value (positive number, theta, radius, constants
+file) and Record.
 
 Natural units hbar = c = 1 throughout; energies in eV, lengths in eV^-1.
 The squared electron charge equals the fine-structure constant in these
 units (Gaussian convention), so e^2 = alpha everywhere.  The only place a
 dimensional constant appears is the Hz <-> eV conversion.
+
+Record, the base of every value type, gives a tuple subclass
+collections.namedtuple's API from its class statement alone: no class is
+generated and no source compiled, which namedtuple does once per class.
+Only read_constants_file loads json.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections import namedtuple
+from operator import itemgetter
+
+# A field read through the C descriptor that collections.namedtuple installs
+# costs about 15 ns less than one through property(itemgetter(i)), its fallback.
+try:
+    from _collections import _tuplegetter
+except ImportError:
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
 
 from .errors import DomainError, ValidationError
 
@@ -42,10 +55,14 @@ def finite_real(value) -> bool:
         return False
 
 
+def cut(text: str) -> str:
+    """text for an error message, cut to 40 characters."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def shown(value) -> str:
     """repr(value) for an error message, cut to 40 characters (10**400 has 401)."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
+    return cut(repr(value))
 
 
 def check_theta(theta: float):
@@ -73,18 +90,90 @@ def check_radius(r: float, caller: str):
         raise DomainError(f"{caller} requires r > 0")
 
 
-def _checked(cls):
-    """cls, a named tuple, with every construction (constructor, _make and so
-    _replace, copy, pickle) returning cls._check of the new tuple."""
-    new = cls.__new__
-    cls.__new__ = staticmethod(lambda cls, *args, **kwargs: new(cls, *args, **kwargs)._check())
-    cls._make = classmethod(lambda cls, fields: cls(*fields))
-    return cls
+class Record(tuple):
+    """A tuple with named fields: subclass it as
+
+        class Point(Record, fields="x y z", defaults=(0.0,)):
+            __slots__ = ()
+
+    and Point(1.0, 2.0), Point(x=1.0, y=2.0) and Point._make([1.0, 2.0, 0.0])
+    build the same Point(x=1.0, y=2.0, z=0.0).  The defaults belong to the
+    last fields.  A missing, unknown or doubly given argument raises
+    TypeError, and so does _make of an iterable of the wrong length.  A
+    subclass that defines _check(self) has it run on every construction:
+    the constructor, _make and so _replace, copy and pickle (protocol 2 and
+    up, which call the constructor).  A subclass without __slots__ keeps an
+    instance dict outside its fields."""
+
+    __slots__ = ()
+    _check = None  # or a subclass's check of a new instance
+
+    def __init_subclass__(cls, /, fields: str, defaults: tuple = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(fields.split())
+        cls._fields = cls.__match_args__ = names
+        cls._field_defaults = dict(zip(names[len(names) - len(defaults):], defaults))
+        for index, name in enumerate(names):
+            setattr(cls, name, _tuplegetter(index, f"Field {index}, {name}."))
+        count, check, new = len(names), cls._check, tuple.__new__
+
+        def __new__(cls, *args, **kwargs):
+            if kwargs or len(args) != count:  # the fast path is a full positional call
+                args = cls._bind(args, kwargs)
+            result = new(cls, args)
+            if check is not None:
+                check(result)
+            return result
+
+        def _make(cls, iterable, new=new, len=len):  # bound as namedtuple binds them
+            result = new(cls, iterable)
+            if len(result) != count:
+                raise TypeError(f"Expected {count} arguments, got {len(result)}")
+            if check is not None:
+                check(result)
+            return result
+
+        cls.__new__, cls._make = staticmethod(__new__), classmethod(_make)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a constructor call, defaults filled in."""
+        fields, defaults = cls._fields, cls._field_defaults
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        for name in kwargs:
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        return values
+
+    def _replace(self, /, **kwargs):
+        """A copy with the named fields set, built by _make."""
+        result = self._make(map(kwargs.pop, self._fields, self))
+        if kwargs:
+            raise ValueError(f"Got unexpected field names: {list(kwargs)!r}")
+        return result
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
 
-@_checked
-class PhysicalConstants(namedtuple("PhysicalConstants", "m_e alpha hbar_eV_s",
-                                   defaults=(510998.95, 7.2973525693e-3, 6.582119569e-16))):
+class PhysicalConstants(Record, fields="m_e alpha hbar_eV_s",
+                        defaults=(510998.95, 7.2973525693e-3, 6.582119569e-16)):
     """Electron mass (eV), fine-structure constant, and hbar in eV s."""
 
     __slots__ = ()
@@ -94,7 +183,6 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "m_e alpha hbar_eV_s",
             check_positive(name, value)
         if not self.alpha < 1.0:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        return self
 
     @property
     def bohr_radius(self) -> float:
@@ -111,6 +199,7 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 def read_constants_file(path: str) -> tuple[PhysicalConstants, float]:
     """(constants, lambda_qcd) from a JSON object setting any of m_e, alpha
     and lambda_qcd over their defaults, each checked as the library does."""
+    import json  # here, so that only a request with a constants file loads json
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

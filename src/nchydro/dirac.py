@@ -53,9 +53,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections import namedtuple
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants, check_radius, shown
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, Record, check_radius, shown
 from .errors import ValidationError
 from .specfun import (IntegrationResult, check_integer, check_magnetic, kappa_to_lj,
                       laguerre_general, lj_to_kappa)
@@ -77,8 +76,7 @@ __all__ = [
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
 
 
-class RelativisticState(namedtuple("RelativisticState",
-                                   "n_r kappa M constants j l nu energy a lam shape norm")):
+class RelativisticState(Record, fields="n_r kappa M constants j l nu energy a lam shape norm"):
     """One Dirac-Coulomb bound level with all derived quantities attached,
     norm included: a named tuple that make_state builds.  n_r, kappa and l
     are ints; M, j, nu and energy (eV) floats; a = sqrt(m^2 - E^2)/m is the
@@ -278,15 +276,16 @@ def parse_level_label(label: str) -> tuple[int, int]:
     physically impossible combinations, and on a label that is not a str.
     """
     match = _LABEL_RE.match(label) if isinstance(label, str) else None
-    if not match:
-        raise ValidationError(f"cannot parse level label {shown(label)} (expected e.g. '2P3/2')")
-    n_principal = int(match.group(1))
+    try:  # int() refuses more than 4300 digits, and a j beyond the floats overflows
+        n_principal, j = int(match.group(1)), int(match.group(3)) / 2.0
+    except (AttributeError, ValueError, OverflowError):  # AttributeError: no match
+        raise ValidationError(
+            f"cannot parse level label {shown(label)} (expected e.g. '2P3/2')") from None
     letter = match.group(2).upper()
-    two_j = int(match.group(3))
     if letter not in SPECTROSCOPIC_LETTERS:
         raise ValidationError(f"unknown orbital letter {letter!r} in {shown(label)}")
     l = SPECTROSCOPIC_LETTERS.index(letter)
-    kappa = lj_to_kappa(l, two_j / 2.0)  # raises unless j = l +/- 1/2 > 0
+    kappa = lj_to_kappa(l, j)  # raises unless j = l +/- 1/2 > 0
     n_r = n_principal - abs(kappa)
     _check_level(n_r, kappa, label)
     return n_r, kappa

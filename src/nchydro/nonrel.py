@@ -29,11 +29,10 @@ number that does not exist is None, not inf: inf or NaN means overflow.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import partial
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants, _checked, check_lambda_qcd, check_theta)
+                        PhysicalConstants, Record, check_lambda_qcd, check_theta)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, lz_expectation, theta_bound
 from .specfun import (check_integer, check_magnetic, gauss_laguerre, laguerre_general,
@@ -55,9 +54,7 @@ __all__ = [
 ]
 
 
-@_checked
-class SchrodingerState(namedtuple("SchrodingerState", "n l j m_j constants",
-                                  defaults=(DEFAULT_CONSTANTS,))):
+class SchrodingerState(Record, fields="n l j m_j constants", defaults=(DEFAULT_CONSTANTS,)):
     """Hydrogen level (n, l, j = l +/- 1/2, m_j) in the nonrelativistic stack,
     n and l ints, j and m_j floats; (l, j) and m_j are checked for every l,
     0 included."""
@@ -68,7 +65,6 @@ class SchrodingerState(namedtuple("SchrodingerState", "n l j m_j constants",
         _check_nl(self.n, self.l)
         lj_to_kappa(self.l, self.j)
         check_magnetic(self.j, self.m_j)
-        return self
 
     @property
     def kappa(self) -> int:
@@ -192,10 +188,10 @@ def expectation_p4_physical(n: int, l: int,
 # ---------------------------------------------------------------------------
 
 
-class ExpectationTable(namedtuple("ExpectationTable", (
+class ExpectationTable(Record, fields=(
         "p4_printed p4_physical theta_L_over_r3 theta_L_over_r4 theta_L_over_r5 "
         "sigma_theta_over_r4 sigma_r_theta_r_over_r6 sigma_L_over_r3 thetaL_sigmaL_over_r5 "
-        "pi_delta3 thetaL_p2_over_r3 l_z s_z"))):
+        "pi_delta3 thetaL_p2_over_r3 l_z s_z")):
     """All tabulated first-order expectation values for one (n, l, j, m_j),
     each a float.
 
@@ -302,7 +298,7 @@ def fine_structure_shift(n: int, l: int, j: float,
     return kinetic + spin_orbit
 
 
-class HyperfineShift(namedtuple("HyperfineShift", "total r3_term r4_term r5_term")):
+class HyperfineShift(Record, fields="total r3_term r4_term r5_term"):
     """theta-proportional first-order shift in eV, split by moment order;
     where <r^-5> does not exist, r5_term and total are None, not inf."""
 

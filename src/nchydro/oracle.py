@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from collections import namedtuple
 from operator import mul
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import DEFAULT_CONSTANTS, PhysicalConstants, Record
 from .dirac import _exact_series, make_state, radial_polynomials
 from .errors import DivergenceError, ValidationError
 from .nonrel import _moment_integrands, _moment_quadratures, r_inverse_moment
@@ -80,8 +79,8 @@ VERDICT_FLAGGED = "flagged_paper_inconsistency"
 VERDICTS = (VERDICT_MATCH, VERDICT_FLAGGED, VERDICT_MISMATCH)
 
 
-class ValidationReport(namedtuple("ValidationReport", (
-        "name closed_form quadrature rel_error quad_drift verdict note"), defaults=("",))):
+class ValidationReport(Record, fields=(
+        "name closed_form quadrature rel_error quad_drift verdict note"), defaults=("",)):
     """One validated quantity: the two routes (closed_form and quadrature,
     floats or None), their disagreement (rel_error, a float; quad_drift, a
     float or None), a verdict and a note (strs)."""

@@ -60,11 +60,10 @@ disagreement instead of having it averaged away.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import cached_property, partial
 from operator import mul
 
-from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants,
+from .constants import (DEFAULT_CONSTANTS, LAMB_ACCURACY_2P_HZ, PhysicalConstants, Record,
                         check_positive, check_theta, ev2_to_gev_scale, hz_to_ev)
 from .dirac import (RelativisticState, _exact_series, _overlap, _overlap_at, make_state,
                     parse_level_label)
@@ -99,7 +98,7 @@ RADIAL_AGREEMENT_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-class Level(namedtuple("Level", "label n_r kappa j l states")):
+class Level(Record, fields="label n_r kappa j l states"):
     """A full j-multiplet of one fine-structure level, as a named tuple."""
 
     @classmethod
@@ -194,7 +193,7 @@ def m_values(j: float) -> tuple[float, ...]:
     return tuple(-j + k for k in range(count))
 
 
-class AngularBlock(namedtuple("AngularBlock", "label basis matrix")):
+class AngularBlock(Record, fields="label basis matrix"):
     """Real angular matrix over the M basis (a float tuple) of a level, in
     units of theta: matrix is a tuple of rows of floats."""
 
@@ -387,8 +386,7 @@ def cross_radial_integral_quadrature(
 # ---------------------------------------------------------------------------
 
 
-class ThetaBound(namedtuple("ThetaBound",
-                            "theta_max_ev2 gev_scale coefficient_ev3 accuracy_hz")):
+class ThetaBound(Record, fields="theta_max_ev2 gev_scale coefficient_ev3 accuracy_hz"):
     """Upper bound on theta implied by one splitting coefficient: theta_max
     in eV^-2, gev_scale the X of "theta <= (X GeV)^-2", the coefficient in
     eV^3 and the accuracy in Hz."""
@@ -411,11 +409,11 @@ def theta_bound(shift_coefficient_ev3: float, accuracy_hz: float,
                       coefficient_ev3=shift_coefficient_ev3, accuracy_hz=accuracy_hz)
 
 
-class ShiftReport(namedtuple("ShiftReport", (
+class ShiftReport(Record, fields=(
         "label theta eigenvalues rho1 rho2 rho1_quadrature rho2_quadrature "
         "quadrature_converged quadrature_route quadrature_order quadrature_drift "
         "coefficients coefficients_quadrature shifts_eV theta_bound flagged notes"),
-        defaults=((),))):
+        defaults=((),)):
     """First-order shift data for one level at a given theta.
 
     A named tuple, so it compares, hashes, iterates and unpacks as the

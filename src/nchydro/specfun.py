@@ -28,11 +28,10 @@ one.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .constants import finite_real, shown
+from .constants import Record, finite_real, shown
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -272,7 +271,7 @@ def _golub_welsch(diag, off, mu0: float,
     return tuple(nodes), tuple(weights)
 
 
-class QuadratureRule(namedtuple("QuadratureRule", "nodes weights beta", defaults=(0.0,))):
+class QuadratureRule(Record, fields="nodes weights beta", defaults=(0.0,)):
     """Nodes and weights (float tuples) for integration against x^beta e^-x
     on (0, inf)."""
 
@@ -304,10 +303,10 @@ def gauss_laguerre(n: int, beta: float = 0.0) -> QuadratureRule:
     if not beta > -1.0:  # NaN included
         raise DomainError(f"weight x^beta e^-x is not integrable for beta={beta}")
     nodes, weights = _laguerre_rule(int(n), float(beta))
-    return QuadratureRule(nodes=nodes, weights=weights, beta=beta)
+    return QuadratureRule(nodes, weights, beta)
 
 
-class IntegrationResult(namedtuple("IntegrationResult", "value order drift converged")):
+class IntegrationResult(Record, fields="value order drift converged"):
     """A radial integral's value (float), its order (int: series terms, or
     the final quadrature order) and drift (float: the series' rounding
     bound, or the gap to the previous order), and whether that drift is
@@ -334,9 +333,9 @@ def adaptive_weighted(func, beta: float = 0.0, tol: float = 1e-10,
         cur = gauss_laguerre(order, beta).integrate(func)
         drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
         if drift <= tol:
-            return IntegrationResult(value=cur, order=order, drift=drift, converged=True)
+            return IntegrationResult(cur, order, drift, True)
         prev = cur
-    return IntegrationResult(value=prev, order=order, drift=drift, converged=False)
+    return IntegrationResult(prev, order, drift, False)
 
 
 # The endpoint rules of adaptive_sampled_endpoint, order n -> (x, w): the
@@ -415,7 +414,7 @@ def adaptive_sampled_endpoint(func, start: int = 80) -> IntegrationResult:
     prev, cur = (math.fsum(map(mul, weights, map(func, nodes)))
                  for nodes, weights in (_ENDPOINT_RULES[80], _ENDPOINT_RULES[160]))
     drift = abs(cur - prev) / max(abs(cur), abs(prev), 1e-300)
-    return IntegrationResult(value=cur, order=160, drift=drift, converged=drift <= 1e-10)
+    return IntegrationResult(cur, 160, drift, drift <= 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import ast
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -11,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import nchydro
-from nchydro.cli import GLOBAL_FLAGS, SUBCOMMANDS, main, parse_half_integer, parse_theta
+from nchydro import cli
+from nchydro.cli import (GLOBAL_FLAGS, SUBCOMMANDS, Output, main, parse_half_integer,
+                         parse_theta)
 from nchydro.constants import read_constants_file
 from nchydro.errors import ValidationError
 from nchydro.shifts import level_shift
@@ -187,6 +191,11 @@ LONG_VALUE_REQUESTS = {
     "levels": ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "3",
                "--levels", "," * 1000],
     "command": [LONG],
+    "unknown-argument": ["levels", "2P3/2", LONG],
+    "unknown-option": ["levels", "2P3/2", "--" + LONG, "1"],
+    # more digits than int() converts, and a j beyond the float range
+    "label-digits": ["levels", "1" * 5000 + "P3/2"],
+    "label-j-digits": ["levels", "2P" + "1" * 1000 + "/2"],
 }
 
 
@@ -288,6 +297,18 @@ def test_non_finite_input_exits_1_without_output(capsys, argv):
         assert code == 1, fmt
         assert out == "", fmt
         assert "nchydro: error:" in err, fmt
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_payload_exits_1_without_output(capsys, monkeypatch, value, fmt):
+    # a payload float that is not finite, deep inside it, fails the JSON
+    # writer, which both formats run: exit 1 with the out-of-range line
+    payload = {"label": "2P3/2", "rows": [{"shift_eV": 0.0}, {"shift_eV": value}]}
+    monkeypatch.setattr(cli, "cmd_levels", lambda args, constants: Output(payload))
+    code, out, err = run_cli(capsys, "levels", "2P3/2", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "nchydro: error: the inputs are out of range (a result is not finite)\n"
 
 
 NONREL_3D52 = ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e-19"]
@@ -658,6 +679,8 @@ NUMPY_FREE_REQUESTS = [
     ["bound", "1S1/2"],
     ["verify"],
 ]
+# the l = 0 channel of nonrel, which the requests above leave out
+NONREL_L0 = ["nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"]
 KAPPA_1_LEVELS = ["1S1/2", "2S1/2", "2P1/2", "3S1/2", "3P1/2", "4S1/2", "4P1/2", "5S1/2",
                   "5P1/2"]
 
@@ -674,15 +697,16 @@ def _run_python(script: str, *args: str, options: tuple = ()) -> subprocess.Comp
 
 def _loaded_modules(*argvs, prelude: str = "", options: tuple = ()) -> set[str]:
     """Run CLI requests in one fresh interpreter, started with options, after
-    prelude; the names in sys.modules afterwards."""
-    script = (prelude + "import contextlib, io, json, sys\n"
+    prelude; the names in sys.modules afterwards.  The requests go in and the
+    names come out as Python literals, so the script itself loads no json."""
+    script = (prelude + "import ast, contextlib, io, sys\n"
               "from nchydro.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, sorted(sys.modules)]))\n")
-    result = _run_python(script, json.dumps(argvs), options=options)
+              "    codes = [main(argv) for argv in ast.literal_eval(sys.argv[1])]\n"
+              "print(repr([codes, sorted(sys.modules)]))\n")
+    result = _run_python(script, repr(argvs), options=options)
     assert result.returncode == 0, result.stderr
-    codes, modules = json.loads(result.stdout.splitlines()[-1])
+    codes, modules = ast.literal_eval(result.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs), argvs
     return set(modules)
 
@@ -703,20 +727,24 @@ def test_no_request_loads_dataclasses_or_inspect():
     # ast, dis and tokenize, milliseconds of every CLI process.  The
     # positive control: a script that imports dataclasses itself is seen to
     modules = {"dataclasses", "inspect"}
-    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, [
-        "nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"])
+    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, NONREL_L0)
     assert modules <= _loaded_modules(["levels", "2P3/2"], prelude="import dataclasses\n")
 
 
+def test_no_request_loads_json():
+    # cli writes its JSON text itself, and only a constants file is read with
+    # json.  The positive control: a prelude that imports json is seen to
+    assert "json" not in _loaded_modules(*NUMPY_FREE_REQUESTS, NONREL_L0)
+    assert "json" in _loaded_modules(["levels", "2P3/2"], prelude="import json\n")
+
+
 def test_no_request_loads_typing_or_numbers():
-    # every value type is a collections.namedtuple subclass, and the integer
+    # every value type is a constants.Record subclass, and the integer
     # and real checks take ints and floats without the numbers ABCs.  Under
     # -S, because a site-packages .pth file may import typing itself.  The
     # positive control: a prelude that imports each module is seen to
     modules = {"typing", "numbers"}
-    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, [
-        "nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"],
-        options=("-S",))
+    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, NONREL_L0, options=("-S",))
     for module in modules:
         assert module in _loaded_modules(["levels", "2P3/2"], prelude=f"import {module}\n",
                                          options=("-S",))
@@ -736,8 +764,7 @@ def test_import_does_not_load_argparse():
     assert result.stdout == "False\n"
     assert "argparse" in _loaded_modules(["levels", "2P3/2"], prelude="import argparse\n")
     modules = {"argparse", "gettext", "locale"}
-    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, [
-        "nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"])
+    assert not modules & _loaded_modules(*NUMPY_FREE_REQUESTS, NONREL_L0)
     assert modules <= _loaded_modules(["levels", "2P3/2"], prelude=(
         "import argparse\nargparse.ArgumentParser().parse_args([])\n"))
 
@@ -752,9 +779,7 @@ SUBCOMMAND_MODULES = {"levels": set(), "shift": {"shifts"}, "bound": {"shifts"},
                       "verify": {"shifts", "nonrel", "oracle"}}
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE_REQUESTS + [
-    ["nonrel", "--n", "2", "--l", "0", "--j", "1/2", "--mj", "1/2", "--theta", "1e-19"]],
-    ids=" ".join)
+@pytest.mark.parametrize("argv", NUMPY_FREE_REQUESTS + [NONREL_L0], ids=" ".join)
 def test_request_loads_only_its_modules(argv):
     loaded = {m for m in _loaded_modules(argv) if m == "nchydro" or m.startswith("nchydro.")}
     assert loaded == LEVELS_MODULES | {f"nchydro.{m}" for m in SUBCOMMAND_MODULES[argv[0]]}

@@ -230,6 +230,10 @@ LONG_REJECTED = (
                     id="parse_level_label-letter-long-str"),
        pytest.param(parse_level_label, (" " * 1000 + "1P1/2",),
                     id="parse_level_label-no-level-long-str"),
+       pytest.param(parse_level_label, ("1" * 5000 + "P3/2",),
+                    id="parse_level_label-digits-long-str"),
+       pytest.param(parse_level_label, ("2P" + "1" * 1000 + "/2",),
+                    id="parse_level_label-j-digits-long-str"),
        pytest.param(parse_theta, ("x" * 1000,), id="parse_theta-long-str"),
        pytest.param(parse_theta, ("(" + "0" * 1000 + "1e-200 GeV)^-2",),
                     id="parse_theta-gev-long-str"),
@@ -521,3 +525,39 @@ def test_only_the_listed_classes_are_dataclasses():
                 importers.add(path.stem)
     assert sorted(decorated) == sorted(DATACLASSES)
     assert importers == {name.split(".")[0] for name in DATACLASSES}
+
+
+# What every process would pay for on import: a collections.namedtuple class
+# compiles its __new__ through eval (constants.Record builds the value types
+# without either), and json costs a CLI request about 2 ms, so only the one
+# function that reads a JSON file imports it.
+def _namedtuple_eval_and_json(source: str) -> list[str]:
+    """Each use in source of namedtuple or eval, and each module-level json import."""
+    tree, found = ast.parse(source), []
+    for node in ast.walk(tree):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                 else [getattr(node, "attr", None) or getattr(node, "id", None)])
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name in ("namedtuple", "eval")]
+    for node in tree.body:
+        modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        found += [f"line {node.lineno}: import json" for module in modules
+                  if module.split(".")[0] == "json"]
+    return found
+
+
+def test_no_module_uses_namedtuple_or_eval_or_imports_json():
+    found = {path.stem: _namedtuple_eval_and_json(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    assert {module: uses for module, uses in found.items() if uses} == {}
+
+
+def test_the_source_scan_sees_each_use():
+    # the positive control: each use once, and a json import inside a function is allowed
+    source = ("import json\nfrom json import loads\nfrom collections import namedtuple as nt\n"
+              "import collections\nP = collections.namedtuple('P', 'x')\nQ = eval('1')\n"
+              "def read():\n    import json\n")
+    assert sorted(_namedtuple_eval_and_json(source)) == [
+        "line 1: import json", "line 2: import json", "line 3: namedtuple", "line 5: namedtuple",
+        "line 6: eval"]

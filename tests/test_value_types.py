@@ -1,7 +1,8 @@
-"""The package's value types, every one a named tuple.
+"""The package's value types, every one a named tuple: a constants.Record.
 
 Each named tuple's field names, order and defaults are pinned here; it
-compares, hashes, iterates and unpacks as the tuple of its fields.  A
+compares, hashes, iterates, unpacks and matches as the tuple of its fields,
+and rejects the arguments collections.namedtuple rejects.  A
 Level also keeps its closed_form memo, outside the fields.
 PhysicalConstants and SchrodingerState check their fields on every
 construction path: the constructor, with_, _replace, _make, copy,
@@ -102,6 +103,37 @@ def test_named_tuple_behaves_as_its_tuple(name):
         dataclasses.replace(value)
     with pytest.raises(TypeError):
         dataclasses.asdict(value)
+    record_type = type(value)
+    match value:  # a positional pattern binds the fields in order
+        case record_type(one, two, three):
+            assert (one, two, three) == value[:3]
+        case _:
+            pytest.fail("no positional match")
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_named_tuple_rejects_what_namedtuple_rejects(name):
+    value = INSTANCES[name][0]()
+    cls, fields = type(value), value._fields
+    required = len(fields) - len(cls._field_defaults)
+    calls = {
+        "too-many": lambda: cls(*value, None),
+        "unknown-keyword": lambda: cls(*value, bogus=1),
+        "duplicate": lambda: cls(*value[:1], **{fields[0]: value[0]}),
+        "duplicate-last": lambda: cls(*value, **{fields[-1]: value[-1]}),
+        "_make-long": lambda: cls._make([*value, None]),
+        "_make-short": lambda: cls._make(value[:-1]),
+    }
+    if required:  # PhysicalConstants has a default for every field
+        calls["too-few"] = lambda: cls(*value[:required - 1])
+    for call_name, call in calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        pytest.fail(f"{call_name}: no TypeError")
+    with pytest.raises(ValueError, match="unexpected field names: \\['bogus'\\]"):
+        value._replace(bogus=1)
 
 
 def test_level_memo_stays_outside_eq_hash_and_repr():
