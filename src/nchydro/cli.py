@@ -1,17 +1,19 @@
 """Command-line interface.
 
-Subcommands: levels, shift, bound, nonrel, sweep, verify.  Each handler
-returns its exit code, its payload and, where the two-column table does not
-fit, its own table text; only `main` reads --format and --out and writes.
-Output formats are table (default; the CSV for sweep) and json
-(schema-versioned).  Exit codes: 0 ok, 1 usage or validation problem or
-inputs out of range (a payload holding inf or NaN is never written), 2
-unexpected validation mismatch from the verify suite.
+Subcommands: levels, shift and bound (each of one level LABEL), nonrel,
+sweep, verify.  Each handler returns its exit code, its payload and, where
+the two-column table does not fit, its own table text; only `main` reads
+--format and --out and writes.  Output formats are table (default; the CSV
+for sweep) and json (schema-versioned).  Exit codes: 0 ok, 1 usage or
+validation problem or inputs out of range (a payload holding inf or NaN is
+never written), 2 unexpected validation mismatch from the verify suite.
 
 to_json writes the JSON text, byte for byte what json.dumps(payload,
 indent=2, allow_nan=False) writes, and its walk of the payload is the
-finiteness check of both formats; no request imports json but one that
-reads a constants file.
+finiteness check of both formats; only a string that is not printable
+ASCII, which no payload holds, goes to json.dumps.  The sweep table joins
+fields that csv would not quote.  So no request imports csv, nor json but
+one that reads a constants file.
 
 A handler imports the modules it computes with, so a request loads only
 those: levels needs constants, errors, specfun and dirac; shift, bound and
@@ -22,7 +24,6 @@ One option table parses the command line; no request imports a parser library.
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import re
 import sys
@@ -84,8 +85,8 @@ def _format(text: str) -> str:
 
 
 # The command line.  An option is flag -> (conversion, default or REQUIRED,
-# help); a subcommand is name -> (summary, its label as usage writes it: "",
-# "[LABEL]" or "LABEL", options).  Every subcommand takes the global flags too.
+# help); a subcommand is name -> (summary, its label as usage writes it: "" or
+# "LABEL", options).  Every subcommand takes the global flags too.
 REQUIRED = ...
 THETA_HELP = "theta in eV^-2 or '(X GeV)^-2'"
 GLOBAL_FLAGS = {
@@ -93,9 +94,7 @@ GLOBAL_FLAGS = {
     "--format": (_format, "table", "output format: table (default) or json"),
     "--out": (str, None, "write output to this path instead of stdout")}
 SUBCOMMANDS = {
-    "levels": ("exact level energies", "[LABEL]", {
-        "--n-r": (int, None, "radial quantum number (with --kappa)"),
-        "--kappa": (int, None, "angular quantum number (with --n-r)")}),
+    "levels": ("exact level energies", "LABEL", {}),
     "shift": ("first-order theta shifts of a level", "LABEL", {
         "--theta": (str, REQUIRED, THETA_HELP)}),
     "bound": ("theta bound from a level splitting", "LABEL", {
@@ -183,24 +182,11 @@ class Output(Record, fields="payload table code", defaults=(None, 0)):
     __slots__ = ()
 
 
-# json's short escapes, by code point
-_JSON_ESCAPES = {8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"}
-
-
-def _json_escape(match) -> str:
-    """json's escape of one character outside ' ' to '~'."""
-    code = ord(match.group())
-    if code >= 0x10000:  # a surrogate pair
-        code -= 0x10000
-        return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
-    return _JSON_ESCAPES.get(code) or f"\\u{code:04x}"
-
-
 def _json_str(text: str) -> str:
-    text = text.replace("\\", "\\\\").replace('"', '\\"')
     if not (text.isascii() and text.isprintable()):  # a character outside ' ' to '~'
-        text = re.sub(r"[^ -~]", _json_escape, text)
-    return f'"{text}"'
+        import json  # here: no payload string holds one
+        return json.dumps(text)
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_json(value, indent: str = "\n") -> str:
@@ -242,12 +228,7 @@ def _table(payload: dict) -> str:
 
 
 def cmd_levels(args, constants: PhysicalConstants) -> Output:
-    if args.label is not None and args.n_r is None and args.kappa is None:
-        n_r, kappa = parse_level_label(args.label)
-    elif args.label is None and args.n_r is not None and args.kappa is not None:
-        n_r, kappa = args.n_r, args.kappa
-    else:
-        raise ValidationError("give either a label like 2P3/2 or both --n-r and --kappa")
+    n_r, kappa = parse_level_label(args.label)
     state = make_state(n_r, kappa, 0.5, constants)
     binding = dirac_binding_energy(n_r, kappa, constants)
     return Output({
@@ -337,8 +318,6 @@ def cmd_sweep(args, constants: PhysicalConstants) -> Output:
     """Rows of shift = coefficient * theta from each level's closed-form
     eigenvalues and coefficients, read from its report at theta = 0
     (Level.closed_form); no quadrature runs."""
-    import csv
-
     from .shifts import Level
     theta_min = parse_theta(args.theta_min)
     theta_max = parse_theta(args.theta_max)
@@ -357,12 +336,9 @@ def cmd_sweep(args, constants: PhysicalConstants) -> Output:
             report = level.closed_form
             for eig, coeff in zip(report.eigenvalues, report.coefficients):
                 rows.append((theta, level.label, eig, coeff * theta))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    writer.writerows([repr(theta), label, repr(eig), repr(shift)]
-                     for theta, label, eig, shift in rows)
-    return Output({"rows": [dict(zip(SWEEP_HEADER, row)) for row in rows]}, buf.getvalue())
+    table = "".join([",".join(SWEEP_HEADER) + "\n"] + [
+        f"{theta!r},{label},{eig!r},{shift!r}\n" for theta, label, eig, shift in rows])
+    return Output({"rows": [dict(zip(SWEEP_HEADER, row)) for row in rows]}, table)
 
 
 def cmd_verify(args, constants: PhysicalConstants) -> Output:

@@ -201,7 +201,10 @@ def read_constants_file(path: str) -> tuple[PhysicalConstants, float]:
     and lambda_qcd over their defaults, each checked as the library does."""
     import json  # here, so that only a request with a constants file loads json
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValidationError("constants file is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValidationError("constants file must hold a JSON object")
     unknown = set(data) - {"m_e", "alpha", "lambda_qcd"}

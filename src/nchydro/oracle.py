@@ -22,8 +22,8 @@ from its defining integral and compared:
   there.
 * angular blocks: sums over the 16-node Gauss-Legendre rule in cos(theta)
   (specfun._SPHERE_RULE), with the phi integral taken exactly, against the
-  closed-form blocks, including the parity zeros; the rule is exact for
-  these blocks.
+  closed-form blocks (<L_z>; for sigma_cross the diagonal _sigma_cross of
+  partners kappa, -kappa, or zero), exact on this rule.
 * inverse-radius moments: closed forms against direct quadrature on the
   n-node Gauss-Laguerre rule, which is exact for every finite moment; the
   divergent (n, l, k) combinations must be detected on both paths, the
@@ -52,7 +52,7 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants, Record
 from .dirac import _exact_series, make_state, radial_polynomials
 from .errors import DivergenceError, ValidationError
 from .nonrel import _moment_integrands, _moment_quadratures, r_inverse_moment
-from .shifts import (Level, _radial_pair, cross_radial_integral_closed,
+from .shifts import (Level, _radial_pair, _sigma_cross, cross_radial_integral_closed,
                      cross_radial_integral_quadrature, lz_block, lz_block_numeric,
                      radial_integral_closed, sigma_cross_block)
 from .specfun import adaptive_sampled_endpoint, gauss_laguerre
@@ -201,9 +201,9 @@ def validate_angular(label_a: str, label_b: str | None = None,
 
     operator "theta_L" validates the z-axis orbital block of a level;
     "sigma_cross" validates the vector-channel block between two levels
-    (or the parity zero within one level when label_b is omitted or equal).
-    A sigma_cross pair with no closed-form reference raises ValidationError,
-    as does any other operator.
+    sharing j (or the parity zero within one level when label_b is omitted
+    or equal): every such pair has a closed form.  Any other operator, or
+    levels of different j, raise ValidationError.
     """
     level_a = Level.from_label(label_a, constants)
     if operator == "theta_L":
@@ -213,16 +213,10 @@ def validate_angular(label_a: str, label_b: str | None = None,
     if operator == "sigma_cross":
         level_b = Level.from_label(label_b, constants) if label_b else level_a
         numeric = sigma_cross_block(level_a, level_b).matrix
-        if level_a.l == level_b.l:
-            reference = tuple((0.0,) * len(row) for row in numeric)
-        elif {level_a.l, level_b.l} == {0, 1} and abs(level_a.j - 0.5) < 1e-9:
-            # the S <-> P channel: 2/3 diag(1, -1) over increasing M,
-            # sign set by which side is the S state
-            entry = (1.0 if level_a.l == 0 else -1.0) * (2.0 / 3.0)
-            reference = ((entry, 0.0), (0.0, -entry))
-        else:
-            raise ValidationError(f"no closed-form sigma_cross block for {label_a} -> "
-                                  f"{label_b}")
+        # partners kappa, -kappa have the closed diagonal; other levels sharing j have equal l
+        partner, basis = level_b.kappa == -level_a.kappa, level_a.m_basis
+        reference = tuple(tuple(_sigma_cross(level_a.kappa, a) if partner and a == b else 0.0
+                                for b in basis) for a in basis)
         name = f"angular sigma_cross {label_a}" + (f"->{label_b}" if label_b else " (within)")
         return _block_report(name, numeric, reference)
     raise ValidationError(f"operator must be 'theta_L' or 'sigma_cross', got {operator!r}")

@@ -206,6 +206,13 @@ def _lz(kappa: int, M: float) -> float:
     return M * (1.0 + 1.0 / (2.0 * kappa + 1.0))
 
 
+def _sigma_cross(kappa: int, M: float) -> float:
+    # <kappa M| i sigma.(z x r) |-kappa M> = sgn(kappa) (2j + 1) M / (2j (j + 1)), the diagonal
+    # sigma_cross_block of partners: i sigma.(z x r) = sigma_z sigma.r - cos theta and sigma.r
+    # swaps the partners, so the entry is half the gap between their <sigma_z>
+    return 2.0 * kappa * M / ((2 * abs(kappa) - 1) * (abs(kappa) + 0.5))
+
+
 def lz_expectation(j: float, l: int, M: float) -> float:
     """<L_z> for (j, l, M), after lj_to_kappa and check_magnetic accept them."""
     kappa = lj_to_kappa(l, j)
@@ -512,8 +519,8 @@ def transition_element_2s2p(theta: float,
                             method: str = "closed_form") -> float:
     """Magnitude of the 2S1/2 <-> 2P1/2 vector-channel element in eV.
 
-    Evaluates (e^4/4) times the 2/3 entry of the angular cross block times
-    the radial cross integral (by the requested method).  Linear in theta.
+    Evaluates (e^4/4) times the 2/3 entry (_sigma_cross) of the angular cross
+    block times the radial cross integral (by the requested method).  Linear in theta.
     """
     check_theta(theta)
     if method == "closed_form":
@@ -523,4 +530,4 @@ def transition_element_2s2p(theta: float,
     else:
         raise ValidationError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
     alpha = constants.alpha
-    return (alpha * alpha / 4.0) * (2.0 / 3.0) * abs(rho) * theta
+    return (alpha * alpha / 4.0) * abs(_sigma_cross(1, 0.5)) * abs(rho) * theta

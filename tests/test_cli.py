@@ -16,7 +16,7 @@ import nchydro
 from nchydro import cli
 from nchydro.cli import (GLOBAL_FLAGS, SUBCOMMANDS, Output, main, parse_half_integer,
                          parse_theta)
-from nchydro.constants import read_constants_file
+from nchydro.constants import DEFAULT_CONSTANTS, read_constants_file
 from nchydro.errors import ValidationError
 from nchydro.shifts import level_shift
 
@@ -212,7 +212,6 @@ def test_long_value_is_cut_in_the_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["levels", "--n-r", "1", "--kappa", "-1"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "-5/2", "--theta", "1e-19"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "-2.5", "--theta", "1e-19"],
 ], ids=" ".join)
@@ -280,16 +279,14 @@ def test_subcommand_help_lists_every_option(capsys, command, flag):
     ["sweep", "--theta-min", "0", "--theta-max", "1e307", "--steps", "2", "--levels", "3D5/2"],
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e307"],
     ["sweep", "--theta-min", "1e-19", "--theta-max", "0", "--steps", "3"],
-    ["levels", "--n-r", "0", "--kappa", "-9"],
+    # l = 8 has no letter
+    ["levels", "9L17/2"],
     # entries whose moments exist but overflow are an error, not moments
     # reported as null
     ["nonrel", "--n", "3", "--l", "2", "--j", "5/2", "--mj", "1/2", "--theta", "1e300"],
     ["nonrel", "--n", "2", "--l", "1", "--j", "3/2", "--mj", "1/2", "--theta", "1e300"],
     # 1 / (1e300 GeV)^2 underflows to 0: a GeV scale out of range, not theta = 0
     ["shift", "2P3/2", "--theta", "(1e300 GeV)^-2"],
-    # a label names the level alone: --n-r or --kappa beside it is an error
-    ["levels", "2P3/2", "--n-r", "3", "--kappa", "2"],
-    ["levels", "2P3/2", "--kappa", "-2"],
 ])
 def test_non_finite_input_exits_1_without_output(capsys, argv):
     for fmt in ("table", "json"):
@@ -297,6 +294,20 @@ def test_non_finite_input_exits_1_without_output(capsys, argv):
         assert code == 1, fmt
         assert out == "", fmt
         assert "nchydro: error:" in err, fmt
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "2P3/2", "--n-r", "3", "--kappa", "2"],
+    ["levels", "2P3/2", "--kappa", "-2"],
+], ids=" ".join)
+def test_levels_takes_no_quantum_number_options(capsys, argv):
+    # a label names the level alone: levels has no options of its own
+    for fmt in ("table", "json"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == "", fmt
+        assert f"nchydro: error: unrecognized option: {argv[2]}" in captured.err, fmt
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -404,14 +415,17 @@ class TestLevels:
         assert exc.value.code == 1
 
     def test_quantum_number_input(self, capsys):
-        code, out, _ = run_cli(capsys, "levels", "--n-r", "1", "--kappa", "1",
-                               "--format", "json")
-        assert code == 0
-        assert json.loads(out)["label"] == "2P1/2"
+        # a level is named by its label only
+        with pytest.raises(SystemExit) as exc:
+            main(["levels", "--n-r", "1", "--kappa", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert "unrecognized option: --n-r" in captured.err
 
     def test_levels_requires_some_input(self, capsys):
-        code, _, err = run_cli(capsys, "levels")
-        assert code == 1 and "label" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["levels"])
+        assert exc.value.code == 1 and "label" in capsys.readouterr().err
 
 
 class TestShift:
@@ -498,6 +512,11 @@ class TestNonrel:
         assert "nchydro: error: theta must be finite and >= 0" in err
 
 
+# the 25 levels with n <= 5
+LABELS = [f"{n}{'SPDFG'[l]}{2 * l + s}/2" for n in range(1, 6) for l in range(n)
+          for s in ((-1, 1) if l else (1,))]
+
+
 class TestSweep:
     def test_zero_row_and_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -526,6 +545,22 @@ class TestSweep:
         assert len(json_rows) == 4 * (2 + 6)
         assert csv_rows == [[repr(r["theta_eV2"]), r["level"], repr(r["eigenvalue"]),
                              repr(r["shift_eV"])] for r in json_rows]
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["--steps", "3", "--levels", ",".join(LABELS)], 330),
+        (["--steps", "1000"], 6000),
+    ], ids=["all-labels", "1000-steps"])
+    def test_table_is_what_csv_writes(self, argv, rows):
+        # the table is one join: the reference is csv.writer on the same rows
+        args = cli.parse_args(["sweep", "--theta-min", "0", "--theta-max", "1e-19", *argv])
+        result = cli.cmd_sweep(args, DEFAULT_CONSTANTS)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cli.SWEEP_HEADER)
+        writer.writerows([repr(row["theta_eV2"]), row["level"], repr(row["eigenvalue"]),
+                          repr(row["shift_eV"])] for row in result.payload["rows"])
+        assert result.table == buf.getvalue()
+        assert len(result.payload["rows"]) == rows
 
     def test_bad_steps(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta-min", "0",
@@ -584,6 +619,16 @@ class TestConstantsFile:
                                  "--constants-file", str(path))
         assert code == 1 and out == ""
         assert err.startswith("nchydro: error:") and err.count("\n") == 1
+
+    def test_deeply_nested_file_is_a_validation_error(self, capsys, tmp_path):
+        # json.load raises RecursionError on it, which is no traceback here
+        path = tmp_path / "constants.json"
+        path.write_text("[" * 100000)
+        for fmt in ("table", "json"):
+            code, out, err = run_cli(capsys, "levels", "2P3/2", "--constants-file", str(path),
+                                     "--format", fmt)
+            assert (code, out) == (1, ""), fmt
+            assert err == "nchydro: error: constants file is nested too deeply\n", fmt
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "levels", "1S1/2", "--constants-file", "/no/such.json")
@@ -731,11 +776,13 @@ def test_no_request_loads_dataclasses_or_inspect():
     assert modules <= _loaded_modules(["levels", "2P3/2"], prelude="import dataclasses\n")
 
 
-def test_no_request_loads_json():
-    # cli writes its JSON text itself, and only a constants file is read with
-    # json.  The positive control: a prelude that imports json is seen to
-    assert "json" not in _loaded_modules(*NUMPY_FREE_REQUESTS, NONREL_L0)
-    assert "json" in _loaded_modules(["levels", "2P3/2"], prelude="import json\n")
+@pytest.mark.parametrize("module", ["json", "csv"])
+def test_no_request_loads(module):
+    # cli writes its JSON text and its sweep table itself, and only a
+    # constants file is read with json.  The positive control: a prelude that
+    # imports the module is seen to
+    assert module not in _loaded_modules(*NUMPY_FREE_REQUESTS, NONREL_L0)
+    assert module in _loaded_modules(["levels", "2P3/2"], prelude=f"import {module}\n")
 
 
 def test_no_request_loads_typing_or_numbers():

@@ -103,10 +103,11 @@ class TestValidateAngular:
         assert report.verdict == "match"
         assert report.closed_form == pytest.approx(2.0 / 3.0, rel=1e-12)
 
-    def test_sigma_cross_without_closed_form_rejected(self):
-        # l = 1 -> 2 at j = 3/2: no closed-form block to compare against
-        with pytest.raises(ValidationError, match="no closed-form"):
-            validate_angular("2P3/2", "3D3/2", "sigma_cross")
+    def test_sigma_cross_p_d_partners(self):
+        # l = 1 -> 2 at j = 3/2: the closed diagonal -8M/15, largest 0.8 at |M| = 3/2
+        report = validate_angular("2P3/2", "3D3/2", "sigma_cross")
+        assert report.verdict == "match"
+        assert report.closed_form == 0.8
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValidationError, match="operator"):

@@ -38,6 +38,8 @@ LEVEL_LABELS = [f"{n}{'SPDFG'[l]}{int(2 * j)}/2" for n in range(1, 6) for j, l i
                 if l < n]
 # (bra, ket) pairs of PARTIAL_WAVES sharing j: the sigma-cross blocks
 SAME_J_PAIRS = [(a, b) for a in PARTIAL_WAVES for b in PARTIAL_WAVES if a[0] == b[0]]
+# (bra, ket) partners (j, l) and (j, 2j - l), for every j <= 9/2 and both orders
+PARTNER_PAIRS = [((k - 0.5, l), (k - 0.5, 2 * k - 1 - l)) for k in range(1, 6) for l in (k - 1, k)]
 
 # The brute-force reference for the angular blocks: numpy's 64-node
 # Gauss-Legendre rule in cos(theta) times the 128-point trapezoid in phi,
@@ -170,6 +172,18 @@ class TestSigmaCrossBlocks:
         # the phi integral of e^{i (M_b - M_a) phi} is taken exactly
         block = sigma_cross_block(_level(bra), _level(ket)).matrix
         assert all(v == 0j for a, row in enumerate(block) for b, v in enumerate(row) if a != b)
+
+    @pytest.mark.parametrize("bra,ket", PARTNER_PAIRS)
+    def test_partner_block_is_the_closed_diagonal(self, bra, ket):
+        # B_MM = sgn(kappa_bra) (2j + 1) M / (2j (j + 1)) on the diagonal, exactly 0 off it
+        level, j = _level(bra), bra[0]
+        block = sigma_cross_block(level, _level(ket)).matrix
+        for a, (row, M) in enumerate(zip(block, level.m_basis)):
+            closed = shifts._sigma_cross(level.kappa, M)
+            sign = math.copysign(1.0, level.kappa)
+            assert closed == pytest.approx(sign * (2 * j + 1) * M / (2 * j * (j + 1)), rel=1e-15)
+            assert abs(row[a] - closed) <= 1e-14
+            assert all(v == 0.0 for b, v in enumerate(row) if b != a)
 
     def test_requires_shared_j(self):
         with pytest.raises(ValidationError):
