@@ -39,6 +39,8 @@ _SUBMODULE_NAMES = {
 # public name -> defining submodule; a submodule's own name maps to itself
 _EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items()
             for name in (module, *names)}
+# what `from nchydro import *` binds: the exported names, not the submodules
+__all__ = [name for names in _SUBMODULE_NAMES.values() for name in names]
 
 
 def __getattr__(name: str):

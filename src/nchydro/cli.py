@@ -30,7 +30,7 @@ import sys
 from types import SimpleNamespace
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, GEV, LAMB_ACCURACY_2P_HZ,
-                        PhysicalConstants, Record, check_lambda_qcd, check_positive,
+                        PhysicalConstants, Record, check_positive,
                         check_theta, cut, read_constants_file, shown)
 from .dirac import dirac_binding_energy, make_state, parse_level_label
 from .errors import ValidationError
@@ -283,7 +283,7 @@ def cmd_nonrel(args, constants: PhysicalConstants) -> Output:
                          nc_hyperfine_shift, s_state_bound, s_state_shift, schrodinger_energy)
     theta = parse_theta(args.theta)
     lam = args.lambda_qcd  # --lambda-qcd, or the constants file's cutoff
-    check_lambda_qcd(lam)  # checked even where l > 0 leaves it unused
+    check_positive("lambda_qcd", lam)  # checked even where l > 0 leaves it unused
     state = SchrodingerState(n=args.n, l=args.l, j=args.j, m_j=args.mj,
                              constants=constants)
     head = {"n": args.n, "l": args.l, "j": args.j, "m_j": args.mj,

@@ -77,11 +77,6 @@ def check_positive(name: str, value, error=ValidationError):
         raise error(f"{name} must be finite and positive, got {shown(value)}")
 
 
-def check_lambda_qcd(lambda_qcd: float):
-    """Reject an S-state cutoff (eV) that is not a finite positive number."""
-    check_positive("lambda_qcd", lambda_qcd)
-
-
 def check_radius(r: float, caller: str):
     """Reject a radius (eV^-1) that is not a finite real, or not > 0."""
     if not finite_real(r):
@@ -211,7 +206,7 @@ def read_constants_file(path: str) -> tuple[PhysicalConstants, float]:
     if unknown:
         raise ValidationError(f"unknown constants keys: {sorted(unknown)}")
     lambda_qcd = data.pop("lambda_qcd", DEFAULT_LAMBDA_QCD_EV)
-    check_lambda_qcd(lambda_qcd)
+    check_positive("lambda_qcd", lambda_qcd)
     return DEFAULT_CONSTANTS.with_(**data), lambda_qcd
 
 

@@ -59,20 +59,6 @@ from .errors import ValidationError
 from .specfun import (IntegrationResult, check_integer, check_magnetic, kappa_to_lj,
                       laguerre_general, lj_to_kappa)
 
-__all__ = [
-    "RelativisticState",
-    "kappa_to_lj",
-    "lj_to_kappa",
-    "make_state",
-    "dirac_energy",
-    "dirac_binding_energy",
-    "radial_polynomials",
-    "radial_fg",
-    "parse_level_label",
-    "level_label",
-    "SPECTROSCOPIC_LETTERS",
-]
-
 SPECTROSCOPIC_LETTERS = "SPDFGHIK"
 
 
@@ -85,10 +71,6 @@ class RelativisticState(Record, fields="n_r kappa M constants j l nu energy a la
     radial shapes."""
 
     __slots__ = ()
-
-    @property
-    def n_principal(self) -> int:
-        return self.n_r + abs(self.kappa)
 
     @property
     def label(self) -> str:
@@ -139,6 +121,8 @@ def make_state(n_r: int, kappa: int, M: float,
     check_magnetic(j, M)
     alpha, m = constants.alpha, constants.m_e
     lam = math.sqrt((m - energy) * (m + energy))
+    if lam == 0.0:  # no bound state has E = m: E rounded to m or the product underflowed
+        raise ArithmeticError("lam = sqrt(m^2 - E^2) rounds to 0")
     a = lam / m
     # f1 and g1 carry a factor m relative to the bare ratio
     # a alpha / (E kappa - m nu) so that both terms are dimensionless

@@ -32,26 +32,11 @@ import math
 from functools import partial
 
 from .constants import (DEFAULT_CONSTANTS, DEFAULT_LAMBDA_QCD_EV, LAMB_ACCURACY_1S_HZ,
-                        PhysicalConstants, Record, check_lambda_qcd, check_theta)
+                        PhysicalConstants, Record, check_positive, check_theta)
 from .errors import DivergenceError, DomainError, ValidationError
 from .shifts import ThetaBound, lz_expectation, theta_bound
 from .specfun import (check_integer, check_magnetic, gauss_laguerre, laguerre_general,
                       lj_to_kappa)
-
-__all__ = [
-    "SchrodingerState",
-    "schrodinger_energy",
-    "r_inverse_moment",
-    "r_inverse_moment_quadrature",
-    "expectation_p4_physical",
-    "ExpectationTable",
-    "expectation_table",
-    "fine_structure_shift",
-    "HyperfineShift",
-    "nc_hyperfine_shift",
-    "s_state_shift",
-    "s_state_bound",
-]
 
 
 class SchrodingerState(Record, fields="n l j m_j constants", defaults=(DEFAULT_CONSTANTS,)):
@@ -354,7 +339,7 @@ def s_state_shift(theta: float, lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
     both theta and the cutoff.
     """
     check_theta(theta)
-    check_lambda_qcd(lambda_qcd)
+    check_positive("lambda_qcd", lambda_qcd)
     alpha, m = constants.alpha, constants.m_e
     return theta * alpha ** 5 * m * m * lambda_qcd / 6.0
 
@@ -363,7 +348,7 @@ def s_state_bound(accuracy_hz: float = LAMB_ACCURACY_1S_HZ,
                   lambda_qcd: float = DEFAULT_LAMBDA_QCD_EV,
                   constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ThetaBound:
     """Bound on theta from the 1S accuracy: theta_max = E(acc)/(alpha^5 m^2 Lambda/6)."""
-    check_lambda_qcd(lambda_qcd)
+    check_positive("lambda_qcd", lambda_qcd)
     alpha, m = constants.alpha, constants.m_e
     coefficient = alpha ** 5 * m * m * lambda_qcd / 6.0
     return theta_bound(coefficient, accuracy_hz, constants)

@@ -52,24 +52,11 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants, Record
 from .dirac import _exact_series, make_state, radial_polynomials
 from .errors import DivergenceError, ValidationError
 from .nonrel import _moment_integrands, _moment_quadratures, r_inverse_moment
-from .shifts import (Level, _radial_pair, _sigma_cross, cross_radial_integral_closed,
-                     cross_radial_integral_quadrature, lz_block, lz_block_numeric,
-                     radial_integral_closed, sigma_cross_block)
+from .shifts import (RADIAL_AGREEMENT_TOL, Level, _radial_pair, _sigma_cross,
+                     cross_radial_integral_closed, cross_radial_integral_quadrature, lz_block,
+                     lz_block_numeric, radial_integral_closed, sigma_cross_block)
 from .specfun import adaptive_sampled_endpoint, gauss_laguerre
 
-__all__ = [
-    "ValidationReport",
-    "validate_radial",
-    "validate_angular",
-    "validate_moments",
-    "run_all",
-    "RADIAL_TOL",
-    "ANGULAR_TOL",
-    "MOMENT_TOL",
-    "VERDICTS",
-]
-
-RADIAL_TOL = 1e-8
 ANGULAR_TOL = 1e-10
 MOMENT_TOL = 1e-9
 
@@ -152,10 +139,10 @@ def _radial_report(name: str, closed: float, quad, gauss: float | None) -> Valid
     drift, converged = quad.drift, quad.converged
     if gauss is not None:
         drift = _rel(quad.value, gauss)
-        converged = converged and drift <= RADIAL_TOL
+        converged = converged and drift <= RADIAL_AGREEMENT_TOL
     closed_gap = _rel(closed, quad.value)
 
-    if converged and closed_gap <= RADIAL_TOL:
+    if converged and closed_gap <= RADIAL_AGREEMENT_TOL:
         verdict, note = VERDICT_MATCH, ""
     elif converged:
         verdict = VERDICT_FLAGGED

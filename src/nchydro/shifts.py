@@ -71,25 +71,6 @@ from .errors import DomainError, ValidationError
 from .specfun import (_SPHERE_RULE, IntegrationResult, _norm_legendre, _spinor_profiles,
                       adaptive_sampled_endpoint, check_magnetic, kappa_to_lj, lj_to_kappa)
 
-__all__ = [
-    "AngularBlock",
-    "ThetaBound",
-    "ShiftReport",
-    "Level",
-    "lz_expectation",
-    "lz_block",
-    "lz_block_numeric",
-    "sigma_cross_block",
-    "radial_integral_closed",
-    "radial_integral_quadrature",
-    "cross_radial_integral_closed",
-    "cross_radial_integral_quadrature",
-    "level_shift",
-    "transition_element_2s2p",
-    "theta_bound",
-    "RADIAL_AGREEMENT_TOL",
-]
-
 RADIAL_AGREEMENT_TOL = 1e-8
 
 

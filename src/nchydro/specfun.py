@@ -34,22 +34,6 @@ from operator import mul
 from .constants import Record, finite_real, shown
 from .errors import DomainError, ValidationError
 
-__all__ = [
-    "QuadratureRule",
-    "IntegrationResult",
-    "check_integer",
-    "kappa_to_lj",
-    "lj_to_kappa",
-    "check_magnetic",
-    "laguerre_general",
-    "spherical_harmonic",
-    "spinor_harmonic",
-    "spinor_orbital_m",
-    "gauss_laguerre",
-    "adaptive_weighted",
-    "adaptive_sampled_endpoint",
-]
-
 
 def laguerre_general(n: int, a: float, x):
     """Generalized Laguerre polynomial L_n^a(x) by forward recurrence.

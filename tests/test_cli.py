@@ -338,10 +338,15 @@ SWEEP_3D52 = ["sweep", "--theta-min", "0", "--theta-max", "1e-19", "--steps", "2
     ({"m_e": 1e-300}, SWEEP_3D52),
     ({"m_e": 1e-300}, NONREL_3D52),
     ({"alpha": 1e-300}, NONREL_3D52),
+    ({"m_e": 1e-300}, ["levels", "2P3/2"]),
+    ({"alpha": 1e-320}, ["levels", "2P3/2"]),
+    ({"alpha": 1e-320}, ["shift", "2P3/2", "--theta", "1e-19"]),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v))
 def test_out_of_range_constants_exit_1_without_output(capsys, tmp_path, constants, argv, fmt):
-    # finite constants whose results overflow, or divide by an underflowed
-    # zero: one error line, no traceback, nothing on stdout or in --out
+    # finite constants whose results overflow, divide by an underflowed zero
+    # or round lam to 0 (where the true a is about 3.6e-3 at m_e = 1e-300
+    # and 5e-321 at alpha = 1e-320): one error line, no traceback, nothing on
+    # stdout or in --out
     constants_file, out_file = tmp_path / "constants.json", tmp_path / "out"
     constants_file.write_text(json.dumps(constants))
     code, out, err = run_cli(capsys, "--constants-file", str(constants_file), *argv,
@@ -882,6 +887,26 @@ def test_public_names_resolve_on_first_use():
     result = _run_python(script, json.dumps(PUBLIC_NAMES))
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[], []]
+
+
+def test_star_import_binds_the_exported_names():
+    # a fresh interpreter: the star import binds each exported name as its
+    # defining module's object, and nothing else (not the importlib that
+    # nchydro/__init__.py imports, nor a submodule's own name)
+    script = ("import importlib, json, sys\n"
+              "ns = {}\n"
+              "exec('from nchydro import *', ns)\n"
+              "wrong = [name for module, names in json.loads(sys.argv[1]).items()\n"
+              "         for name in names\n"
+              "         if ns.get(name) is not getattr(importlib.import_module(\n"
+              "             f'nchydro.{module}'), name)]\n"
+              "print(json.dumps([sorted(set(ns) - {'__builtins__'}), wrong]))\n")
+    result = _run_python(script, json.dumps(PUBLIC_NAMES))
+    assert result.returncode == 0, result.stderr
+    bound, wrong = json.loads(result.stdout)
+    assert "importlib" not in bound
+    assert bound == sorted(name for names in PUBLIC_NAMES.values() for name in names)
+    assert len(bound) == 55 and wrong == []
 
 
 def test_version_is_a_plain_attribute():

@@ -331,8 +331,8 @@ def test_check_integer_rejects(value):
 
 
 def _spelled(trees) -> set[str]:
-    """Every Name and Attribute spelled in trees."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
+    """Every Name spelled in trees, and every Attribute as "." + its name."""
+    return {node.id if isinstance(node, ast.Name) else "." + node.attr
             for tree in trees for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
 
@@ -350,10 +350,11 @@ def unreached(sources: dict[str, str], roots) -> set[str]:
     What a module runs on import is reached: its other statements, its
     top-level dunders (hooks such as __getattr__) and each definition's
     decorators, argument defaults and bases.  So is each definition in
-    roots.  A reached definition reaches every definition whose last
-    component it spells as a Name or an Attribute, a method only once its
-    class is reached, until nothing new is reached.  A string, such as an
-    entry of __all__ or of the lazy name table, spells nothing.
+    roots.  A reached definition reaches every top-level definition whose
+    name it spells as a Name or an Attribute, and every method of a reached
+    class whose name it spells as an Attribute (a local variable of the same
+    name calls no method), until nothing new is reached.  A string, such as
+    an entry of the package's export table, spells nothing.
     """
     # definition -> the names it spells, method -> its class, and the names
     # that import runs spell
@@ -376,9 +377,11 @@ def unreached(sources: dict[str, str], roots) -> set[str]:
             for member in methods:
                 spells[f"{name}.{member.name}"] = _spelled([member])
                 owner[f"{name}.{member.name}"] = name
-    named = {}  # last component -> the definitions it names
+    named = {}  # spelling -> the definitions it names
     for name in spells:
-        named.setdefault(name.rsplit(".", 1)[-1], set()).add(name)
+        last = name.rsplit(".", 1)[-1]
+        for word in ("." + last,) if name in owner else (last, "." + last):
+            named.setdefault(word, set()).add(name)
     reached = set(roots) & set(spells)
     while True:
         words = loaded.union(*(spells[name] for name in reached))
@@ -454,6 +457,22 @@ class Spare:
                                                              "mod.Spare.used"}
 
 
+def test_a_local_variable_reaches_no_method():
+    # a method is called through an attribute: root's local variable spells
+    # size, the name of Box's method, and reaches no method
+    source = """
+class Box:
+    def size(self):
+        return 1
+
+
+def root():
+    size = 2
+    return Box(), size
+"""
+    assert unreached({"mod": source}, {"mod.root"}) == {"mod.Box.size"}
+
+
 PACKAGE = Path(nchydro.__file__).parent
 REPO = PACKAGE.parents[1]
 
@@ -494,6 +513,30 @@ def test_every_unreferenced_definition_has_a_reason():
     assert sorted(set(UNREFERENCED) - unreached(sources, entry_points)) == []
     assert sorted(unreached(sources, entry_points | set(UNREFERENCED))) == []
     assert all(reason and "waits on" not in reason for reason in UNREFERENCED.values())
+
+
+def _assigns_all(source: str) -> bool:
+    return any(isinstance(target, ast.Name) and target.id == "__all__"
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+               for target in getattr(node, "targets", [getattr(node, "target", None)]))
+
+
+def test_only_the_package_declares_all():
+    # the export table in __init__.py is the one declaration of the public
+    # API: no submodule keeps an __all__ of its own
+    assigners = {path.stem for path in PACKAGE.glob("*.py")
+                 if _assigns_all(path.read_text(encoding="utf-8"))}
+    assert assigners == {"__init__"}
+    assert nchydro.__all__ == [name for names in nchydro._SUBMODULE_NAMES.values()
+                               for name in names]
+
+
+def test_the_all_scan_sees_each_assignment():
+    # the positive control: plain, annotated and augmented assignments
+    assert all(map(_assigns_all, ['__all__ = ["f"]', '__all__: list = []',
+                                  '__all__ += ["g"]', 'if True:\n    __all__ = []']))
+    assert not any(map(_assigns_all, ['all_ = []', 'x.__all__ = []', '"__all__"']))
 
 
 # The package's dataclasses, each with the one reason it is not a named

@@ -24,13 +24,11 @@ class TestMakeState:
     def test_2p12_quantum_numbers(self):
         s = make_state(1, 1, 0.5)
         assert (s.l, s.j) == (1, 0.5)
-        assert s.n_principal == 2
         assert s.label == "2P1/2"
 
     def test_2p32_quantum_numbers(self):
         s = make_state(0, -2, 1.5)
         assert (s.l, s.j) == (1, 1.5)
-        assert s.n_principal == 2
         assert s.label == "2P3/2"
 
     def test_invalid_states(self):
@@ -44,6 +42,14 @@ class TestMakeState:
             make_state(1, 1, 0.0)       # M not half-integral
         with pytest.raises(ValidationError):
             make_state(0, -1, 0.5, C.with_(alpha=1.5 - 0.5))  # alpha >= |kappa|
+
+    @pytest.mark.parametrize("change", [{"m_e": 1e-300}, {"alpha": 1e-320}, {"alpha": 1e-9}])
+    def test_lam_of_zero_is_an_arithmetic_error(self, change):
+        # (m - E)(m + E) is 0, which no bound state gives: it underflows
+        # (m_e = 1e-300, alpha = 1e-320) or E rounds to m (alpha = 1e-9); the
+        # true a is about 3.6e-3, 5e-321 and 5e-10, not 0
+        with pytest.raises(ArithmeticError, match="rounds to 0"):
+            make_state(0, -2, 1.5, C.with_(**change))
 
 
 class TestEnergy:
